@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
+use datasets::random::treebank_like;
 use datasets::regular::heterogeneous_records_like;
-use datasets::workload::{random_insert_delete_sequence, WorkloadMix};
+use datasets::workload::{random_insert_delete_sequence, random_update_sequence, WorkloadMix};
 use grammar_repair::repair::{GrammarRePair, GrammarRePairConfig};
-use grammar_repair::update::apply_update;
+use grammar_repair::update::{apply_batch, apply_update};
 use treerepair::{DigramSelector, TreeRePair, TreeRePairConfig};
 
 fn bench_compression(c: &mut Criterion) {
@@ -118,10 +119,40 @@ fn bench_recompress_incremental(c: &mut Criterion) {
     group.finish();
 }
 
+/// Update-then-recompress on one family (Treebank: it compresses least, so
+/// its grammars are the largest per input edge) at 1×/4×/16× the edges. The
+/// gate compares each size with its own baseline, so a return to
+/// super-linear recompression — a per-round pass over the start rule — shows
+/// as a regression of the large sizes while the small one stays put.
+fn bench_recompress_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("recompress_scaling");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    for (factor, sentences) in [(1, 10), (4, 40), (16, 160)] {
+        let xml = treebank_like(sentences, 1);
+        let (mut updated, _) = GrammarRePair::default().compress_xml(&xml);
+        let ops = random_update_sequence(&xml, 32, 5, WorkloadMix::paper_mix(0.5));
+        apply_batch(&mut updated, &ops).expect("workload ops are valid");
+        group.bench_with_input(
+            BenchmarkId::new("treebank", format!("{factor}x")),
+            &updated,
+            |b, g0| {
+                b.iter(|| {
+                    let mut g = g0.clone();
+                    GrammarRePair::default().recompress(&mut g)
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compression,
     bench_selectors,
-    bench_recompress_incremental
+    bench_recompress_incremental,
+    bench_recompress_scaling
 );
 criterion_main!(benches);

@@ -173,11 +173,18 @@ fn bench_store_concurrent(c: &mut Criterion) {
         scope.spawn(move || {
             // Endless write churn: cycle the schedule in small batches with
             // short pauses, keeping the maintenance thread busy draining.
-            for batch in ops_ref.chunks(6).cycle() {
+            // Only the first pass targets the document the schedule was
+            // generated against; a replayed batch may address nodes that
+            // have moved since, and is then allowed to fail.
+            let first_pass = ops_ref.chunks(6).count();
+            for (k, batch) in ops_ref.chunks(6).cycle().enumerate() {
                 if stop_ref.load(Ordering::Relaxed) {
                     return;
                 }
-                store_ref.apply_batch(hot, batch).expect("workload is valid");
+                let applied = store_ref.apply_batch(hot, batch);
+                if k < first_pass {
+                    applied.expect("workload is valid");
+                }
                 std::thread::sleep(Duration::from_micros(200));
             }
         });

@@ -12,38 +12,75 @@
 //! # Delta propagation across recompression rounds
 //!
 //! [`retrieve_occs`] is a full-grammar walk. Rebuilding it per replacement
-//! round made `GrammarRePair::recompress` pay O(grammar) per round — the cost
+//! round makes `GrammarRePair::recompress` pay O(grammar) per round — the cost
 //! the paper's update model forbids. [`crate::occ_index::OccIndex`] therefore
-//! maintains the same table incrementally; the invariants any mutation must
-//! respect are:
+//! maintains the same table incrementally, one *candidate* per generator
+//! node; these are the invariants that make a node-granular delta sound:
 //!
-//! * **A splice reports itself by bumping its rule's
-//!   [`sltgrammar::RhsTree::version`].** Every structural or label change to a
-//!   right-hand side (inlining, digram replacement, fragment export, rename)
-//!   goes through `RhsTree` mutators, which bump the counter. The index treats
-//!   a version mismatch as "all candidates whose generator lives in this rule
-//!   are stale".
-//! * **Chain walks are downward-only.** `TREEPARENT`/`TREECHILD` from a node of
-//!   rule `R` enter only (transitive) callees of `R` — never callers. The index
-//!   records, per rule, the exact set of rules its walks entered (`deps`), and
-//!   inverts it (`dependents`): when rule `C` changes structurally, precisely
-//!   the cached rules whose walks entered `C` must be rescanned, nothing else.
+//! * **A candidate depends on three things only.** The digram a node `v` of
+//!   rule `R` generates is a function of `v`'s own label, the label of `v`'s
+//!   parent in `R` together with `v`'s child index, and the bodies of the
+//!   callees the two chain walks enter. Nothing else in `R` matters — neither
+//!   walk ever takes a second step inside `R`.
+//! * **A splice reports itself through the arena.** Right-hand sides are
+//!   append-only between compactions ([`sltgrammar::RhsTree`] module docs), so
+//!   "what did this round do to `R`" is read off two watermarks: the nodes
+//!   with an id past the recorded `arena_len` were created, and the subtrees
+//!   rooted at the journal entries past the recorded journal length lost
+//!   their parent. Labels never change in place during recompression, and a
+//!   node only ever gets a new parent by becoming the child of a created
+//!   node, so the candidates to re-resolve in `R` are exactly: the created
+//!   nodes, their children, and nothing else; the candidates to retract are
+//!   the ones generated by nodes inside detached subtrees.
+//! * **Chain walks are downward-only and see a callee through its ports.**
+//!   `TREEPARENT`/`TREECHILD` from a node of rule `R` enter only (transitive)
+//!   callees of `R` — never callers — and inside a callee `C` they look at
+//!   exactly one thing: `TREECHILD` at `C`'s root, `TREEPARENT` at the parent
+//!   (and child index) of one parameter ([`Port`]). The index records, per
+//!   callee and port, the individual candidates whose walks came through
+//!   (`dependents`). A splice inside `C` that leaves a port's node where it
+//!   was cannot change any cached resolution; when a port does move — the
+//!   root or a parameter's parent was replaced — precisely the candidates
+//!   recorded under it are re-resolved, not the rules that contain them.
 //! * **Freezing is monotone and confined to fresh rules.** The frozen set only
-//!   ever gains rules created *after* every existing rule was last scanned, and
-//!   no pre-existing body references a fresh rule; a cached chain can therefore
-//!   never cross a rule that later becomes frozen, so cached resolutions stay
-//!   valid under freezing.
+//!   ever gains rules created *after* every existing node was last resolved,
+//!   and no pre-existing body references a fresh rule; a cached chain can
+//!   therefore never cross a rule that later becomes frozen, so cached
+//!   resolutions stay valid under freezing.
 //! * **Weights factor through usage.** A generator in rule `R` contributes
 //!   `usage(R)` to its digram's weight. Usage changes (inlining shifts
 //!   reference counts) are propagated as `count × (usage_new − usage_old)`
-//!   deltas per (rule, digram) pair without touching candidate sets.
-//! * **Equal-label digrams are order-sensitive.** Their greedy overlap
-//!   resolution depends on the global anti-straight-line scan order, so the
-//!   index replays exactly that order per equal-label digram from the cached
-//!   per-rule candidate lists instead of maintaining them by deltas.
+//!   deltas per (rule, digram) pair without touching candidate sets. Usage and
+//!   the anti-straight-line order are global properties of the call graph;
+//!   they are recomputed per round by one flat pass over the rule array.
+//! * **Equal-label digrams are order-sensitive — across shared tree parents.**
+//!   Their greedy overlap resolution follows the global scan order
+//!   (anti-straight-line over rules, preorder within a rule), so it cannot be
+//!   patched by deltas. Two candidates can only compete for an endpoint in
+//!   two ways: along a chain of `i`-th children inside one rule, which every
+//!   scan order resolves top-down, or at a tree parent inside a callee that
+//!   several call sites resolve to, where the first site in scan order wins.
+//!   While no candidate of the digram has such a foreign tree parent the
+//!   index recounts changed lists chain by chain; otherwise it replays the
+//!   canonical order over all of the digram's lists, whenever one of them or
+//!   the relative order of their rules changed, ranking a rule's candidates
+//!   by a flat preorder pass over that rule's arena when the rule was spliced
+//!   since it was last ranked.
+//! * **Localization inspects candidates, not generators.** Replacement never
+//!   applies the overlap test: it localizes and greedily replaces *every*
+//!   candidate of the selected digram inside the rules that hold at least
+//!   one recorded generator. [`DigramOccs::sites`] therefore hands
+//!   [`crate::replace::replace_all_occurrences`] the pre-overlap candidate
+//!   nodes of those rules.
 
 use sltgrammar::{FxHashMap, FxHashSet, Grammar, NodeId, NodeKind, NtId};
 use treerepair::Digram;
+
+/// The occurrence sites of one digram handed to
+/// [`crate::replace::replace_all_occurrences`]: every rule holding at least
+/// one generator, in anti-straight-line order (callees first), each with the
+/// nodes of *all* its candidates of the digram (sorted by node id).
+pub type Sites = Vec<(NtId, Vec<NodeId>)>;
 
 /// Set of rules introduced by the *current* GrammarRePair run. They represent
 /// already-replaced digrams and behave like terminals: chain walks stop at them
@@ -81,6 +118,10 @@ pub struct Generator {
 pub struct DigramOccs {
     /// All recorded (non-overlapping) generators.
     pub generators: Vec<Generator>,
+    /// Every candidate of the digram in scan order, before the equal-label
+    /// overlap test (generator nodes that are themselves transparent
+    /// references excluded). Equals the generator nodes for other digrams.
+    pub candidates: Vec<GrammarNode>,
     /// Usage-weighted number of occurrences in the derived tree (saturating).
     pub weight: u64,
     /// Tree-parent and tree-child nodes already used, for overlap checks of
@@ -92,6 +133,26 @@ pub struct DigramOccs {
 impl DigramOccs {
     fn would_overlap(&self, parent: GrammarNode, child: GrammarNode) -> bool {
         overlaps(&self.used_parents, &self.used_children, parent, child)
+    }
+
+    /// The replacement sites of this digram: the candidates of every rule
+    /// with a recorded generator, grouped per rule in scan (anti-SL) order.
+    pub fn sites(&self) -> Sites {
+        let generator_rules: FxHashSet<NtId> = self.generators.iter().map(|g| g.rule).collect();
+        let mut sites: Sites = Vec::new();
+        for &(rule, node) in &self.candidates {
+            if !generator_rules.contains(&rule) {
+                continue;
+            }
+            match sites.last_mut() {
+                Some((last, nodes)) if *last == rule => nodes.push(node),
+                _ => sites.push((rule, vec![node])),
+            }
+        }
+        for (_, nodes) in &mut sites {
+            nodes.sort_unstable();
+        }
+        sites
     }
 }
 
@@ -110,21 +171,32 @@ pub fn overlaps(
         || used_parents.contains(&parent)
 }
 
+/// How a chain walk entered a callee — the only parts of the callee's body the
+/// walk's result depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Port {
+    /// `TREECHILD` descended to the callee's root.
+    Root,
+    /// `TREEPARENT` continued at the parent of this (0-based) parameter.
+    Param(u32),
+}
+
 /// `TREECHILD` (paper Algorithm 2): follow transparent nonterminal references
 /// downwards (to the referenced rule's root) until a terminal or frozen node is
 /// reached.
 pub fn tree_child(g: &Grammar, rule: NtId, node: NodeId, frozen: &FrozenSet) -> GrammarNode {
-    tree_child_traced(g, rule, node, frozen, &mut |_| {})
+    tree_child_traced(g, rule, node, frozen, &mut |_, _| {})
 }
 
-/// [`tree_child`] that additionally reports every rule the walk enters to
-/// `entered` (the incremental index's chain-dependency hook).
+/// [`tree_child`] that additionally reports every rule the walk enters, and
+/// through which [`Port`], to `entered` (the incremental index's
+/// chain-dependency hook).
 pub fn tree_child_traced(
     g: &Grammar,
     rule: NtId,
     node: NodeId,
     frozen: &FrozenSet,
-    entered: &mut impl FnMut(NtId),
+    entered: &mut impl FnMut(NtId, Port),
 ) -> GrammarNode {
     let mut rule = rule;
     let mut node = node;
@@ -132,7 +204,7 @@ pub fn tree_child_traced(
         let kind = g.rule(rule).rhs.kind(node);
         match kind {
             NodeKind::Nt(callee) if !frozen.contains(&callee) => {
-                entered(callee);
+                entered(callee, Port::Root);
                 rule = callee;
                 node = g.rule(callee).rhs.root();
             }
@@ -153,17 +225,18 @@ pub fn tree_parent(
     node: NodeId,
     frozen: &FrozenSet,
 ) -> Option<(GrammarNode, usize)> {
-    tree_parent_traced(g, rule, node, frozen, &mut |_| {})
+    tree_parent_traced(g, rule, node, frozen, &mut |_, _| {})
 }
 
-/// [`tree_parent`] that additionally reports every rule the walk enters to
-/// `entered` (the incremental index's chain-dependency hook).
+/// [`tree_parent`] that additionally reports every rule the walk enters, and
+/// through which [`Port`], to `entered` (the incremental index's
+/// chain-dependency hook).
 pub fn tree_parent_traced(
     g: &Grammar,
     rule: NtId,
     node: NodeId,
     frozen: &FrozenSet,
-    entered: &mut impl FnMut(NtId),
+    entered: &mut impl FnMut(NtId, Port),
 ) -> Option<(GrammarNode, usize)> {
     let mut rule = rule;
     let mut node = node;
@@ -175,7 +248,7 @@ pub fn tree_parent_traced(
             NodeKind::Nt(callee) if !frozen.contains(&callee) => {
                 // The node is the `index`-th argument of the reference: continue
                 // at the parameter node y_{index+1} inside the callee.
-                entered(callee);
+                entered(callee, Port::Param(index as u32));
                 let callee_rhs = &g.rule(callee).rhs;
                 let param = callee_rhs.find_param(index as u32)?;
                 rule = callee;
@@ -233,9 +306,11 @@ pub fn retrieve_occs(g: &Grammar, frozen: &FrozenSet) -> FxHashMap<Digram, Digra
                     continue;
                 }
                 if entry.would_overlap(tp, tc) {
+                    entry.candidates.push((rule, node));
                     continue;
                 }
             }
+            entry.candidates.push((rule, node));
             entry.used_parents.insert(tp);
             entry.used_children.insert(tc);
             entry.generators.push(Generator {

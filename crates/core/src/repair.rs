@@ -8,7 +8,7 @@
 //! phase removes unproductive rules.
 
 use sltgrammar::pruning::{prune, PruneStats};
-use sltgrammar::{FxHashSet, Grammar, NtId, SymbolTable};
+use sltgrammar::{FxHashSet, Grammar, SymbolTable};
 use treerepair::digram::pattern_rhs;
 use treerepair::{Digram, DigramSelector};
 use xmltree::binary::to_binary;
@@ -66,6 +66,19 @@ pub struct RepairStats {
     pub replacements: usize,
     /// Number of fragment rules exported by the optimization.
     pub exported_rules: usize,
+    /// Chain resolutions (`TREEPARENT` + `TREECHILD` of one generator node)
+    /// performed by index refreshes and localization — a deterministic work
+    /// counter that stays proportional to the input plus the nodes the run
+    /// creates. Only counted on the incremental path.
+    pub resolved_candidates: usize,
+    /// Rules, call edges and arena nodes visited by the index's flat global
+    /// passes (change detection and order/usage per round, preorder ranks for
+    /// ordered equal-label replay).
+    pub rank_pass_nodes: usize,
+    /// Arena nodes the run created (inlined copies, pattern references,
+    /// exported and pattern rule bodies) — with `input_edges`, the yardstick
+    /// `resolved_candidates` is held against.
+    pub created_nodes: usize,
     /// Result of the pruning phase.
     pub pruned: PruneStats,
 }
@@ -103,6 +116,19 @@ impl GrammarRePair {
 
     /// Recompresses `g` in place. The derived tree `val(G)` is unchanged.
     pub fn recompress(&self, g: &mut Grammar) -> RepairStats {
+        self.recompress_with(g, |g, stats| match self.config.selector {
+            DigramSelector::FrequencyQueue => self.run_incremental(g, stats, &mut |_, _, _| {}),
+            DigramSelector::NaiveScan => self.run_rebuild(g, stats),
+        })
+    }
+
+    /// The frame around a replacement loop: size accounting before, garbage
+    /// collection, pruning and compaction after.
+    fn recompress_with(
+        &self,
+        g: &mut Grammar,
+        run: impl FnOnce(&mut Grammar, &mut RepairStats),
+    ) -> RepairStats {
         let input_edges = g.edge_count();
         let mut stats = RepairStats {
             input_edges,
@@ -110,10 +136,7 @@ impl GrammarRePair {
             ..RepairStats::default()
         };
 
-        match self.config.selector {
-            DigramSelector::FrequencyQueue => self.run_incremental(g, &mut stats),
-            DigramSelector::NaiveScan => self.run_rebuild(g, &mut stats),
-        }
+        run(g, &mut stats);
 
         g.gc();
         if self.config.prune {
@@ -125,34 +148,46 @@ impl GrammarRePair {
         stats
     }
 
-    /// The default replacement loop: the occurrence table and the shared
-    /// frequency-bucket queue are built **once** and refreshed with deltas
-    /// after each round — [`retrieve_occs`] is never called here, so a round
-    /// costs time proportional to what it changes, not to the grammar.
-    fn run_incremental(&self, g: &mut Grammar, stats: &mut RepairStats) {
+    /// [`GrammarRePair::recompress`] on the incremental path with a hook that
+    /// sees the index, the grammar and the frozen set after the initial build
+    /// and after every round's refresh — how the differential suites run
+    /// [`OccIndex::assert_matches_rebuild`] round by round.
+    pub fn recompress_observed(
+        &self,
+        g: &mut Grammar,
+        observe: &mut dyn FnMut(&OccIndex, &Grammar, &FrozenSet),
+    ) -> RepairStats {
+        self.recompress_with(g, |g, stats| self.run_incremental(g, stats, observe))
+    }
+
+    /// The default replacement loop: the occurrence table, the shared
+    /// frequency-bucket queue and the reference counts are built **once** and
+    /// patched after each round — [`retrieve_occs`] is never called here, so a
+    /// round costs time proportional to what it changes, not to the grammar.
+    fn run_incremental(
+        &self,
+        g: &mut Grammar,
+        stats: &mut RepairStats,
+        observe: &mut dyn FnMut(&OccIndex, &Grammar, &FrozenSet),
+    ) {
         let mut frozen: FrozenSet = FrozenSet::default();
         let mut index = OccIndex::build(g, &frozen);
+        let mut refs = RefCounts::from_counts(index.ref_counts());
+        observe(&index, g, &frozen);
         while let Some(digram) =
             index.select_best(g, self.config.min_occurrences, self.config.max_rank)
         {
-            let rules = index.generator_rules(&digram);
+            let sites = index.sites(&digram);
             let rank = digram.pattern_rank(g);
             let pattern = pattern_rhs(g, &digram);
             let x = g.add_rule_fresh("X", rank, pattern);
             frozen.insert(x);
-            // Reference counts for fragment export come from the index's
-            // maintained call graph (no body walk); only the fresh pattern
-            // rule's tiny body must be folded in.
-            let mut refs = RefCounts::from_counts(index.ref_counts());
             refs.add_rule_body(g, x);
-            // The pattern rule is not in the cached order, but the replacement
-            // loop only visits generator rules, which all predate it.
             let round = replace_all_occurrences(
                 g,
                 &digram,
                 x,
-                &rules,
-                index.order(),
+                &sites,
                 &frozen,
                 self.config.optimize,
                 &mut refs,
@@ -160,6 +195,7 @@ impl GrammarRePair {
             stats.inlinings += round.inlinings;
             stats.replacements += round.replacements;
             stats.exported_rules += round.exported_rules;
+            stats.resolved_candidates += round.resolved_candidates;
             let success = round.replacements > 0;
             if !success {
                 // Nothing was replaced (every counted occurrence overlapped a
@@ -167,17 +203,23 @@ impl GrammarRePair {
                 // ban the digram to guarantee termination. Localization may
                 // still have inlined rules, so the refresh below is not
                 // skippable.
+                refs.remove_rule_body(g, x);
                 g.remove_rule(x);
                 frozen.remove(&x);
                 index.exclude(&digram);
             }
+            debug_assert!(refs.matches(g), "maintained reference counts must match a fresh walk");
             index.refresh(g, &frozen);
+            observe(&index, g, &frozen);
             if success {
                 stats.rounds += 1;
                 stats.max_intermediate_edges =
                     stats.max_intermediate_edges.max(index.edge_count());
             }
         }
+        stats.resolved_candidates += index.resolved_candidates();
+        stats.rank_pass_nodes += index.rank_pass_nodes();
+        stats.created_nodes += index.created_nodes();
     }
 
     /// The rebuild oracle: re-retrieves all occurrence generators per round by
@@ -220,20 +262,13 @@ impl GrammarRePair {
             let pattern = pattern_rhs(g, &digram);
             let x = g.add_rule_fresh("X", rank, pattern);
             frozen.insert(x);
-            let rules: FxHashSet<NtId> = table
-                .get(&digram)
-                .map(|o| o.generators.iter().map(|gen| gen.rule).collect())
-                .unwrap_or_default();
-            let order = g
-                .anti_sl_order()
-                .expect("replacement requires a straight-line grammar");
+            let sites = table[&digram].sites();
             let mut refs = RefCounts::from_grammar(g);
             let round = replace_all_occurrences(
                 g,
                 &digram,
                 x,
-                &rules,
-                &order,
+                &sites,
                 &frozen,
                 self.config.optimize,
                 &mut refs,

@@ -7,19 +7,25 @@
 //! 1. **Localization** — the minimal inlining steps that make the `a`- and
 //!    `b`-nodes of every crossing occurrence explicit within the rule
 //!    (Algorithm 5 / the inlining part of Algorithm 7).
-//! 2. **Local replacement** — a single preorder (top-down greedy) pass that
-//!    replaces every local occurrence by the fresh pattern nonterminal, exactly
-//!    as TreeRePair does on trees.
+//! 2. **Local replacement** — every local occurrence is replaced by the fresh
+//!    pattern nonterminal, top-down greedy along chains of overlapping
+//!    (equal-label) occurrences, exactly as TreeRePair does on trees.
 //! 3. **Fragment export** (optimized mode only, Algorithm 8) — connected
 //!    fragments that are not needed by callers are moved into new rules, so that
 //!    later inlinings of this rule stay small ("lemma generation").
-
-use std::collections::HashSet;
+//!
+//! Phases 1 and 2 are *occurrence-driven*: the caller supplies, per rule, the
+//! nodes that generate candidates of the digram ([`Sites`]), and the phases
+//! touch only those nodes, the copies that localization inlines, and the
+//! argument subtrees hanging off those copies. No node outside that set can
+//! become an occurrence during the round — inlining and fragment export
+//! preserve every resolved digram, and a replacement only creates digrams
+//! that mention the fresh pattern rule — so nothing else is ever scanned.
 
 use sltgrammar::{FxHashMap, FxHashSet, Grammar, NodeId, NodeKind, NtId, RhsTree};
 use treerepair::Digram;
 
-use crate::occurrences::{is_transparent_nt, tree_child, tree_parent, FrozenSet};
+use crate::occurrences::{is_transparent_nt, tree_child, tree_parent, FrozenSet, Sites};
 
 /// Statistics of one digram replacement pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,57 +36,73 @@ pub struct ReplaceStats {
     pub replacements: usize,
     /// Number of fragment rules exported (optimized mode only).
     pub exported_rules: usize,
+    /// Number of chain resolutions (`TREEPARENT` + `TREECHILD` of one node)
+    /// localization performed — a deterministic work counter.
+    pub resolved_candidates: usize,
 }
 
 /// Reference-site counts of every rule, maintained *incrementally* through
-/// the splices of one replacement round.
+/// the splices of replacement rounds.
 ///
 /// [`export_fragments`] needs to know whether a rule is referenced more than
-/// once; calling [`Grammar::ref_counts`] (a full body walk) per reduced
-/// callee per round was the last per-round O(grammar) term on the
-/// replacement path. Instead the counts are seeded once per round — from
-/// [`crate::occ_index::OccIndex::ref_counts`]'s cached call graph on the
-/// incremental path, from one `Grammar::ref_counts` walk on the rebuild
-/// oracle path — and kept exact across the round's three mutation kinds:
-/// inlining a callee (one reference gone, the callee's body references
-/// copied in), replacing occurrences by the pattern rule, and exporting a
-/// fragment into a fresh rule.
+/// once. The counts are seeded once per recompression run — from
+/// [`crate::occ_index::OccIndex::ref_counts`]'s call graph on the incremental
+/// path, from one `Grammar::ref_counts` walk per round on the rebuild oracle
+/// path — and kept exact across a round's mutation kinds: adding or removing
+/// the pattern rule, inlining a callee (one reference gone, the callee's body
+/// references copied in), replacing occurrences by the pattern rule, and
+/// exporting a fragment into a fresh rule.
 #[derive(Debug, Clone, Default)]
 pub struct RefCounts {
-    counts: FxHashMap<NtId, u64>,
+    /// Indexed by [`NtId`]; rules past the end have no references.
+    counts: Vec<u64>,
 }
 
 impl RefCounts {
     /// Seeds the counts with one full-grammar walk (the rebuild oracle path).
     pub fn from_grammar(g: &Grammar) -> Self {
-        RefCounts {
-            counts: g
-                .ref_counts()
-                .into_iter()
-                .map(|(nt, c)| (nt, c as u64))
-                .collect(),
+        let mut refs = RefCounts::default();
+        for nt in g.nonterminals() {
+            refs.add_rule_body(g, nt);
         }
+        refs
     }
 
     /// Seeds the counts from an already-maintained call graph (the
     /// [`crate::occ_index::OccIndex`] path — no body walk).
-    pub fn from_counts(counts: FxHashMap<NtId, u64>) -> Self {
-        RefCounts { counts }
+    pub fn from_counts(counts: impl IntoIterator<Item = (NtId, u64)>) -> Self {
+        let mut refs = RefCounts::default();
+        for (nt, count) in counts {
+            refs.add(nt, count);
+        }
+        refs
     }
 
     /// Current number of reference sites of `nt`.
     pub fn count(&self, nt: NtId) -> u64 {
-        self.counts.get(&nt).copied().unwrap_or(0)
+        self.counts.get(nt.index()).copied().unwrap_or(0)
+    }
+
+    /// Whether the counts equal a fresh walk over every rule body.
+    pub fn matches(&self, g: &Grammar) -> bool {
+        let walked = RefCounts::from_grammar(g);
+        (0..g.nt_bound().max(self.counts.len())).all(|i| {
+            let nt = NtId(i as u32);
+            self.count(nt) == walked.count(nt)
+        })
     }
 
     /// Adds `delta` references to `nt`.
     fn add(&mut self, nt: NtId, delta: u64) {
-        *self.counts.entry(nt).or_insert(0) += delta;
+        if nt.index() >= self.counts.len() {
+            self.counts.resize(nt.index() + 1, 0);
+        }
+        self.counts[nt.index()] += delta;
     }
 
     /// Removes `delta` references from `nt`.
     fn sub(&mut self, nt: NtId, delta: u64) {
-        let slot = self.counts.entry(nt).or_insert(0);
+        let slot = &mut self.counts[nt.index()];
         debug_assert!(*slot >= delta, "reference count underflow");
         *slot = slot.saturating_sub(delta);
     }
@@ -89,9 +111,20 @@ impl RefCounts {
     /// fold a freshly added pattern rule into seeded counts).
     pub fn add_rule_body(&mut self, g: &Grammar, rule: NtId) {
         let rhs = &g.rule(rule).rhs;
-        for node in rhs.preorder() {
+        for node in rhs.walk_from(rhs.root()) {
             if let NodeKind::Nt(callee) = rhs.kind(node) {
                 self.add(callee, 1);
+            }
+        }
+    }
+
+    /// Retracts the references contributed by `rule`'s current body (used
+    /// before a useless pattern rule is removed again).
+    pub fn remove_rule_body(&mut self, g: &Grammar, rule: NtId) {
+        let rhs = &g.rule(rule).rhs;
+        for node in rhs.walk_from(rhs.root()) {
+            if let NodeKind::Nt(callee) = rhs.kind(node) {
+                self.sub(callee, 1);
             }
         }
     }
@@ -102,12 +135,7 @@ impl RefCounts {
     /// state that is actually inlined (i.e. after any fragment export on it).
     fn note_inline(&mut self, g: &Grammar, callee: NtId) {
         self.sub(callee, 1);
-        let rhs = &g.rule(callee).rhs;
-        for node in rhs.preorder() {
-            if let NodeKind::Nt(inner) = rhs.kind(node) {
-                self.add(inner, 1);
-            }
-        }
+        self.add_rule_body(g, callee);
     }
 
     /// Accounts `n` digram replacements by pattern rule `x`: each removes the
@@ -130,19 +158,17 @@ impl RefCounts {
 /// Replaces all occurrences of `digram` in the grammar by references to the
 /// (already created, frozen) pattern rule `x`.
 ///
-/// `rules_with_generators` is the set of rules containing occurrence
-/// generators of the digram — as collected by
-/// [`crate::occurrences::retrieve_occs`] or maintained by
-/// [`crate::occ_index::OccIndex`]; only those rules are visited, in the given
-/// anti-straight-line `order` (callees first). With `optimize` set, fragment
-/// export keeps intermediate rules small.
-#[allow(clippy::too_many_arguments)]
+/// `sites` lists the rules containing occurrence generators of the digram in
+/// anti-straight-line order (callees first), each with its candidate nodes —
+/// as collected by [`crate::occurrences::DigramOccs::sites`] or maintained by
+/// [`crate::occ_index::OccIndex::sites`]; only those rules and, within them,
+/// only those nodes and what localization inlines around them are visited.
+/// With `optimize` set, fragment export keeps intermediate rules small.
 pub fn replace_all_occurrences(
     g: &mut Grammar,
     digram: &Digram,
     x: NtId,
-    rules_with_generators: &FxHashSet<NtId>,
-    order: &[NtId],
+    sites: &Sites,
     frozen: &FrozenSet,
     optimize: bool,
     refs: &mut RefCounts,
@@ -153,12 +179,12 @@ pub fn replace_all_occurrences(
     // inlining of it.
     let mut reduced: FxHashSet<NtId> = FxHashSet::default();
 
-    for &rule in order {
-        if !rules_with_generators.contains(&rule) || frozen.contains(&rule) {
-            continue;
-        }
-        stats.inlinings += localize(g, rule, digram, frozen, optimize, &mut reduced, &mut stats.exported_rules, refs);
-        let replaced = replace_local(g, rule, digram, x);
+    for (rule, nodes) in sites {
+        let rule = *rule;
+        debug_assert!(!frozen.contains(&rule), "frozen rules hold no generators");
+        let occurrences =
+            localize(g, rule, digram, nodes, frozen, optimize, &mut reduced, refs, &mut stats);
+        let replaced = replace_local(g, rule, digram, x, &occurrences);
         refs.note_replacements(digram, x, replaced as u64);
         stats.replacements += replaced;
         if optimize {
@@ -170,7 +196,16 @@ pub fn replace_all_occurrences(
 }
 
 /// Phase 1: inline transparent nonterminals until every occurrence of `digram`
-/// whose generator lies in `rule` has both its `a`- and `b`-node inside `rule`.
+/// generated by one of `nodes` has both its `a`- and `b`-node inside `rule`.
+/// Returns every node found to generate an occurrence along the way — the
+/// child ends [`replace_local`] has to look at.
+///
+/// The first pass inspects the supplied candidate nodes; each later pass
+/// inspects only what the previous pass inlined: the fresh copies (whose
+/// roots and inner references may need further inlining) and the argument
+/// subtrees re-attached below them. Candidates are re-verified by a chain
+/// walk because callees processed earlier in the round may have replaced the
+/// node a cached resolution ended at.
 ///
 /// In optimized mode, a multiply-referenced callee is first reduced by fragment
 /// export (once per round) so that every inlined copy of it stays small — the
@@ -180,22 +215,25 @@ pub fn localize(
     g: &mut Grammar,
     rule: NtId,
     digram: &Digram,
+    nodes: &[NodeId],
     frozen: &FrozenSet,
     optimize: bool,
     reduced: &mut FxHashSet<NtId>,
-    exported_rules: &mut usize,
     refs: &mut RefCounts,
-) -> usize {
-    let mut inlinings = 0;
+    stats: &mut ReplaceStats,
+) -> Vec<NodeId> {
+    let mut occurrences: Vec<NodeId> = Vec::new();
+    let mut inspect: Vec<NodeId> = nodes.to_vec();
     loop {
         let mut targets: Vec<NodeId> = Vec::new();
         {
             let rhs = &g.rule(rule).rhs;
             let root = rhs.root();
-            for node in rhs.preorder() {
-                if node == root || rhs.kind(node).is_param() {
+            for &node in &inspect {
+                if node == root || rhs.kind(node).is_param() || rhs.is_floating(node) {
                     continue;
                 }
+                stats.resolved_candidates += 1;
                 let Some((tp, index)) = tree_parent(g, rule, node, frozen) else {
                     continue;
                 };
@@ -212,6 +250,7 @@ pub fn localize(
                 if digram.equal_labels() && is_transparent_nt(rhs.kind(node), frozen) {
                     continue;
                 }
+                occurrences.push(node);
                 let parent = rhs.parent(node).expect("non-root node has a parent");
                 if is_transparent_nt(rhs.kind(parent), frozen) {
                     targets.push(parent);
@@ -220,67 +259,84 @@ pub fn localize(
                 }
             }
         }
-        targets.sort();
+        targets.sort_unstable();
         targets.dedup();
         if targets.is_empty() {
-            return inlinings;
+            return occurrences;
         }
+        let created_from = g.rule(rule).rhs.arena_len();
         for node in targets {
-            let (attached, kind) = {
-                let rhs = &g.rule(rule).rhs;
-                (
-                    node == rhs.root() || rhs.parent(node).is_some(),
-                    rhs.kind(node),
-                )
-            };
-            if !attached || !is_transparent_nt(kind, frozen) {
-                continue;
-            }
-            let callee = kind.as_nt().expect("transparent nonterminal reference");
+            let callee = g.rule(rule).rhs.kind(node).as_nt().expect("targets are references");
             if optimize && !reduced.contains(&callee) {
-                *exported_rules += export_fragments(g, callee, refs);
+                stats.exported_rules += export_fragments(g, callee, refs);
                 reduced.insert(callee);
             }
             refs.note_inline(g, callee);
             g.inline_at(rule, node);
-            inlinings += 1;
+            stats.inlinings += 1;
+        }
+        // Next pass: the inlined copies and the old subtrees now hanging off them.
+        let rhs = &g.rule(rule).rhs;
+        inspect.clear();
+        for index in created_from..rhs.arena_len() {
+            let fresh = NodeId(index as u32);
+            inspect.push(fresh);
+            inspect.extend(rhs.children(fresh).iter().filter(|c| c.index() < created_from));
         }
     }
 }
 
-/// Phase 2: one preorder pass replacing every local occurrence of `digram`
-/// inside `rule` by a reference to the pattern rule `x` (top-down greedy,
-/// non-overlapping). Returns the number of replacements.
-pub fn replace_local(g: &mut Grammar, rule: NtId, digram: &Digram, x: NtId) -> usize {
+/// Phase 2: replaces every local occurrence of `digram` inside `rule` whose
+/// child end is one of `candidates` by a reference to the pattern rule `x`.
+/// Occurrences of an equal-label digram overlap along chains; each chain is
+/// replaced greedily from its top, which is what a preorder pass over the
+/// whole rule would do. Returns the number of replacements.
+pub fn replace_local(
+    g: &mut Grammar,
+    rule: NtId,
+    digram: &Digram,
+    x: NtId,
+    candidates: &[NodeId],
+) -> usize {
     let rhs = &mut g.rule_mut(rule).rhs;
-    let order = rhs.preorder();
+    let i = digram.child_index;
+    // The parent end of the local occurrence whose child end is `node`, if any.
+    let occurrence = |rhs: &RhsTree, node: NodeId| -> Option<NodeId> {
+        let parent = rhs.parent(node)?;
+        (rhs.kind(parent) == digram.parent
+            && rhs.kind(node) == digram.child
+            && rhs.children(parent).get(i) == Some(&node))
+        .then_some(parent)
+    };
     let mut replacements = 0;
-    for node in order {
-        // Skip nodes that a previous replacement detached.
-        let Some(parent) = rhs.parent(node) else { continue };
-        if rhs.kind(parent) != digram.parent
-            || rhs.kind(node) != digram.child
-            || rhs.child_index(node) != Some(digram.child_index)
-        {
-            continue;
+    for &candidate in candidates {
+        let mut node = candidate;
+        let Some(mut parent) = occurrence(rhs, node) else { continue };
+        if digram.equal_labels() {
+            // Climb to the top of the chain: the occurrence whose parent end
+            // is not itself the child end of another occurrence.
+            while let Some(above) = occurrence(rhs, parent) {
+                node = parent;
+                parent = above;
+            }
         }
-        let i = digram.child_index;
-        let parent_children = rhs.children(parent).to_vec();
-        let node_children = rhs.children(node).to_vec();
-        for &c in &parent_children {
-            rhs.detach(c);
+        loop {
+            // The next link down the chain that survives this replacement
+            // starts at the child end's own `i`-th child.
+            let below = rhs.children(node).get(i).copied();
+            rhs.replace_digram(parent, i, NodeKind::Nt(x));
+            replacements += 1;
+            if !digram.equal_labels() {
+                break;
+            }
+            let Some(next_parent) = below else { break };
+            let Some(&next) = rhs.children(next_parent).get(i) else { break };
+            if occurrence(rhs, next) != Some(next_parent) {
+                break;
+            }
+            node = next;
+            parent = next_parent;
         }
-        for &c in &node_children {
-            rhs.detach(c);
-        }
-        let mut new_children =
-            Vec::with_capacity(parent_children.len() + node_children.len() - 1);
-        new_children.extend_from_slice(&parent_children[..i]);
-        new_children.extend_from_slice(&node_children);
-        new_children.extend_from_slice(&parent_children[i + 1..]);
-        let x_node = rhs.add_node(NodeKind::Nt(x), new_children);
-        rhs.replace_subtree(parent, x_node);
-        replacements += 1;
     }
     replacements
 }
@@ -291,77 +347,41 @@ pub fn replace_local(g: &mut Grammar, rule: NtId, digram: &Digram, x: NtId) -> u
 /// its parameters — the nodes callers may have to isolate when they inline this
 /// rule. Returns the number of exported rules.
 ///
-/// The reference-count check reads the round's maintained [`RefCounts`]
-/// (seeded from the occurrence index's call graph) instead of re-walking the
-/// grammar per call; exported rules are folded back into the counts.
+/// The reference-count check reads the maintained [`RefCounts`] instead of
+/// re-walking the grammar per call; exported rules are folded back into the
+/// counts.
 pub fn export_fragments(g: &mut Grammar, rule: NtId, refs: &mut RefCounts) -> usize {
-    debug_assert_eq!(
-        refs.count(rule),
-        g.ref_counts().get(&rule).copied().unwrap_or(0) as u64,
-        "maintained reference counts must match a fresh walk"
-    );
     if refs.count(rule) <= 1 {
         return 0;
     }
 
-    // Collect marks and fragment roots on an immutable view first.
-    let (fragments, _marks) = {
-        let rhs = &g.rule(rule).rhs;
-        let mut marks: HashSet<NodeId> = HashSet::new();
-        marks.insert(rhs.root());
-        for (_, pnode) in rhs.param_nodes() {
-            if let Some(parent) = rhs.parent(pnode) {
-                marks.insert(parent);
-            }
-        }
-        let mut fragments: Vec<NodeId> = Vec::new();
-        for node in rhs.preorder() {
-            if marks.contains(&node) || rhs.kind(node).is_param() {
-                continue;
-            }
-            let parent = rhs.parent(node).expect("only the root lacks a parent");
-            let parent_in_fragment =
-                !marks.contains(&parent) && !rhs.kind(parent).is_param();
-            if !parent_in_fragment {
-                fragments.push(node);
-            }
-        }
-        (fragments, marks)
-    };
+    // Marks and fragment roots. Exports only ever move unmarked nodes, so
+    // the marks computed here hold for the whole call.
+    let rank = g.rule(rule).rank;
+    let rhs = &g.rule(rule).rhs;
+    let mut marks: FxHashSet<NodeId> = FxHashSet::default();
+    marks.insert(rhs.root());
+    marks.extend((0..rank as u32).filter_map(|i| rhs.parent(rhs.find_param(i)?)));
+    let in_fragment = |node: NodeId| !marks.contains(&node) && !rhs.kind(node).is_param();
+    let fragments: Vec<NodeId> = rhs
+        .walk_from(rhs.root())
+        .filter(|&node| {
+            // The (marked) root is the only node without a parent.
+            in_fragment(node) && !rhs.parent(node).is_some_and(in_fragment)
+        })
+        .collect();
 
     let mut exported = 0;
     for fragment_root in fragments {
-        // Re-derive marks: earlier exports in this rule changed the tree, but
-        // they never touch other fragments, so the fragment root is still valid
-        // unless it was already cut away (defensive check below).
-        let (fragment_nodes, cut_points) = {
-            let rhs = &g.rule(rule).rhs;
-            let attached = fragment_root == rhs.root() || rhs.parent(fragment_root).is_some();
-            if !attached {
-                continue;
-            }
-            let mut marks: HashSet<NodeId> = HashSet::new();
-            marks.insert(rhs.root());
-            for (_, pnode) in rhs.param_nodes() {
-                if let Some(parent) = rhs.parent(pnode) {
-                    marks.insert(parent);
-                }
-            }
-            if marks.contains(&fragment_root) {
-                continue;
-            }
-            collect_fragment(rhs, fragment_root, &marks)
-        };
+        let rhs = &g.rule(rule).rhs;
+        let (fragment_nodes, cut_points) = collect_fragment(rhs, fragment_root, &marks);
         if fragment_nodes.len() < 2 {
             continue;
         }
 
         // Build the exported rule body: a copy of the fragment with each cut
         // subtree replaced by a fresh parameter (in preorder order).
-        let new_rhs = {
-            let rhs = &g.rule(rule).rhs;
-            build_exported_rhs(rhs, fragment_root, &fragment_nodes, &cut_points)
-        };
+        let new_rhs = build_exported_rhs(rhs, fragment_root, &fragment_nodes, &cut_points);
         let rank = cut_points.len();
         let new_rule = g.add_rule_fresh("F", rank, new_rhs);
         // The fragment's own reference sites merely move into the new rule;
@@ -374,7 +394,7 @@ pub fn export_fragments(g: &mut Grammar, rule: NtId, refs: &mut RefCounts) -> us
         for &c in &cut_points {
             rhs.detach(c);
         }
-        let call = rhs.add_node(NodeKind::Nt(new_rule), cut_points.clone());
+        let call = rhs.add_node(NodeKind::Nt(new_rule), cut_points);
         rhs.replace_subtree(fragment_root, call);
         exported += 1;
     }
@@ -387,7 +407,7 @@ pub fn export_fragments(g: &mut Grammar, rule: NtId, refs: &mut RefCounts) -> us
 fn collect_fragment(
     rhs: &RhsTree,
     root: NodeId,
-    marks: &HashSet<NodeId>,
+    marks: &FxHashSet<NodeId>,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
     let mut fragment = Vec::new();
     let mut cuts = Vec::new();
@@ -475,18 +495,14 @@ mod tests {
         let before = fingerprint(g);
         let frozen = FrozenSet::default();
         let occs = retrieve_occs(g, &frozen);
-        let rules: FxHashSet<NtId> = occs
-            .get(d)
-            .map(|o| o.generators.iter().map(|gen| gen.rule).collect())
-            .unwrap_or_default();
+        let sites = occs.get(d).map(|o| o.sites()).unwrap_or_default();
         let rank = d.pattern_rank(g);
         let x = g.add_rule_fresh("X", rank, pattern_rhs(g, d));
         let mut frozen_after = frozen;
         frozen_after.insert(x);
-        let order = g.anti_sl_order().unwrap();
         let mut refs = RefCounts::from_grammar(g);
-        let stats =
-            replace_all_occurrences(g, d, x, &rules, &order, &frozen_after, optimize, &mut refs);
+        let stats = replace_all_occurrences(g, d, x, &sites, &frozen_after, optimize, &mut refs);
+        assert!(refs.matches(g), "maintained reference counts must match a fresh walk");
         g.gc();
         g.validate().unwrap();
         assert_eq!(fingerprint(g), before, "derived tree must be preserved");
@@ -579,6 +595,39 @@ mod tests {
             g.edge_count(),
             edges_unoptimized
         );
+    }
+
+    #[test]
+    fn a_callee_uncovered_by_the_first_pass_is_reduced_before_the_second() {
+        // The b-ends sit two references deep: pass 1 inlines P and uncovers
+        // the Q references, pass 2 inlines those — after Q, referenced from
+        // five more places, had its c(d,d) fragment exported.
+        let mut g = parse_grammar(
+            "S -> f(a(P,#), f(a(P,#), g(g(Q,Q), g(Q,Q))))\n\
+             P -> Q\n\
+             Q -> b(c(d(#,#),d(#,#)),#)",
+        )
+        .unwrap();
+        let d = digram(&g, "a", 0, "b");
+        let stats = run_round(&mut g, &d, true);
+        assert_eq!(stats.replacements, 2);
+        assert_eq!(stats.inlinings, 4);
+        assert_eq!(stats.exported_rules, 1);
+        // Pass 1 inspects the two supplied nodes, pass 2 the two fresh Q
+        // references, pass 3 the two inlined bodies (3 nodes each).
+        assert_eq!(stats.resolved_candidates, 2 + 2 + 6);
+    }
+
+    #[test]
+    fn equal_label_chains_are_replaced_top_down_from_any_entry_point() {
+        // A chain of five a-nodes along child 1: the greedy pairs are
+        // (n0,n1) and (n2,n3) whichever candidate the pass meets first.
+        let mut g = parse_grammar("S -> a(#, a(#, a(#, a(#, a(#, #)))))").unwrap();
+        let d = digram(&g, "a", 1, "a");
+        let stats = run_round(&mut g, &d, false);
+        assert_eq!(stats.replacements, 2);
+        let printed = sltgrammar::text::print_grammar(&g);
+        assert!(printed.contains("S -> X1(#,#,X1(#,#,a(#,#)))"), "{printed}");
     }
 
     #[test]

@@ -290,8 +290,10 @@ impl Grammar {
     /// inlined copy. The callee rule itself is left untouched.
     ///
     /// Like every splice, the change reports itself through the caller's
-    /// [`RhsTree::version`] counter — incremental consumers (the occurrence
-    /// index, prune's size cache) detect it without explicit notification.
+    /// [`RhsTree::version`] counter and arena watermarks — incremental
+    /// consumers (the occurrence index, prune's size cache) detect it without
+    /// explicit notification. The callee body is read in place (no clone), so
+    /// the cost is the size of the inlined body, not of the callee's arena.
     pub fn inline_at(&mut self, caller: NtId, node: NodeId) -> NodeId {
         let callee = self
             .rule(caller)
@@ -299,8 +301,22 @@ impl Grammar {
             .kind(node)
             .as_nt()
             .expect("inline target must be a nonterminal node");
-        let callee_rhs = self.rule(callee).rhs.clone();
-        self.rule_mut(caller).rhs.inline_at(node, &callee_rhs)
+        assert_ne!(caller, callee, "a straight-line rule never references itself");
+        let (low, high) = self.rules.split_at_mut(caller.index().max(callee.index()));
+        let (caller_slot, callee_slot) = if caller < callee {
+            (&mut low[caller.index()], &high[0])
+        } else {
+            (&mut high[0], &low[callee.index()])
+        };
+        let callee_rhs = &callee_slot.as_ref().expect("rule exists (not removed)").rhs;
+        let caller_rule = caller_slot.as_mut().expect("rule exists (not removed)");
+        caller_rule.rhs.inline_at(node, callee_rhs)
+    }
+
+    /// One past the largest [`NtId`] index ever handed out: the length a
+    /// dense, id-indexed side table needs. Removed rules keep their slot.
+    pub fn nt_bound(&self) -> usize {
+        self.rules.len()
     }
 
     /// Inlines `nt` at every reference and removes its rule.
@@ -457,6 +473,12 @@ impl Grammar {
                             });
                         }
                         *seen_params.entry(i).or_insert(0) += 1;
+                        if rhs.find_param(i) != Some(node) {
+                            return Err(GrammarError::BadParameters {
+                                rule: rule.name.clone(),
+                                detail: format!("parameter table out of sync for y{}", i + 1),
+                            });
+                        }
                     }
                 }
             }

@@ -11,11 +11,31 @@
 //! the raw arena.
 //!
 //! Every mutating operation bumps a monotonically increasing [`RhsTree::version`]
-//! counter. Incremental consumers (the grammar-side occurrence index, caches of
-//! rule sizes) record the version they last observed and treat any mismatch as
-//! "this right-hand side changed, re-derive everything you cached about it" —
-//! the splice itself does not have to enumerate which parent/child pairs it
-//! touched.
+//! counter. Coarse consumers (navigation tables, caches of rule sizes) record
+//! the version they last observed and treat any mismatch as "this right-hand
+//! side changed, re-derive everything you cached about it".
+//!
+//! # Enumerating what a splice changed
+//!
+//! Between two [`RhsTree::compact`] calls the arena is **append-only**: node
+//! ids are never reused and a node's label never moves to another id. A
+//! node-granular consumer (the grammar-side occurrence index) can therefore
+//! enumerate exactly what changed since it last looked from two watermarks:
+//!
+//! * every node *created* since then has an id `>=` the [`RhsTree::arena_len`]
+//!   it recorded, and
+//! * every subtree that *lost its parent* since then is rooted at an entry of
+//!   [`RhsTree::detached_journal`] past the journal length it recorded (a
+//!   journaled root that has a parent again was re-attached under a created
+//!   node and is reachable from there). Splices that move children to a node
+//!   they create in the same call ([`RhsTree::inline_at`]'s arguments,
+//!   [`RhsTree::replace_digram`]'s grandchildren) journal only what they
+//!   leave behind.
+//!
+//! Any old node whose parent edge changed is a child of a created node —
+//! re-parenting only happens through [`RhsTree::add_node`],
+//! [`RhsTree::replace_subtree`] and [`RhsTree::push_child`] — so no splice has
+//! to report the parent/child pairs it touched.
 
 use crate::fxhash::FxHashMap;
 use crate::node::{NodeId, NodeKind};
@@ -39,12 +59,23 @@ pub struct RhsTree {
     /// Mutation counter: bumped by every structural or label change. See the
     /// module docs; cloning preserves the current value.
     version: u64,
+    /// `params[i]` is the node most recently labelled `Param(i)` (or
+    /// [`NO_NODE`]). A right-hand side holds one node per parameter for its
+    /// whole arena lifetime — splices move parameter nodes, they never copy
+    /// them — which makes [`RhsTree::find_param`] a table lookup.
+    params: Vec<NodeId>,
+    /// Roots of subtrees that lost their parent since the last
+    /// [`RhsTree::compact`], in detachment order (see the module docs).
+    detached: Vec<NodeId>,
 }
+
+/// Sentinel for "no node" in the parameter table.
+const NO_NODE: NodeId = NodeId(u32::MAX);
 
 impl RhsTree {
     /// Creates a tree consisting of a single node with the given label.
     pub fn singleton(kind: NodeKind) -> Self {
-        RhsTree {
+        let mut tree = RhsTree {
             nodes: vec![RhsNode {
                 kind,
                 parent: None,
@@ -52,6 +83,24 @@ impl RhsTree {
             }],
             root: NodeId(0),
             version: 0,
+            params: Vec::new(),
+            detached: Vec::new(),
+        };
+        tree.note_param(kind, NodeId(0));
+        tree
+    }
+
+    /// Records `id` in the parameter table if `kind` is a parameter.
+    fn note_param(&mut self, kind: NodeKind, id: NodeId) {
+        if let NodeKind::Param(i) = kind {
+            // `u32::MAX` is the placeholder label of not-yet-rooted builders.
+            if i != u32::MAX {
+                let i = i as usize;
+                if i >= self.params.len() {
+                    self.params.resize(i + 1, NO_NODE);
+                }
+                self.params[i] = id;
+            }
         }
     }
 
@@ -78,6 +127,7 @@ impl RhsTree {
             parent: None,
             children,
         });
+        self.note_param(kind, id);
         id
     }
 
@@ -110,7 +160,13 @@ impl RhsTree {
     /// rank.
     pub fn set_kind(&mut self, id: NodeId, kind: NodeKind) {
         self.version += 1;
+        if let NodeKind::Param(old) = self.nodes[id.index()].kind {
+            if self.params.get(old as usize) == Some(&id) {
+                self.params[old as usize] = NO_NODE;
+            }
+        }
         self.nodes[id.index()].kind = kind;
+        self.note_param(kind, id);
     }
 
     /// Children of a node.
@@ -131,15 +187,57 @@ impl RhsTree {
         self.children(p).iter().position(|&c| c == id)
     }
 
-    /// Total number of nodes in the arena, including garbage. Useful only as a
-    /// capacity indicator; use [`RhsTree::node_count`] for the logical size.
+    /// Total number of nodes in the arena, including garbage. Useful as a
+    /// capacity indicator and as the *created-nodes watermark* of the module
+    /// docs; use [`RhsTree::node_count`] for the logical size.
     pub fn arena_len(&self) -> usize {
         self.nodes.len()
     }
 
+    /// Roots of the subtrees that lost their parent since the last
+    /// [`RhsTree::compact`], oldest first. Append-only between compactions, so
+    /// a consumer that remembers the length it saw reads exactly the
+    /// detachments that happened since. An entry may have been re-attached
+    /// afterwards (check [`RhsTree::is_floating`]) and may repeat.
+    pub fn detached_journal(&self) -> &[NodeId] {
+        &self.detached
+    }
+
+    /// Whether `id` currently has no parent and is not the root, i.e. it is the
+    /// root of a detached (garbage or not-yet-attached) subtree.
+    #[inline]
+    pub fn is_floating(&self, id: NodeId) -> bool {
+        id != self.root && self.nodes[id.index()].parent.is_none()
+    }
+
+    /// The node after `node` in the preorder of the subtree rooted at `top`,
+    /// found through parent links — no stack, no allocation. Costs O(rank) per
+    /// upward step (the position scan in the parent's child list).
+    pub fn preorder_next(&self, top: NodeId, node: NodeId) -> Option<NodeId> {
+        if let Some(&first) = self.children(node).first() {
+            return Some(first);
+        }
+        let mut n = node;
+        while n != top {
+            let p = self.nodes[n.index()].parent?;
+            let siblings = self.children(p);
+            let pos = siblings.iter().position(|&c| c == n)?;
+            if let Some(&next) = siblings.get(pos + 1) {
+                return Some(next);
+            }
+            n = p;
+        }
+        None
+    }
+
+    /// Allocation-free preorder iterator over the subtree rooted at `top`.
+    pub fn walk_from(&self, top: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(top), move |&n| self.preorder_next(top, n))
+    }
+
     /// Number of nodes reachable from the root.
     pub fn node_count(&self) -> usize {
-        self.preorder().len()
+        self.subtree_size(self.root)
     }
 
     /// Number of edges reachable from the root (`node_count - 1`).
@@ -149,7 +247,7 @@ impl RhsTree {
 
     /// Number of nodes in the subtree rooted at `id`.
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.preorder_from(id).len()
+        self.walk_from(id).count()
     }
 
     /// Preorder traversal of the whole tree.
@@ -187,17 +285,23 @@ impl RhsTree {
 
     /// Parameter nodes `(index, node)` in preorder.
     pub fn param_nodes(&self) -> Vec<(u32, NodeId)> {
-        self.preorder()
-            .into_iter()
+        self.walk_from(self.root)
             .filter_map(|id| self.kind(id).as_param().map(|p| (p, id)))
             .collect()
     }
 
-    /// Finds the unique node labelled with parameter `i` (0-based), if present.
+    /// The node labelled with parameter `i` (0-based), if present — an O(1)
+    /// lookup in the table the mutators maintain. Relies on the right-hand
+    /// side holding at most one node per parameter index over its arena
+    /// lifetime (true of every splice in this workspace: linear grammars use
+    /// each parameter once and splices move parameter nodes without copying
+    /// them); [`RhsTree::check_links`] verifies the table against a full walk.
+    #[inline]
     pub fn find_param(&self, i: u32) -> Option<NodeId> {
-        self.preorder()
-            .into_iter()
-            .find(|&id| self.kind(id) == NodeKind::Param(i))
+        self.params
+            .get(i as usize)
+            .copied()
+            .filter(|&id| id != NO_NODE)
     }
 
     /// Detaches `id` from its parent, making it a floating subtree root.
@@ -205,6 +309,7 @@ impl RhsTree {
     pub fn detach(&mut self, id: NodeId) {
         self.version += 1;
         if let Some(p) = self.nodes[id.index()].parent {
+            self.detached.push(id);
             let pos = self.nodes[p.index()]
                 .children
                 .iter()
@@ -220,6 +325,7 @@ impl RhsTree {
     pub fn replace_subtree(&mut self, at: NodeId, replacement: NodeId) {
         debug_assert!(self.nodes[replacement.index()].parent.is_none());
         self.version += 1;
+        self.detached.push(at);
         if at == self.root {
             self.nodes[at.index()].parent = None;
             self.root = replacement;
@@ -234,6 +340,26 @@ impl RhsTree {
         self.nodes[parent.index()].children[pos] = replacement;
         self.nodes[replacement.index()].parent = Some(parent);
         self.nodes[at.index()].parent = None;
+    }
+
+    /// The RePair splice: replaces the digram occurrence formed by `parent` and
+    /// its `i`-th child by one fresh node labelled `kind`, whose children are
+    /// `parent`'s children with the `i`-th replaced by that child's children.
+    /// Returns the fresh node, which takes `parent`'s place. Both old nodes
+    /// become childless garbage (and are journaled as detached).
+    pub fn replace_digram(&mut self, parent: NodeId, i: usize, kind: NodeKind) -> NodeId {
+        let mut children = std::mem::take(&mut self.nodes[parent.index()].children);
+        let child = children[i];
+        let inner = std::mem::take(&mut self.nodes[child.index()].children);
+        children.splice(i..=i, inner);
+        self.nodes[child.index()].parent = None;
+        self.detached.push(child);
+        for &c in &children {
+            self.nodes[c.index()].parent = None;
+        }
+        let fresh = self.add_node(kind, children);
+        self.replace_subtree(parent, fresh);
+        fresh
     }
 
     /// Attaches the floating subtree `child` as the last child of `parent`.
@@ -296,25 +422,25 @@ impl RhsTree {
         }
         self.nodes[at.index()].children.clear();
 
-        // Copy the rule body, substituting parameters by the argument subtrees.
+        // Copy the rule body bottom-up, substituting parameters by the argument
+        // subtrees. Walking the preorder backwards visits every node after all
+        // of its children, with the finished children on top of `done` in
+        // left-to-right order — no source-to-copy map is needed.
         let order = rule_rhs.preorder();
-        let mut new_ids: FxHashMap<NodeId, NodeId> =
-            FxHashMap::with_capacity_and_hasher(order.len(), Default::default());
+        let mut done: Vec<NodeId> = Vec::new();
         for &n in order.iter().rev() {
-            match rule_rhs.kind(n) {
-                NodeKind::Param(j) => {
-                    let arg = args[j as usize];
-                    new_ids.insert(n, arg);
-                }
+            let copy = match rule_rhs.kind(n) {
+                NodeKind::Param(j) => args[j as usize],
                 kind => {
-                    let child_copies: Vec<NodeId> =
-                        rule_rhs.children(n).iter().map(|c| new_ids[c]).collect();
-                    let id = self.add_node(kind, child_copies);
-                    new_ids.insert(n, id);
+                    let arity = rule_rhs.children(n).len();
+                    let children: Vec<NodeId> = done.drain(done.len() - arity..).rev().collect();
+                    self.add_node(kind, children)
                 }
-            }
+            };
+            done.push(copy);
         }
-        let new_root = new_ids[&rule_rhs.root()];
+        let new_root = done.pop().expect("a rule body has a root");
+        debug_assert!(done.is_empty());
         self.replace_subtree(at, new_root);
         new_root
     }
@@ -342,16 +468,27 @@ impl RhsTree {
         }
         self.nodes = nodes;
         self.root = map[&self.root];
+        self.detached = Vec::new();
+        self.params.clear();
+        for i in 0..self.nodes.len() {
+            self.note_param(self.nodes[i].kind, NodeId(i as u32));
+        }
     }
 
-    /// Checks structural invariants: parent/child links are consistent and the
-    /// reachable part of the arena forms a tree rooted at `root`.
+    /// Checks structural invariants: parent/child links are consistent, the
+    /// reachable part of the arena forms a tree rooted at `root`, and the
+    /// parameter table agrees with the reachable parameter nodes.
     pub fn check_links(&self) -> bool {
         let order = self.preorder();
         let mut seen = std::collections::HashSet::new();
         for &n in &order {
             if !seen.insert(n) {
                 return false; // node reachable twice => not a tree
+            }
+            if let NodeKind::Param(i) = self.kind(n) {
+                if i != u32::MAX && self.find_param(i) != Some(n) {
+                    return false;
+                }
             }
             for &c in self.children(n) {
                 if self.parent(c) != Some(n) {
@@ -519,6 +656,84 @@ mod tests {
         let _ = t.preorder();
         let _ = t.node_count();
         assert_eq!(t.version(), last);
+    }
+
+    #[test]
+    fn detached_journal_records_what_splices_leave_behind() {
+        let (mut t, ids) = sample(); // a(b, c(d))
+        assert!(t.detached_journal().is_empty());
+        let mark = t.arena_len();
+
+        // Replace the digram (a, 1, c) by one node: a and c become garbage,
+        // b and d hang off the fresh node.
+        let fresh = t.replace_digram(ids[0], 1, term(7));
+        assert_eq!(t.root(), fresh);
+        assert_eq!(t.children(fresh), &[ids[1], ids[3]]);
+        assert_eq!(fresh.index(), mark, "created nodes sit past the old arena length");
+        let mut journal = t.detached_journal().to_vec();
+        journal.sort();
+        assert_eq!(journal, vec![ids[0], ids[2]]);
+        for &gone in &[ids[0], ids[2]] {
+            assert!(t.is_floating(gone));
+            assert!(t.children(gone).is_empty());
+        }
+        assert!(!t.is_floating(ids[1]) && !t.is_floating(fresh));
+        assert!(t.check_links());
+
+        // Inlining journals only the consumed reference node.
+        use crate::symbol::NtId;
+        let mut body = RhsTree::singleton(term(10));
+        let y = body.add_leaf(NodeKind::Param(0));
+        let root = body.root();
+        body.push_child(root, y);
+        let mut host = RhsTree::singleton(term(0));
+        let arg = host.add_leaf(term(1));
+        let call = host.add_node(NodeKind::Nt(NtId(0)), vec![arg]);
+        let host_root = host.root();
+        host.push_child(host_root, call);
+        host.inline_at(call, &body);
+        assert_eq!(host.detached_journal(), &[call]);
+        assert!(!host.is_floating(arg));
+
+        // Compaction starts a new epoch.
+        host.compact();
+        assert!(host.detached_journal().is_empty());
+    }
+
+    #[test]
+    fn stackless_walk_matches_preorder() {
+        let (mut t, ids) = sample();
+        assert_eq!(t.walk_from(t.root()).collect::<Vec<_>>(), t.preorder());
+        assert_eq!(t.walk_from(ids[2]).collect::<Vec<_>>(), t.preorder_from(ids[2]));
+        assert_eq!(t.subtree_size(ids[2]), 2);
+        assert_eq!(t.subtree_size(ids[1]), 1);
+        // A detached subtree is walked from its own top.
+        t.detach(ids[2]);
+        assert_eq!(t.walk_from(ids[2]).collect::<Vec<_>>(), vec![ids[2], ids[3]]);
+        assert_eq!(t.node_count(), 2);
+    }
+
+    #[test]
+    fn param_table_follows_relabels_and_compaction() {
+        let mut t = RhsTree::singleton(term(0));
+        let r = t.root();
+        let p0 = t.add_leaf(NodeKind::Param(0));
+        let x = t.add_leaf(term(1));
+        t.push_child(r, x);
+        t.push_child(r, p0);
+        assert_eq!(t.find_param(0), Some(p0));
+        // Relabelling moves the parameter to another node.
+        t.set_kind(p0, term(2));
+        assert_eq!(t.find_param(0), None);
+        t.set_kind(x, NodeKind::Param(0));
+        assert_eq!(t.find_param(0), Some(x));
+        assert!(t.check_links());
+        // Compaction renumbers nodes and rebuilds the table.
+        t.add_leaf(term(9));
+        t.compact();
+        let y = t.find_param(0).expect("parameter survives compaction");
+        assert_eq!(t.kind(y), NodeKind::Param(0));
+        assert!(t.check_links());
     }
 
     #[test]

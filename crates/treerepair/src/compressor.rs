@@ -275,18 +275,7 @@ fn replace_occurrence(
     }
 
     // Structural replacement: X(v.1, …, v.(i−1), w.1, …, w.n, v.(i+1), …, v.m).
-    for &c in &v_children {
-        rhs.detach(c);
-    }
-    for &c in &w_children {
-        rhs.detach(c);
-    }
-    let mut new_children = Vec::with_capacity(v_children.len() + w_children.len() - 1);
-    new_children.extend_from_slice(&v_children[..i]);
-    new_children.extend_from_slice(&w_children);
-    new_children.extend_from_slice(&v_children[i + 1..]);
-    let x_node = rhs.add_node(NodeKind::Nt(x), new_children);
-    rhs.replace_subtree(v, x_node);
+    let x_node = rhs.replace_digram(v, i, NodeKind::Nt(x));
 
     // Add the new occurrences around the fresh node.
     if let Some(p) = rhs.parent(x_node) {
