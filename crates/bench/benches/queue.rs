@@ -1,19 +1,15 @@
-//! Criterion benches for PR 9's ingestion path: the `ingest_queue` group
-//! measures batch coalescing in front of the durable store (48 per-document
-//! submissions drained as one `ApplyMany` record vs 48 direct
-//! `apply_batch` commits), and the `cold_start` group measures opening a
-//! store from a paged v3 checkpoint (documents decoded lazily on first
+//! Criterion bench for cold starts: the `cold_start` group measures opening
+//! a store from a paged v3 checkpoint (documents decoded lazily on first
 //! touch) against the committed `recovery/replay_*` baselines, which replay
 //! the same history record by record.
 //!
-//! Both groups run on the in-memory fault-injection filesystem for the same
-//! reason as `store_durable`: they gate the *software* cost (framing,
-//! group-commit protocol, checkpoint decoding), not fsync hardware noise.
-//! The steady-state batches are rename-only so each iteration re-applies
-//! identical, always-valid work — the paper's 90/10 insert/delete mix
-//! mutates the tree and cannot be replayed repeatedly from a fixed state;
-//! the coalescing win being measured (records, fsyncs and maintenance
-//! sweeps per submitted batch) is workload-agnostic.
+//! It runs on the in-memory fault-injection filesystem for the same reason
+//! as `store_durable`: it gates the *software* cost (checkpoint decoding),
+//! not fsync hardware noise. Write-path throughput through the queue —
+//! coalescing, group commit, acks — is measured end to end through the
+//! real server process by `BENCHMARK.json` (`benchmark/`), and the
+//! coalescing contract (one record, one fsync per drain) is pinned by
+//! `tests/server_protocol.rs` and the queue's unit suite.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,55 +18,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
 use datasets::workload::{random_update_sequence, WorkloadMix};
 use grammar_repair::durable::DurableStore;
-use grammar_repair::queue::IngestQueue;
 use grammar_repair::store::DocId;
 use grammar_repair::wal::testing::FailpointFs;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
 const FLEET: usize = 6;
-/// Submissions per drain: 8 batches of 6 ops for each of the 6 documents.
-const BATCHES_PER_DOC: usize = 8;
-const OPS_PER_BATCH: usize = 6;
 
 fn fleet() -> Vec<XmlTree> {
     (0..FLEET)
         .map(|i| Dataset::ExiWeblog.generate(0.03 + 0.004 * i as f64))
         .collect()
-}
-
-/// Steady-state per-document batches (rename-only, locality-clustered):
-/// `BATCHES_PER_DOC` batches of `OPS_PER_BATCH` ops per document, valid on
-/// every re-application.
-fn batch_stream(docs: &[XmlTree], ids: &[DocId]) -> Vec<(DocId, Vec<UpdateOp>)> {
-    let mut batches = Vec::new();
-    for (d, (&id, xml)) in ids.iter().zip(docs).enumerate() {
-        let ops = random_update_sequence(
-            xml,
-            BATCHES_PER_DOC * OPS_PER_BATCH,
-            0x0E57 + d as u64,
-            WorkloadMix {
-                rename_probability: 1.0,
-                locality: 0.7,
-                ..WorkloadMix::default()
-            },
-        );
-        for chunk in ops.chunks(OPS_PER_BATCH) {
-            batches.push((id, chunk.to_vec()));
-        }
-    }
-    batches
-}
-
-fn durable_fleet(docs: &[XmlTree]) -> (Arc<FailpointFs>, Arc<DurableStore>, Vec<DocId>) {
-    let fs = Arc::new(FailpointFs::new());
-    let (store, _) = DurableStore::open_with(fs.clone(), "db").expect("fresh dir");
-    let store = Arc::new(store);
-    let ids: Vec<DocId> = docs
-        .iter()
-        .map(|xml| store.load_xml(xml).expect("dataset labels intern"))
-        .collect();
-    (fs, store, ids)
 }
 
 /// An in-memory image holding a **paged v3 checkpoint** that folds
@@ -116,69 +74,8 @@ fn checkpointed_fs(docs: &[XmlTree], records: usize) -> Arc<FailpointFs> {
     fs
 }
 
-fn bench_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ingest_queue");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
-
+fn bench_cold_start(c: &mut Criterion) {
     let docs = fleet();
-
-    // --- Coalescing win: 48 direct commits vs one drained ApplyMany ------
-    let (direct_fs, direct_store, direct_ids) = durable_fleet(&docs);
-    let direct_batches = batch_stream(&docs, &direct_ids);
-    let (queued_fs, queued_store, queued_ids) = durable_fleet(&docs);
-    let queued_batches = batch_stream(&docs, &queued_ids);
-    let queue = IngestQueue::new(Arc::clone(&queued_store));
-
-    // Outside the measurement loop: the fsync-per-op contract. One warmup
-    // round on each store, counting syncs.
-    let before = direct_fs.sync_count();
-    for (id, ops) in &direct_batches {
-        direct_store.apply_batch(*id, ops).expect("renames stay valid");
-    }
-    let direct_syncs = direct_fs.sync_count() - before;
-    let before = queued_fs.sync_count();
-    for (id, ops) in &queued_batches {
-        queue.submit(*id, ops.clone()).expect("unbounded queue");
-    }
-    let report = queue.flush();
-    let queued_syncs = queued_fs.sync_count() - before;
-    assert_eq!(report.batches, FLEET * BATCHES_PER_DOC);
-    assert_eq!(report.jobs, FLEET, "one coalesced job per document");
-    assert_eq!(direct_syncs, (FLEET * BATCHES_PER_DOC) as u64);
-    assert_eq!(queued_syncs, 1, "one drain, one group-committed fsync");
-
-    group.bench_with_input(
-        BenchmarkId::new("paper_mix_6docs", "direct_48_batches"),
-        &(&direct_store, &direct_batches),
-        |b, (store, batches)| {
-            b.iter(|| {
-                for (id, ops) in batches.iter() {
-                    store.apply_batch(*id, ops).expect("renames stay valid");
-                }
-                batches.len()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("paper_mix_6docs", "queued_48_batches"),
-        &(&queue, &queued_batches),
-        |b, (queue, batches)| {
-            b.iter(|| {
-                let tickets: Vec<_> = batches
-                    .iter()
-                    .map(|(id, ops)| queue.submit(*id, ops.clone()).expect("unbounded queue"))
-                    .collect();
-                queue.flush();
-                for ticket in tickets {
-                    queue.wait(ticket).expect("renames stay valid");
-                }
-                batches.len()
-            })
-        },
-    );
-    group.finish();
 
     // --- Cold start from a paged checkpoint vs log replay -----------------
     let mut group = c.benchmark_group("cold_start");
@@ -218,5 +115,5 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queue);
+criterion_group!(benches, bench_cold_start);
 criterion_main!(benches);

@@ -1,19 +1,13 @@
-//! Criterion benches for the durable `DomStore`: the write-ahead-log tax on
-//! steady-state update throughput (WAL off vs per-document commits vs one
-//! grouped commit per fan-out), recovery time as a function of log length,
-//! and the cost of folding the store into a checkpoint.
+//! Criterion benches for the durable `DomStore`: recovery time as a
+//! function of log length, and the cost of folding the store into a
+//! checkpoint. (The WAL's tax on write throughput is measured end to end
+//! through the real server process by `BENCHMARK.json` — `benchmark/`.)
 //!
 //! The `store_durable` group is part of the committed
 //! `BENCH_compression.json` baseline and gated in CI (`bench_gate`), so
 //! every entry runs against the in-memory fault-injection filesystem: the
-//! write entries measure the WAL's software tax (record framing, CRC32,
-//! the group-commit protocol and its locking) and the recovery/checkpoint
-//! entries measure replay and serialization work — none of them disk
-//! hardware, whose fsync latency is far too noisy to gate at 20 %
-//! (measured on this host's ext4: 0.2–0.5 ms per commit, swinging 2–3×
-//! between runs). On a real disk the commit cost is fsync-dominated;
-//! that floor is paid once per commit regardless of batch size, which is
-//! exactly what batching and leader-based group commit amortize.
+//! entries measure replay and serialization work, not disk hardware, whose
+//! fsync latency is far too noisy to gate at 20 %.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
 use datasets::workload::{random_update_sequence, WorkloadMix};
 use grammar_repair::durable::DurableStore;
-use grammar_repair::store::{DocId, DomStore};
+use grammar_repair::store::DocId;
 use grammar_repair::wal::testing::FailpointFs;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
@@ -88,63 +82,6 @@ fn bench_store_durable(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
 
     let docs = fleet();
-
-    // --- WAL tax on steady-state write throughput -------------------------
-    // The same six per-document batches: applied to a plain in-memory store,
-    // through per-document durable commits (six log records), and as one
-    // grouped `apply_batch_many` commit (one record). Target: `wal_on`
-    // stays within 2x of `wal_off`.
-    let plain = DomStore::new();
-    let plain_ids: Vec<DocId> = docs
-        .iter()
-        .map(|xml| plain.load_xml(xml).expect("dataset labels intern"))
-        .collect();
-    let plain_jobs = rename_jobs(&docs, &plain_ids);
-    group.bench_with_input(
-        BenchmarkId::new("write_throughput", "wal_off_6docs"),
-        &(&plain, &plain_jobs),
-        |b, (store, jobs)| {
-            b.iter(|| {
-                for (id, ops) in jobs.iter() {
-                    store.apply_batch(*id, ops).expect("renames stay valid");
-                }
-                jobs.len()
-            })
-        },
-    );
-
-    let (durable, _) = DurableStore::open_with(Arc::new(FailpointFs::new()), "db")
-        .expect("fresh in-memory dir");
-    let durable_ids: Vec<DocId> = docs
-        .iter()
-        .map(|xml| durable.load_xml(xml).expect("dataset labels intern"))
-        .collect();
-    let durable_jobs = rename_jobs(&docs, &durable_ids);
-    group.bench_with_input(
-        BenchmarkId::new("write_throughput", "wal_on_6docs"),
-        &(&durable, &durable_jobs),
-        |b, (store, jobs)| {
-            b.iter(|| {
-                for (id, ops) in jobs.iter() {
-                    store.apply_batch(*id, ops).expect("renames stay valid");
-                }
-                jobs.len()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("write_throughput", "wal_on_grouped_6docs"),
-        &(&durable, &durable_jobs),
-        |b, (store, jobs)| {
-            b.iter(|| {
-                let (results, _) = store.apply_batch_many(jobs);
-                for result in results {
-                    result.expect("renames stay valid");
-                }
-                jobs.len()
-            })
-        },
-    );
 
     // --- Recovery time vs log length --------------------------------------
     // Replay-dominated: open a store whose log holds N committed records.

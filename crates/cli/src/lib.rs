@@ -53,7 +53,7 @@ use grammar_repair::navigate::{element_count, label_counts};
 use grammar_repair::query::PathQuery;
 use grammar_repair::queue::{BackpressurePolicy, IngestQueue};
 use grammar_repair::{
-    update::{delete, insert_before, rename},
+    update::apply_batch,
     Client, DomStore, DurableStore, GrammarRePair, GrammarRePairConfig, RecoveryReport, Server,
     ServerConfig,
 };
@@ -396,45 +396,16 @@ fn cmd_update(args: &[String]) -> Result<String, CliError> {
     let output = parsed.output()?;
     let mut grammar = load_grammar(input)?;
     let edges_before = grammar.edge_count();
-    let mut ops = 0usize;
-
-    for spec in parsed.option_all("--rename") {
-        let (idx, label) = spec.split_once('=').ok_or_else(|| {
-            CliError::usage(format!("--rename expects `index=label`, got `{spec}`"))
-        })?;
-        let idx: u128 = idx
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid index `{idx}`")))?;
-        rename(&mut grammar, idx, label).map_err(|e| CliError::failure(e.to_string()))?;
-        ops += 1;
-    }
-    for spec in parsed.option_all("--insert") {
-        let (idx, fragment) = spec.split_once('=').ok_or_else(|| {
-            CliError::usage(format!("--insert expects `index=<xml>`, got `{spec}`"))
-        })?;
-        let idx: u128 = idx
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid index `{idx}`")))?;
-        let fragment = parse_xml(fragment)
-            .map_err(|e| CliError::failure(format!("invalid fragment: {e}")))?;
-        insert_before(&mut grammar, idx, &fragment).map_err(|e| CliError::failure(e.to_string()))?;
-        ops += 1;
-    }
-    for spec in parsed.option_all("--delete") {
-        let idx: u128 = spec
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid index `{spec}`")))?;
-        delete(&mut grammar, idx).map_err(|e| CliError::failure(e.to_string()))?;
-        ops += 1;
-    }
-    if ops == 0 {
+    let ops = update_ops(&parsed)?;
+    if ops.is_empty() {
         return Err(CliError::usage(
             "update needs at least one --rename, --insert or --delete",
         ));
     }
+    apply_batch(&mut grammar, &ops).map_err(|e| CliError::failure(e.to_string()))?;
     let edges_updated = grammar.edge_count();
     let mut report = String::new();
-    writeln!(report, "updates applied   {ops}").unwrap();
+    writeln!(report, "updates applied   {}", ops.len()).unwrap();
     writeln!(report, "edges before      {edges_before}").unwrap();
     writeln!(report, "edges after       {edges_updated}").unwrap();
     if parsed.flag("--recompress") {
@@ -516,6 +487,7 @@ fn cmd_store_recover(parsed: &Parsed) -> Result<String, CliError> {
     let (store, recovery) = open_wal_dir(dir)?;
     let mut report = String::new();
     recovery_lines(&mut report, &recovery);
+    let store = store.dom();
     writeln!(report, "documents          {}", store.len()).unwrap();
     for id in store.doc_ids() {
         let grammar = store
@@ -547,9 +519,10 @@ fn cmd_store_checkpoint(parsed: &Parsed) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Parse the `--rename/--insert/--delete` options of `sltxml store` into a
-/// store-level batch, in the same order `sltxml update` applies them.
-fn store_update_ops(parsed: &Parsed) -> Result<Vec<UpdateOp>, CliError> {
+/// Parses the `--rename/--insert/--delete` options of `sltxml update`,
+/// `store` and `client` into one batch: renames first, then inserts, then
+/// deletes, each group in command-line order.
+fn update_ops(parsed: &Parsed) -> Result<Vec<UpdateOp>, CliError> {
     let mut ops = Vec::new();
     for spec in parsed.option_all("--rename") {
         let (idx, label) = spec.split_once('=').ok_or_else(|| {
@@ -600,7 +573,7 @@ fn cmd_store(args: &[String]) -> Result<String, CliError> {
             "--queue fronts the durable store and needs `--wal <dir>`",
         ));
     }
-    let ops = store_update_ops(&parsed)?;
+    let ops = update_ops(&parsed)?;
     let backing = match parsed.option(&["--wal"]) {
         Some(dir) => {
             let (store, recovery) = open_wal_dir(dir)?;
@@ -846,7 +819,7 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
         ));
     }
     let client = client_connect(&parsed)?;
-    let ops = store_update_ops(&parsed)?;
+    let ops = update_ops(&parsed)?;
     let mut report = String::new();
     let mut ids = Vec::new();
     for path in &parsed.positionals {

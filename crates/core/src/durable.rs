@@ -15,11 +15,13 @@
 //! * [`DurableStore::load_grammar`] logs the grammar's binary encoding.
 //! * [`DurableStore::remove`] logs the removed id; replay reproduces the
 //!   slab's free-list state (and therefore all later id assignments).
-//! * [`DurableStore::apply`] / [`DurableStore::apply_batch`] log the batch;
-//!   [`DurableStore::apply_batch_many`] logs **one** record for the whole
-//!   fan-out, so the multi-document batch pays one fsync built-in, and
-//!   concurrent single-document writers share fsyncs through the log's
-//!   leader-based group commit.
+//! * [`DurableStore::apply_batch`] logs the batch as one `ApplyBatch` record
+//!   ([`DurableStore::apply`] is that call on a batch of one, so a single
+//!   update is logged as a one-op batch); [`DurableStore::apply_batch_many`]
+//!   logs **one** `ApplyMany` record for the whole fan-out, so the
+//!   multi-document batch pays one fsync built-in, and concurrent
+//!   single-document writers share fsyncs through the log's leader-based
+//!   group commit.
 //!
 //! Maintenance (recompression) is deliberately **not** logged: it never
 //! changes the derived document, so replaying the update log against the
@@ -64,8 +66,10 @@
 //! that fails to decode is *not* such a per-op error: the original commit
 //! encoded a real grammar, so an undecodable payload behind a valid frame
 //! CRC is inconsistency, and it too surfaces as [`RepairError::WalCorrupt`].
-//! Version-1 checkpoints (eager, monolithic) are still decoded by the
-//! backward-compatibility shim in [`decode_checkpoint`].
+//! A checkpoint file of any version other than 3 — none was ever written —
+//! is refused with a typed "unsupported version" [`RepairError::Storage`]
+//! error rather than ignored: silently starting empty would replay the log
+//! tail onto the wrong state.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -78,20 +82,17 @@ use xmltree::wire::{self, WireReader};
 use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
-use crate::navigate::NavTables;
+use crate::frame::{read_doc, read_u32, write_doc};
 use crate::query::QueryMatches;
-use crate::repair::RepairStats;
-use crate::store::{DocId, DomStore, MaintenanceReport, SlabLayout, Snapshot};
+use crate::store::{DocId, DomStore, MaintenanceReport, SlabLayout};
 use crate::update::{BatchStats, UpdateStats};
 use crate::wal::{read_log, DiskFs, StorageFs, Wal, WalEntry, WalRecord};
 
 /// Magic bytes of the checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"SLCK";
-/// Version byte of the original (eager, monolithic) checkpoint format,
-/// still accepted on open.
-pub const CHECKPOINT_VERSION: u8 = 1;
 /// Version byte of the paged, offset-indexed checkpoint format written by
-/// [`DurableStore::checkpoint`] (layout documented in [`crate::wal`]).
+/// [`DurableStore::checkpoint`] (layout documented in [`crate::wal`]) — the
+/// only version there is; any other is refused on open.
 pub const CHECKPOINT_VERSION_V3: u8 = 3;
 
 /// What [`DurableStore::open`] found and did, including the open-time
@@ -230,23 +231,15 @@ impl DurableStore {
         let mut doc_lsns: HashMap<DocId, u64> = HashMap::new();
 
         if let Some(bytes) = fs.read(&ckpt)? {
-            match decode_checkpoint_any(&bytes)? {
-                CheckpointImage::V1 { last_lsn, layout, docs } => {
-                    report.checkpoint_lsn = last_lsn;
-                    report.checkpoint_docs = docs.len();
-                    store.restore_slab(layout, docs)?;
-                }
-                CheckpointImage::V3 { base_lsn, layout, segments, docs } => {
-                    report.checkpoint_lsn = base_lsn;
-                    report.checkpoint_docs = docs.len();
-                    let mut lazy = Vec::with_capacity(docs.len());
-                    for doc in docs {
-                        doc_lsns.insert(doc.id, doc.doc_lsn);
-                        lazy.push((doc.id, doc.payload, doc.crc));
-                    }
-                    store.restore_slab_lazy(layout, segments, lazy)?;
-                }
+            let image = decode_checkpoint(&bytes)?;
+            report.checkpoint_lsn = image.base_lsn;
+            report.checkpoint_docs = image.docs.len();
+            let mut lazy = Vec::with_capacity(image.docs.len());
+            for doc in image.docs {
+                doc_lsns.insert(doc.id, doc.doc_lsn);
+                lazy.push((doc.id, doc.payload, doc.crc));
             }
+            store.restore_slab_lazy(image.layout, image.segments, lazy)?;
         }
         report.checkpoint_elapsed = open_start.elapsed();
 
@@ -341,15 +334,11 @@ impl DurableStore {
         result
     }
 
-    /// Durable [`DomStore::apply`] (logged as a batch of one).
+    /// Durable [`DomStore::apply`]: [`DurableStore::apply_batch`] on a batch
+    /// of one (and logged as one).
     pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        let lock = self.doc_lock(doc);
-        let _doc = lock.lock().expect("doc lock never poisoned");
-        self.wal.commit(&WalRecord::ApplyBatch {
-            doc,
-            ops: std::slice::from_ref(op),
-        })?;
-        self.store.apply(doc, op)
+        self.apply_batch(doc, std::slice::from_ref(op))
+            .map(|(stats, report)| (stats.into(), report))
     }
 
     /// Durable [`DomStore::apply_batch`].
@@ -435,23 +424,17 @@ impl DurableStore {
         })
     }
 
-    // ----- read surface (delegated; reads need no logging) -----
+    // ----- read surface (reads need no logging) -----
 
-    /// The wrapped [`DomStore`], for its full read surface. Mutating the
-    /// store through this reference **bypasses the log** — recovered state
-    /// will not include such changes; use the logged methods above instead.
+    /// The wrapped [`DomStore`], for its full read surface (snapshots,
+    /// grammars, sizes) and for unlogged maintenance —
+    /// [`DomStore::maintain`] / [`DomStore::recompress`] never change a
+    /// derived document, so replay is unaffected by when (or whether) they
+    /// ran. *Updating* documents through this reference **bypasses the
+    /// log** — recovered state will not include such changes; use the
+    /// logged methods above instead.
     pub fn dom(&self) -> &DomStore {
         &self.store
-    }
-
-    /// See [`DomStore::snapshot`].
-    pub fn snapshot(&self, doc: DocId) -> Result<Snapshot> {
-        self.store.snapshot(doc)
-    }
-
-    /// See [`DomStore::grammar`].
-    pub fn grammar(&self, doc: DocId) -> Result<Arc<Grammar>> {
-        self.store.grammar(doc)
     }
 
     /// See [`DomStore::to_xml`].
@@ -462,16 +445,6 @@ impl DurableStore {
     /// See [`DomStore::query_str`].
     pub fn query_str(&self, doc: DocId, query: &str) -> Result<QueryMatches> {
         self.store.query_str(doc, query)
-    }
-
-    /// See [`DomStore::label_at`].
-    pub fn label_at(&self, doc: DocId, preorder_index: u128) -> Result<String> {
-        self.store.label_at(doc, preorder_index)
-    }
-
-    /// See [`DomStore::nav_tables`].
-    pub fn nav_tables(&self, doc: DocId) -> Result<Arc<NavTables>> {
-        self.store.nav_tables(doc)
     }
 
     /// See [`DomStore::doc_ids`].
@@ -492,28 +465,6 @@ impl DurableStore {
     /// See [`DomStore::is_empty`].
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
-    }
-
-    /// See [`DomStore::edge_count`].
-    pub fn edge_count(&self, doc: DocId) -> Result<usize> {
-        self.store.edge_count(doc)
-    }
-
-    /// See [`DomStore::derived_size`].
-    pub fn derived_size(&self, doc: DocId) -> Result<u128> {
-        self.store.derived_size(doc)
-    }
-
-    /// See [`DomStore::maintain`]. Recompression is not logged: it never
-    /// changes the derived document, so replay is unaffected by when (or
-    /// whether) maintenance ran.
-    pub fn maintain(&self) -> MaintenanceReport {
-        self.store.maintain()
-    }
-
-    /// See [`DomStore::recompress`] (not logged, like [`DurableStore::maintain`]).
-    pub fn recompress(&self, doc: DocId) -> Result<RepairStats> {
-        self.store.recompress(doc)
     }
 
     /// LSN of the last durably committed record.
@@ -566,105 +517,10 @@ fn apply_entry(store: &DomStore, lsn: u64, offset: u64, entry: WalEntry) -> Resu
 
 // ----- checkpoint file format -----
 
-#[cfg(test)] // production writes v3; v1 encoding remains for compat tests
-fn encode_checkpoint(last_lsn: u64, layout: &SlabLayout, docs: &[(DocId, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.push(CHECKPOINT_VERSION);
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    let body_start = out.len();
-    wire::write_varint(&mut out, last_lsn);
-    wire::write_varint(&mut out, layout.generations.len() as u64);
-    for &generation in &layout.generations {
-        wire::write_varint(&mut out, generation as u64);
-    }
-    wire::write_varint(&mut out, layout.free.len() as u64);
-    for &slot in &layout.free {
-        wire::write_varint(&mut out, slot as u64);
-    }
-    wire::write_varint(&mut out, layout.live.len() as u64);
-    for &id in &layout.live {
-        wire::write_varint(&mut out, id.slot() as u64);
-        wire::write_varint(&mut out, id.generation() as u64);
-    }
-    wire::write_varint(&mut out, docs.len() as u64);
-    for (id, bytes) in docs {
-        wire::write_varint(&mut out, id.slot() as u64);
-        wire::write_varint(&mut out, id.generation() as u64);
-        wire::write_varint(&mut out, bytes.len() as u64);
-        out.extend_from_slice(bytes);
-    }
-    let crc = sltgrammar::crc32::crc32(&out[body_start..]);
-    out[5..9].copy_from_slice(&crc.to_le_bytes());
-    out
-}
-
 fn ckpt_err(detail: impl Into<String>) -> RepairError {
     RepairError::Storage {
         detail: format!("checkpoint corrupt: {}", detail.into()),
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint(bytes: &[u8]) -> Result<(u64, SlabLayout, Vec<(DocId, Grammar)>)> {
-    if bytes.len() < 9 || &bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(ckpt_err("bad magic bytes"));
-    }
-    if bytes[4] != CHECKPOINT_VERSION {
-        return Err(ckpt_err(format!("unsupported version {}", bytes[4])));
-    }
-    let expected = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes"));
-    let found = sltgrammar::crc32::crc32(&bytes[9..]);
-    if expected != found {
-        return Err(ckpt_err(format!(
-            "checksum mismatch (header {expected:#010x}, body {found:#010x})"
-        )));
-    }
-    let mut r = WireReader::new(&bytes[9..]);
-    let fail = |e: xmltree::XmlError| ckpt_err(e.to_string());
-    let last_lsn = r.varint().map_err(fail)?;
-    let mut layout = SlabLayout::default();
-    let slots = bounded_count(&mut r, 1, "slot")?;
-    for _ in 0..slots {
-        layout.generations.push(r.varint().map_err(fail)? as u32);
-    }
-    let free = bounded_count(&mut r, 1, "free-slot")?;
-    for _ in 0..free {
-        layout.free.push(r.varint().map_err(fail)? as u32);
-    }
-    let live = bounded_count(&mut r, 2, "live-doc")?;
-    for _ in 0..live {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
-        layout.live.push(DocId::from_parts(slot, generation));
-    }
-    let doc_count = bounded_count(&mut r, 3, "document")?;
-    let mut docs = Vec::with_capacity(doc_count);
-    for _ in 0..doc_count {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
-        let len = r.varint().map_err(fail)? as usize;
-        let grammar_bytes = r.bytes(len).map_err(fail)?;
-        let grammar = serialize::decode(grammar_bytes)
-            .map_err(|e| ckpt_err(format!("document grammar: {e}")))?;
-        docs.push((DocId::from_parts(slot, generation), grammar));
-    }
-    if !r.finished() {
-        return Err(ckpt_err("trailing bytes"));
-    }
-    Ok((last_lsn, layout, docs))
-}
-
-/// Reads a count bounded by the remaining input (each element needs at
-/// least `min_bytes`), so corrupt checkpoints cannot drive allocations.
-fn bounded_count(r: &mut WireReader<'_>, min_bytes: usize, what: &str) -> Result<usize> {
-    let n = r.varint().map_err(|e| ckpt_err(e.to_string()))? as usize;
-    if n > r.remaining() / min_bytes {
-        return Err(ckpt_err(format!(
-            "{what} count {n} exceeds what the remaining input could hold"
-        )));
-    }
-    Ok(n)
 }
 
 // ----- checkpoint v3 (paged, offset-indexed; layout in `crate::wal`) -----
@@ -679,35 +535,12 @@ struct DocExtent {
     crc: u32,
 }
 
-/// A decoded checkpoint file of either supported version.
-enum CheckpointImage {
-    /// Legacy eager image: every grammar decoded at open.
-    V1 {
-        last_lsn: u64,
-        layout: SlabLayout,
-        docs: Vec<(DocId, Grammar)>,
-    },
-    /// Paged lazy image: payloads adopted as undecoded bytes.
-    V3 {
-        base_lsn: u64,
-        layout: SlabLayout,
-        segments: Vec<(Vec<String>, Vec<usize>)>,
-        docs: Vec<DocExtent>,
-    },
-}
-
-fn decode_checkpoint_any(bytes: &[u8]) -> Result<CheckpointImage> {
-    if bytes.len() < 5 || &bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(ckpt_err("bad magic bytes"));
-    }
-    match bytes[4] {
-        CHECKPOINT_VERSION => {
-            let (last_lsn, layout, docs) = decode_checkpoint(bytes)?;
-            Ok(CheckpointImage::V1 { last_lsn, layout, docs })
-        }
-        CHECKPOINT_VERSION_V3 => decode_checkpoint_v3(bytes),
-        v => Err(ckpt_err(format!("unsupported version {v}"))),
-    }
+/// A decoded checkpoint file: payloads adopted as undecoded bytes.
+struct CheckpointImage {
+    base_lsn: u64,
+    layout: SlabLayout,
+    segments: Vec<(Vec<String>, Vec<usize>)>,
+    docs: Vec<DocExtent>,
 }
 
 /// Bytes before the first section: magic, version, nine `u64` header
@@ -720,7 +553,6 @@ fn encode_checkpoint_v3(
     segments: &[(Vec<String>, Vec<usize>)],
     docs: &[DocExtent],
 ) -> Vec<u8> {
-    let crc32 = sltgrammar::crc32::crc32;
     // Section bodies first; the header offsets depend on their lengths.
     let mut slab = Vec::new();
     wire::write_varint(&mut slab, layout.generations.len() as u64);
@@ -733,8 +565,7 @@ fn encode_checkpoint_v3(
     }
     wire::write_varint(&mut slab, layout.live.len() as u64);
     for &id in &layout.live {
-        wire::write_varint(&mut slab, id.slot() as u64);
-        wire::write_varint(&mut slab, id.generation() as u64);
+        write_doc(&mut slab, id);
     }
 
     let mut symtab = Vec::new();
@@ -752,8 +583,7 @@ fn encode_checkpoint_v3(
     wire::write_varint(&mut extents, docs.len() as u64);
     let mut payload_off = 0u64;
     for doc in docs {
-        wire::write_varint(&mut extents, doc.id.slot() as u64);
-        wire::write_varint(&mut extents, doc.id.generation() as u64);
+        write_doc(&mut extents, doc.id);
         wire::write_varint(&mut extents, doc.doc_lsn);
         wire::write_varint(&mut extents, payload_off);
         wire::write_varint(&mut extents, doc.payload.len() as u64);
@@ -761,45 +591,51 @@ fn encode_checkpoint_v3(
         payload_off += doc.payload.len() as u64;
     }
 
-    let slab_off = V3_HEADER_LEN as u64;
-    let slab_len = (slab.len() + 4) as u64;
-    let symtab_off = slab_off + slab_len;
-    let symtab_len = (symtab.len() + 4) as u64;
-    let extents_off = symtab_off + symtab_len;
-    let extents_len = (extents.len() + 4) as u64;
-    let docs_off = extents_off + extents_len;
-    let docs_len = payload_off;
+    let payloads: Vec<&[u8]> = docs.iter().map(|doc| &doc.payload[..]).collect();
+    seal_checkpoint(base_lsn, [&slab, &symtab, &extents], &payloads)
+}
 
-    let mut out = Vec::with_capacity((docs_off + docs_len) as usize);
+/// Lays the three section bodies and the docs region out behind the v3
+/// header: absolute `(offset, length)` pairs, the header CRC, one CRC in
+/// front of each section.
+fn seal_checkpoint(base_lsn: u64, sections: [&[u8]; 3], payloads: &[&[u8]]) -> Vec<u8> {
+    let crc32 = sltgrammar::crc32::crc32;
+    let mut fields = vec![base_lsn];
+    let mut end = V3_HEADER_LEN as u64;
+    for body in sections {
+        let len = (body.len() + 4) as u64;
+        fields.extend([end, len]);
+        end += len;
+    }
+    let docs_len: u64 = payloads.iter().map(|p| p.len() as u64).sum();
+    fields.extend([end, docs_len]);
+
+    let mut out = Vec::with_capacity((end + docs_len) as usize);
     out.extend_from_slice(CHECKPOINT_MAGIC);
     out.push(CHECKPOINT_VERSION_V3);
-    for field in [
-        base_lsn,
-        slab_off,
-        slab_len,
-        symtab_off,
-        symtab_len,
-        extents_off,
-        extents_len,
-        docs_off,
-        docs_len,
-    ] {
+    for field in fields {
         out.extend_from_slice(&field.to_le_bytes());
     }
     let header_crc = crc32(&out[5..77]);
     out.extend_from_slice(&header_crc.to_le_bytes());
-    for body in [&slab, &symtab, &extents] {
+    for body in sections {
         out.extend_from_slice(&crc32(body).to_le_bytes());
         out.extend_from_slice(body);
     }
-    for doc in docs {
-        out.extend_from_slice(&doc.payload);
+    for payload in payloads {
+        out.extend_from_slice(payload);
     }
     out
 }
 
-fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
+fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
     let crc32 = sltgrammar::crc32::crc32;
+    if bytes.len() < 5 || &bytes[..4] != CHECKPOINT_MAGIC {
+        return Err(ckpt_err("bad magic bytes"));
+    }
+    if bytes[4] != CHECKPOINT_VERSION_V3 {
+        return Err(ckpt_err(format!("unsupported version {}", bytes[4])));
+    }
     if bytes.len() < V3_HEADER_LEN {
         return Err(ckpt_err("v3 header truncated"));
     }
@@ -870,29 +706,27 @@ fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
 
     let mut r = WireReader::new(section(slab_off, slab_len, "slab")?);
     let mut layout = SlabLayout::default();
-    let slots = bounded_count(&mut r, 1, "slot")?;
+    let slots = r.count(1, "slot").map_err(fail)?;
     for _ in 0..slots {
-        layout.generations.push(r.varint().map_err(fail)? as u32);
+        layout.generations.push(read_u32(&mut r, "slot generation").map_err(ckpt_err)?);
     }
-    let free = bounded_count(&mut r, 1, "free-slot")?;
+    let free = r.count(1, "free-slot").map_err(fail)?;
     for _ in 0..free {
-        layout.free.push(r.varint().map_err(fail)? as u32);
+        layout.free.push(read_u32(&mut r, "free slot").map_err(ckpt_err)?);
     }
-    let live = bounded_count(&mut r, 2, "live-doc")?;
+    let live = r.count(2, "live-doc").map_err(fail)?;
     for _ in 0..live {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
-        layout.live.push(DocId::from_parts(slot, generation));
+        layout.live.push(read_doc(&mut r).map_err(ckpt_err)?);
     }
     if !r.finished() {
         return Err(ckpt_err("v3 slab section has trailing bytes"));
     }
 
     let mut r = WireReader::new(section(symtab_off, symtab_len, "symbol-table")?);
-    let segment_count = bounded_count(&mut r, 1, "symbol segment")?;
+    let segment_count = r.count(1, "symbol segment").map_err(fail)?;
     let mut segments = Vec::with_capacity(segment_count);
     for _ in 0..segment_count {
-        let symbol_count = bounded_count(&mut r, 2, "symbol")?;
+        let symbol_count = r.count(2, "symbol").map_err(fail)?;
         let mut names = Vec::with_capacity(symbol_count);
         let mut ranks = Vec::with_capacity(symbol_count);
         for _ in 0..symbol_count {
@@ -912,11 +746,10 @@ fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
     }
 
     let mut r = WireReader::new(section(extents_off, extents_len, "extents")?);
-    let doc_count = bounded_count(&mut r, 9, "document extent")?;
+    let doc_count = r.count(9, "document extent").map_err(fail)?;
     let mut docs = Vec::with_capacity(doc_count);
     for _ in 0..doc_count {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
+        let id = read_doc(&mut r).map_err(ckpt_err)?;
         let doc_lsn = r.varint().map_err(fail)?;
         let payload_off = r.varint().map_err(fail)?;
         let payload_len = r.varint().map_err(fail)?;
@@ -933,7 +766,7 @@ fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
         let start = (docs_off + payload_off) as usize;
         let payload = bytes[start..start + payload_len as usize].to_vec();
         docs.push(DocExtent {
-            id: DocId::from_parts(slot, generation),
+            id,
             doc_lsn,
             payload,
             crc,
@@ -942,7 +775,7 @@ fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
     if !r.finished() {
         return Err(ckpt_err("v3 extents section has trailing bytes"));
     }
-    Ok(CheckpointImage::V3 {
+    Ok(CheckpointImage {
         base_lsn,
         layout,
         segments,
@@ -1197,28 +1030,86 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_open() {
+    fn version_1_checkpoints_are_refused_with_a_typed_error() {
         let (fs, store) = mem_store();
-        let a = store.load_xml(&doc("feed", 2)).unwrap();
-        let b = store.load_xml(&doc("blog", 1)).unwrap();
-        let want_a = store.to_xml(a).unwrap().to_xml();
-        let want_b = store.to_xml(b).unwrap().to_xml();
-        // Write the legacy eager image by hand, as an old binary would have.
-        let layout = store.store.capture_slab();
-        let docs = vec![
-            (a, serialize::encode(&store.store.grammar(a).unwrap())),
-            (b, serialize::encode(&store.store.grammar(b).unwrap())),
-        ];
-        let bytes = encode_checkpoint(store.wal.durable_lsn(), &layout, &docs);
-        fs.write_atomic("db/checkpoint.slck", &bytes).unwrap();
-        store.wal.truncate().unwrap();
+        store.load_xml(&doc("feed", 2)).unwrap();
+        store.checkpoint().unwrap();
         drop(store);
+        // The same image behind version byte 1 — a format nothing ever
+        // wrote. Open must refuse it loudly: ignoring the file would start
+        // from an empty store and replay the log tail onto the wrong state.
+        let mut bytes = fs.file("db/checkpoint.slck").unwrap();
+        bytes[4] = 1;
+        fs.set_file("db/checkpoint.slck", bytes);
+        match DurableStore::open_with(fs, "db") {
+            Err(RepairError::Storage { detail }) => {
+                assert_eq!(detail, "checkpoint corrupt: unsupported version 1")
+            }
+            Err(other) => panic!("expected the typed version error, got {other:?}"),
+            Ok(_) => panic!("a version-1 checkpoint must not open"),
+        }
+    }
 
-        let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
-        assert_eq!(report.checkpoint_docs, 2);
-        assert_eq!(report.lazy_docs, 0, "v1 images decode eagerly");
-        assert_eq!(recovered.to_xml(a).unwrap().to_xml(), want_a);
-        assert_eq!(recovered.to_xml(b).unwrap().to_xml(), want_b);
+    #[test]
+    fn document_ids_above_u32_are_rejected_by_every_decoder() {
+        use xmltree::wire::write_varint;
+        // A slot of 2^32 + 1 narrowed to u32 would alias document 1. Each of
+        // the three places a document id is read from outside bytes gets one,
+        // behind a valid CRC, and must answer with its own typed error.
+        let mut wide = Vec::new();
+        write_varint(&mut wide, (1u64 << 32) + 1); // slot
+        write_varint(&mut wide, 1); // generation
+
+        // The WAL: version, lsn 1, kind 2 (Remove), the id.
+        let mut record = vec![crate::wal::WAL_VERSION, 1, 2];
+        record.extend_from_slice(&wide);
+        let fs = Arc::new(FailpointFs::new());
+        fs.set_file("db/wal.log", crate::frame::seal(&record));
+        match DurableStore::open_with(fs, "db") {
+            Err(RepairError::WalCorrupt { detail, .. }) => {
+                assert!(detail.contains("out of range"), "{detail}")
+            }
+            other => panic!("expected WalCorrupt, got {:?}", other.map(|_| ())),
+        }
+
+        // The wire: version, request id 7, kind 4 (ToXml), the id.
+        let mut request = vec![crate::server::PROTOCOL_VERSION, 7, 4];
+        request.extend_from_slice(&wide);
+        let frame = crate::frame::seal(&request);
+        match crate::server::decode_request(&frame[crate::frame::FRAME_HEADER_LEN..]) {
+            Err(RepairError::Protocol { detail }) => {
+                assert!(detail.contains("out of range"), "{detail}")
+            }
+            other => panic!("expected Protocol, got {other:?}"),
+        }
+
+        // The checkpoint, twice — the slab's live list and the extent table
+        // (one slot, generation 1, no free slots, no symbols) — and once
+        // with honest ids: the rejections are about the ids, not the
+        // hand-built framing.
+        let slab_head = [1u8, 1, 0, 1]; // 1 slot (generation 1), 0 free, 1 live
+        let honest = [0u8, 1];
+        let extent_tail = [0u8, 0, 0, 0, 0, 0, 0]; // doc_lsn, offset, len, crc32
+        for (live_id, extent_id) in [(&wide[..], &honest[..]), (&honest, &wide), (&honest, &honest)] {
+            let slab = [&slab_head[..], live_id].concat();
+            let extents = [&[1u8][..], extent_id, &extent_tail].concat();
+            let fs = Arc::new(FailpointFs::new());
+            fs.set_file(
+                "db/checkpoint.slck",
+                seal_checkpoint(0, [&slab, &[0], &extents], &[]),
+            );
+            match DurableStore::open_with(fs, "db") {
+                Ok((store, report)) => {
+                    assert_eq!((live_id, extent_id), (&honest[..], &honest[..]));
+                    assert_eq!((report.checkpoint_docs, store.len()), (1, 1));
+                }
+                Err(RepairError::Storage { detail }) => assert!(
+                    detail.starts_with("checkpoint corrupt") && detail.contains("out of range"),
+                    "{detail}"
+                ),
+                Err(other) => panic!("expected a corrupt checkpoint, got {other:?}"),
+            }
+        }
     }
 
     #[test]

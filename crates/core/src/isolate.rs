@@ -1,4 +1,4 @@
-//! Path isolation (paper Section III-A), single-target and batched.
+//! Path isolation (paper Section III-A).
 //!
 //! To update a node `u` of the derived tree `val(G)` we first make `u` appear
 //! as an explicit terminal node in the start rule: starting from the start
@@ -7,16 +7,15 @@
 //! that produce `u`. Lemma 1 of the paper bounds the growth caused by a single
 //! isolation by a factor of two, because every rule is inlined at most once.
 //!
-//! A *sequence* of k updates pays k of those walks, and — worse — the
-//! single-target [`isolate`] recomputes `own_sizes`/`segment_sizes` over the
-//! whole grammar per call and the start rule's subtree sizes per inlining.
-//! [`isolate_many`] amortizes all of that across a batch: the per-rule size
-//! tables are computed once, the start rule is walked once with the (sorted)
-//! targets distributed down the tree, subtree sizes are patched incrementally
-//! after each inlining instead of recomputed, and every nonterminal reference
-//! on any target path is inlined at most once — shared path prefixes are
-//! isolated once for the whole batch, so the Lemma-1 factor-two growth bound
-//! holds per *distinct* root-to-target path, not per target.
+//! There is one walk: [`IsolationBatch`]. A session computes the per-rule
+//! size tables (`own_sizes`/`segment_sizes`) and the start rule's subtree
+//! sizes once, walks the start rule with the (sorted) targets distributed
+//! down the tree, patches subtree sizes incrementally after each inlining
+//! instead of recomputing them, and inlines every nonterminal reference on
+//! any target path at most once — shared path prefixes are isolated once for
+//! the whole session, so the Lemma-1 factor-two growth bound holds per
+//! *distinct* root-to-target path, not per target. [`isolate`] (one target)
+//! and [`isolate_many`] (a list) are sessions of that length.
 
 use std::collections::HashMap;
 
@@ -35,99 +34,11 @@ pub struct IsolationStats {
 
 /// Makes the node with 0-based preorder index `target` of the derived tree
 /// `val(G)` explicit in the start rule and returns its node id there — the
-/// paper's `iso(G, u)`.
+/// paper's `iso(G, u)`, as a one-target [`IsolationBatch`] session.
 pub fn isolate(g: &mut Grammar, target: u128) -> Result<(NodeId, IsolationStats)> {
-    let total = derived_size(g);
-    if target >= total {
-        return Err(RepairError::TargetOutOfRange {
-            index: target,
-            size: total,
-        });
-    }
-    let mut stats = IsolationStats::default();
-    let own = own_sizes(g);
-    let segments: HashMap<NtId, Vec<u128>> = segment_sizes(g);
-    let start = g.start();
-
-    let mut sizes = subtree_derived_sizes(&g.rule(start).rhs, &own);
-    let mut node = g.rule(start).rhs.root();
-    let mut remaining = target;
-
-    loop {
-        let kind = g.rule(start).rhs.kind(node);
-        match kind {
-            NodeKind::Term(_) => {
-                if remaining == 0 {
-                    return Ok((node, stats));
-                }
-                remaining -= 1;
-                let children = g.rule(start).rhs.children(node).to_vec();
-                let mut descended = false;
-                for c in children {
-                    let s = sizes[&c];
-                    if remaining < s {
-                        node = c;
-                        descended = true;
-                        break;
-                    }
-                    remaining -= s;
-                }
-                if !descended {
-                    return Err(RepairError::TargetOutOfRange {
-                        index: target,
-                        size: total,
-                    });
-                }
-            }
-            NodeKind::Nt(callee) => {
-                // Decide whether the target is produced by the callee itself or
-                // by one of its argument subtrees; in the former case inline the
-                // callee and continue inside the copy with the same offset.
-                let segs = &segments[&callee];
-                let args = g.rule(start).rhs.children(node).to_vec();
-                let mut offset: u128 = 0;
-                let mut decided: Option<NodeId> = None;
-                let mut produced_by_callee = false;
-                for (j, seg) in segs.iter().enumerate() {
-                    if remaining < offset + seg {
-                        produced_by_callee = true;
-                        break;
-                    }
-                    offset += seg;
-                    if j < args.len() {
-                        let arg = args[j];
-                        let s = sizes[&arg];
-                        if remaining < offset + s {
-                            decided = Some(arg);
-                            break;
-                        }
-                        offset += s;
-                    }
-                }
-                if produced_by_callee {
-                    let new_root = {
-                        let callee_rhs = g.rule(callee).rhs.clone();
-                        g.rule_mut(start).rhs.inline_at(node, &callee_rhs)
-                    };
-                    stats.inlinings += 1;
-                    // Sizes of the freshly inlined nodes are missing; recompute.
-                    sizes = subtree_derived_sizes(&g.rule(start).rhs, &own);
-                    node = new_root;
-                } else if let Some(arg) = decided {
-                    remaining -= offset;
-                    node = arg;
-                } else {
-                    return Err(RepairError::TargetOutOfRange {
-                        index: target,
-                        size: total,
-                    });
-                }
-            }
-            NodeKind::Param(_) => {
-                unreachable!("the start rule has rank 0 and contains no parameters")
-            }
-        }
-    }
+    let mut batch = IsolationBatch::new(g);
+    let node = batch.isolate_one(g, target)?;
+    Ok((node, batch.stats()))
 }
 
 /// A batch path-isolation session.
@@ -432,9 +343,6 @@ impl IsolationBatch {
 /// `own_sizes`/`segment_sizes` computation and one walk of the start rule.
 /// Returns the node ids in the order of the input targets.
 ///
-/// A singleton batch performs exactly the inlinings [`isolate`] would and
-/// yields a byte-identical grammar (pinned by the batch-isolation property
-/// suite).
 pub fn isolate_many(g: &mut Grammar, targets: &[u128]) -> Result<(Vec<NodeId>, IsolationStats)> {
     let mut batch = IsolationBatch::new(g);
     let mut sorted: Vec<u128> = targets.to_vec();

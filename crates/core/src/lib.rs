@@ -14,10 +14,11 @@
 //!   maintained occurrence table + frequency queue that keeps rounds from
 //!   paying O(grammar)) and [`replace`] (localization by minimal inlining,
 //!   greedy local replacement, fragment export).
-//! * [`isolate`] / [`update`] — path isolation (single-target and batched
-//!   over shared path prefixes) and the three atomic update operations
-//!   (rename, insert-before, delete-subtree) on the grammar, plus
-//!   [`update::apply_batch`] for whole operation sequences.
+//! * [`isolate`] / [`update`] — path isolation (one session per batch,
+//!   shared path prefixes isolated once) and the three update operations
+//!   (rename, insert-before, delete-subtree) on the grammar:
+//!   [`update::apply_batch`] runs an operation sequence, and a single
+//!   operation is a batch of one.
 //! * [`udc`] — the update–decompress–compress baseline the paper compares against.
 //! * [`session`] / [`store`] — the application-facing handles:
 //!   [`session::CompressedDom`], a mutable always-compressed single-document
@@ -28,8 +29,9 @@
 //!   scheduler that recompresses by *update debt* (edge growth since the
 //!   last recompression), draining the worst offenders on a budget.
 //! * [`wal`] / [`durable`] / [`queue`] — crash safety and ingestion: a
-//!   length-prefixed, CRC-framed write-ahead op log with leader-based group
-//!   commit; [`durable::DurableStore`], a [`store::DomStore`] wrapper that
+//!   write-ahead op log with leader-based group commit, framed by the one
+//!   length-prefixed, CRC-checked envelope ([`frame`]) the wire protocol
+//!   shares; [`durable::DurableStore`], a [`store::DomStore`] wrapper that
 //!   logs every mutation before applying it, writes fuzzy checkpoints in a
 //!   paged, offset-indexed format whose documents are decoded lazily on
 //!   first touch, and recovers the exact pre-crash state (checkpoint +
@@ -68,6 +70,7 @@
 pub mod client;
 pub mod durable;
 pub mod error;
+pub mod frame;
 pub mod isolate;
 pub mod navigate;
 pub mod occ_index;

@@ -29,27 +29,22 @@
 //!
 //! # Drain ordering
 //!
-//! At most one drain — a [`flush`](IngestQueue::flush) or a
-//! [`barrier`](IngestQueue::barrier) — runs at a time; later drains wait
-//! for the running one to finish. Because every drain commits its WAL
-//! record before the next drain starts, log order equals drain order, and
-//! a batch submitted *during* an in-flight drain simply lands in the next
-//! one; per-document submission order is never reordered across drains.
+//! There is one drain shape, [`flush`](IngestQueue::flush) — called by the
+//! background drainer, by hand, or by a lone [`wait`](IngestQueue::wait) —
+//! and at most one runs at a time; later drains wait for the running one to
+//! finish. Because every drain commits its WAL record before the next drain
+//! starts, log order equals drain order, and a batch submitted *during* an
+//! in-flight drain simply lands in the next one; per-document submission
+//! order is never reordered across drains. Every drain takes the whole
+//! pending list, so the queued tickets are always one contiguous range.
 //! Submissions themselves never wait on a drain. The store's background
 //! recompression scheduler runs once per drain (inside the store's apply
 //! path), i.e. *between* flushes, never in the middle of one.
 //!
-//! # Barrier semantics
-//!
-//! A writer that needs its document durable **now** calls
-//! [`barrier`](IngestQueue::barrier): it drains *only that document's*
-//! pending batches (one `ApplyBatch` record, one group-committed fsync)
-//! and leaves every other document queued. Writers therefore barrier only
-//! on their own document; cross-document batches fan out through
-//! [`DurableStore::apply_batch_many`] at the next flush. Mixing queued
-//! submissions with *direct* [`DurableStore`] mutations of the same
-//! document is the one thing the queue cannot order — barrier the
-//! document first.
+//! A writer that needs its batch durable **now** waits on its ticket (which
+//! flushes inline when no drainer is installed). Mixing queued submissions
+//! with *direct* [`DurableStore`] mutations of the same document is the one
+//! thing the queue cannot order — flush first.
 //!
 //! # Drain-policy state machine
 //!
@@ -227,8 +222,6 @@ pub struct QueueStats {
     /// Coalesced per-document jobs written across all flushes; the
     /// coalescing win is `submitted / coalesced_jobs`.
     pub coalesced_jobs: u64,
-    /// Single-document drains ([`IngestQueue::barrier`] that found work).
-    pub barriers: u64,
     /// Ops currently queued (submitted but not yet drained) — a snapshot,
     /// not a lifetime counter; the drain policy's size trigger watches it.
     pub pending_ops: u64,
@@ -266,8 +259,8 @@ struct QueueState {
     pending_ops: usize,
     next_ticket: u64,
     results: HashMap<u64, Result<BatchStats>>,
-    /// A drain (flush or barrier) is in flight with the state lock
-    /// released; later drains wait on the condvar.
+    /// A drain is in flight with the state lock released; later drains
+    /// wait on the condvar.
     draining: bool,
     /// A background drainer is installed: `wait` parks instead of
     /// self-flushing (see the module docs' drain-policy section).
@@ -280,8 +273,8 @@ struct QueueState {
 }
 
 /// An ingestion queue in front of a [`DurableStore`] (see the module
-/// docs for the coalescing, ordering, barrier, drain-policy and
-/// backpressure contracts).
+/// docs for the coalescing, ordering, drain-policy and backpressure
+/// contracts).
 pub struct IngestQueue {
     store: Arc<DurableStore>,
     config: QueueConfig,
@@ -319,9 +312,8 @@ impl IngestQueue {
     }
 
     /// Enqueues one batch for `doc`. Nothing is logged or applied until
-    /// the next [`flush`](IngestQueue::flush),
-    /// [`barrier`](IngestQueue::barrier) for this document, a policy
-    /// drain, or [`wait`](IngestQueue::wait) on the ticket.
+    /// the next [`flush`](IngestQueue::flush), a policy drain, or
+    /// [`wait`](IngestQueue::wait) on the ticket.
     ///
     /// On an unbounded queue (the [`new`](IngestQueue::new) default) this
     /// never blocks and never fails — drains in progress don't stall
@@ -423,50 +415,6 @@ impl IngestQueue {
         }
     }
 
-    /// Drains **only `doc`'s** pending batches as one `ApplyBatch` record
-    /// and returns their combined outcome (`None` when nothing was queued
-    /// for `doc`). Other documents stay queued. Waits first if another
-    /// drain is in flight — WAL order must match submission order for
-    /// this document, and the in-flight drain may hold earlier batches.
-    pub fn barrier(&self, doc: DocId) -> Option<Result<BatchStats>> {
-        let mut st = self.state.lock().expect("queue lock never poisoned");
-        while st.draining {
-            st = self.cond.wait(st).expect("queue lock never poisoned");
-        }
-        let mut ops = Vec::new();
-        let mut tickets = Vec::new();
-        st.pending.retain_mut(|batch| {
-            if batch.doc == doc {
-                ops.append(&mut batch.ops);
-                tickets.push(batch.ticket);
-                false
-            } else {
-                true
-            }
-        });
-        if tickets.is_empty() {
-            return None;
-        }
-        st.pending_ops -= ops.len();
-        st.draining = true;
-        drop(st);
-
-        let result = self
-            .store
-            .apply_batch(doc, &ops)
-            .map(|(stats, _maintenance)| stats);
-
-        let mut st = self.state.lock().expect("queue lock never poisoned");
-        st.stats.barriers += 1;
-        for &ticket in &tickets {
-            st.results.insert(ticket, result.clone());
-        }
-        st.draining = false;
-        drop(st);
-        self.cond.notify_all();
-        Some(result)
-    }
-
     /// Blocks until `ticket`'s batch is durable and applied, then returns
     /// its outcome. If the batch is still queued, no drain is running and
     /// no background drainer is installed, the caller becomes the flush
@@ -508,7 +456,13 @@ impl IngestQueue {
             if let Some(result) = st.results.remove(&ticket.0) {
                 return result.map_err(QueueError::Store);
             }
-            let queued = st.pending.iter().any(|b| b.ticket == ticket.0);
+            // Tickets are issued in order and every drain takes the whole
+            // list, so what is queued is the contiguous range from the first
+            // pending ticket up to the next one to be issued.
+            let queued = st
+                .pending
+                .first()
+                .is_some_and(|b| (b.ticket..st.next_ticket).contains(&ticket.0));
             if queued && !st.draining && !st.drainer_active {
                 drop(st);
                 self.flush();
@@ -642,7 +596,7 @@ impl IngestQueue {
             .len()
     }
 
-    /// Lifetime counters (submissions, flushes, coalesced jobs, barriers)
+    /// Lifetime counters (submissions, flushes, coalesced jobs)
     /// plus the point-in-time queue depth (`pending_ops`,
     /// `oldest_pending_age`) the drain policy watches.
     pub fn stats(&self) -> QueueStats {
@@ -718,25 +672,33 @@ mod tests {
     }
 
     #[test]
-    fn a_barrier_drains_only_its_own_document() {
+    fn a_wait_on_any_queued_ticket_drains_the_whole_contiguous_range() {
         let (_fs, store, queue) = queue();
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         let b = store.load_xml(&doc("blog", 3)).unwrap();
 
+        // A drained earlier range, so the queued one does not start at 0.
+        let t0 = queue.submit(a, vec![rename(1, "first")]).unwrap();
+        queue.flush();
         let ta = queue.submit(a, vec![rename(1, "entry")]).unwrap();
         let tb = queue.submit(b, vec![rename(1, "post")]).unwrap();
+        let tc = queue.submit(a, vec![rename(5, "note")]).unwrap();
 
-        let stats = queue.barrier(a).expect("doc a had pending ops").unwrap();
-        assert_eq!(stats.ops, 1);
-        assert_eq!(queue.pending_batches(), 1, "doc b stays queued");
-        assert!(store.to_xml(a).unwrap().to_xml().contains("<entry>"));
-        assert!(!store.to_xml(b).unwrap().to_xml().contains("<post>"));
-        assert!(queue.barrier(a).is_none(), "nothing left for doc a");
-        assert_eq!(queue.wait(ta).unwrap().ops, 1);
-
-        queue.flush();
+        // Waiting on the middle ticket finds it queued by its position in
+        // the range and becomes the flush leader for all three.
         assert_eq!(queue.wait(tb).unwrap().ops, 1);
-        assert!(store.to_xml(b).unwrap().to_xml().contains("<post>"));
+        assert_eq!(queue.pending_batches(), 0, "one drain takes everything");
+        assert_eq!(queue.stats().flushes, 2);
+        for t in [t0, ta, tc] {
+            queue.wait(t).unwrap();
+        }
+        assert!(store.to_xml(a).unwrap().to_xml().contains("<note"));
+
+        // Outside the range on either side: consumed, and never issued.
+        queue.submit(b, vec![rename(5, "later")]).unwrap();
+        assert!(queue.wait(tb).is_err(), "results are consumed once");
+        assert!(queue.wait(Ticket(99)).is_err(), "never issued");
+        assert_eq!(queue.pending_batches(), 1, "a bad ticket drains nothing");
     }
 
     #[test]
@@ -800,10 +762,10 @@ mod tests {
         let stats = queue.stats();
         assert_eq!(stats.submitted, 32);
         assert!(
-            flushed_syncs <= stats.flushes + stats.barriers,
+            flushed_syncs <= stats.flushes,
             "one fsync per drain at most (group commit may merge even those): \
              {flushed_syncs} syncs for {} drains",
-            stats.flushes + stats.barriers
+            stats.flushes
         );
         assert!(
             flushed_syncs < 32,

@@ -9,8 +9,8 @@
 //!
 //! # Frame layout
 //!
-//! Every request and response travels as one frame, mirroring the WAL's
-//! on-disk format (`core::wal`):
+//! Every request and response travels as one frame in the envelope the
+//! WAL uses on disk ([`crate::frame`]):
 //!
 //! ```text
 //! frame:   length u32-LE | crc32 u32-LE (of payload) | payload
@@ -19,8 +19,8 @@
 //!
 //! Varints are the WAL's LEB128 (`xmltree::wire`), and bodies reuse the
 //! wire codecs — trees travel as [`write_tree`] images, op batches as
-//! [`write_ops`] sequences, documents as `(slot, generation)` varint
-//! pairs. The request id is chosen by the client and echoed verbatim in
+//! [`write_ops`] sequences, documents as the frame module's range-checked
+//! `(slot, generation)` varint pairs. The request id is chosen by the client and echoed verbatim in
 //! the response, which is what makes pipelining work: a client may write
 //! several requests before reading any reply and match replies by id.
 //! Replies are **not** guaranteed to arrive in request order — reads are
@@ -84,23 +84,22 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sltgrammar::crc32::crc32;
 use xmltree::updates::UpdateOp;
 use xmltree::wire::{write_ops, write_tree, write_varint, WireReader};
 use xmltree::XmlTree;
 
 use crate::durable::DurableStore;
 use crate::error::{RepairError, Result};
+use crate::frame::{self, read_doc, write_doc};
 use crate::query::QueryMatches;
 use crate::queue::{DrainPolicy, IngestQueue, QueueConfig, QueueError};
 use crate::store::DocId;
 use crate::update::BatchStats;
 
+pub use crate::frame::FRAME_HEADER_LEN;
+
 /// Protocol version byte every frame starts its payload with.
 pub const PROTOCOL_VERSION: u8 = 1;
-
-/// Frame header size: `length u32-LE | crc32 u32-LE`.
-pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Default bound on a single frame's payload (requests *and* responses).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 << 20;
@@ -301,48 +300,10 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn write_doc(out: &mut Vec<u8>, doc: DocId) {
-    write_varint(out, doc.slot() as u64);
-    write_varint(out, doc.generation() as u64);
-}
-
 fn proto_err(detail: impl Into<String>) -> RepairError {
     RepairError::Protocol {
         detail: detail.into(),
     }
-}
-
-fn read_doc(r: &mut WireReader<'_>) -> Result<DocId> {
-    let slot = r.varint().map_err(|e| proto_err(e.to_string()))?;
-    let generation = r.varint().map_err(|e| proto_err(e.to_string()))?;
-    if slot > u32::MAX as u64 || generation > u32::MAX as u64 {
-        return Err(proto_err(format!(
-            "document id ({slot}, {generation}) out of range"
-        )));
-    }
-    Ok(DocId::from_parts(slot as u32, generation as u32))
-}
-
-/// A count that claims more elements than the remaining bytes could back
-/// (at `min_bytes` each) is corrupt; reject it before allocating.
-fn bounded_count(r: &mut WireReader<'_>, min_bytes: usize, what: &str) -> Result<usize> {
-    let n = r.varint().map_err(|e| proto_err(e.to_string()))?;
-    let cap = (r.remaining() / min_bytes.max(1)) as u64;
-    if n > cap {
-        return Err(proto_err(format!(
-            "{what} count {n} exceeds what {} remaining bytes could hold",
-            r.remaining()
-        )));
-    }
-    Ok(n as usize)
-}
-
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER_LEN);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
 }
 
 /// Encodes one request as a complete frame (header included).
@@ -371,7 +332,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
         Request::Checkpoint => p.push(5),
         Request::Stats => p.push(6),
     }
-    frame(p)
+    frame::seal(&p)
 }
 
 /// Decodes a request payload (the bytes *after* the frame header, CRC
@@ -392,17 +353,17 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request)> {
             tree: r.tree().map_err(|e| proto_err(e.to_string()))?,
         },
         2 => {
-            let doc = read_doc(&mut r)?;
+            let doc = read_doc(&mut r).map_err(proto_err)?;
             let ops = r.ops().map_err(|e| proto_err(e.to_string()))?;
             Request::ApplyBatch { doc, ops }
         }
         3 => {
-            let doc = read_doc(&mut r)?;
+            let doc = read_doc(&mut r).map_err(proto_err)?;
             let path = r.string().map_err(|e| proto_err(e.to_string()))?;
             Request::Query { doc, path }
         }
         4 => Request::ToXml {
-            doc: read_doc(&mut r)?,
+            doc: read_doc(&mut r).map_err(proto_err)?,
         },
         5 => Request::Checkpoint,
         6 => Request::Stats,
@@ -482,7 +443,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             }
         }
     }
-    frame(p)
+    frame::seal(&p)
 }
 
 /// Decodes a response payload (CRC already verified); the mirror of
@@ -506,7 +467,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response)> {
             Response::Error { code, message }
         }
         1 => Response::Loaded {
-            doc: read_doc(&mut r)?,
+            doc: read_doc(&mut r).map_err(proto_err)?,
         },
         2 => {
             let mut vals = [0u64; 4];
@@ -523,7 +484,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response)> {
             }
         }
         3 => {
-            let n = bounded_count(&mut r, 1, "match")?;
+            let n = r.count(1, "match").map_err(|e| proto_err(e.to_string()))?;
             let mut positions = Vec::with_capacity(n);
             for _ in 0..n {
                 positions.push(r.varint().map_err(|e| proto_err(e.to_string()))?);
@@ -738,8 +699,7 @@ pub(crate) fn read_frame(stream: &mut Conn, stop: Option<&AtomicBool>, max_len: 
         ReadOutcome::Stopped => return FrameOutcome::Stopped,
         ReadOutcome::Failed(e) => return FrameOutcome::Io(e),
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let want = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let len = frame::payload_len(&header);
     if len > max_len {
         // Reject before allocating: arbitrary bytes must not drive memory.
         return FrameOutcome::Corrupt(format!(
@@ -753,11 +713,8 @@ pub(crate) fn read_frame(stream: &mut Conn, stop: Option<&AtomicBool>, max_len: 
         ReadOutcome::Stopped => return FrameOutcome::Stopped,
         ReadOutcome::Failed(e) => return FrameOutcome::Io(e),
     }
-    let found = crc32(&payload);
-    if found != want {
-        return FrameOutcome::Corrupt(format!(
-            "frame checksum mismatch: stored {want:#010x}, computed {found:#010x}"
-        ));
+    if let Err(e) = frame::verify(&header, &payload) {
+        return FrameOutcome::Corrupt(format!("frame {e}"));
     }
     FrameOutcome::Payload(payload)
 }
@@ -1203,6 +1160,7 @@ fn dispatch(shared: &Shared, request: Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sltgrammar::crc32::crc32;
     use xmltree::parse::parse_xml;
 
     fn sample_tree() -> XmlTree {

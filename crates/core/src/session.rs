@@ -16,22 +16,16 @@
 //! directly and let its debt-based scheduler decide, instead of N
 //! fixed-interval counters.
 //!
-//! # Single-operation vs batched updates
+//! # Updates and recompression counting
 //!
-//! [`CompressedDom::apply`] is the paper's per-operation path: one isolation
-//! walk (with its own `own_sizes`/`segment_sizes` computation) per update.
-//! [`CompressedDom::apply_batch`] routes a whole operation sequence through
+//! [`CompressedDom::apply_batch`] routes an operation sequence through
 //! [`crate::update::apply_batch`], which isolates shared path prefixes once
 //! per chunk — the natural fit for FLUX-style functional update programs that
-//! emit many edits clustered under common ancestors. Both paths produce
-//! byte-identical documents (asserted by the differential update-oracle
-//! harness); only the intermediate grammars differ.
+//! emit many edits clustered under common ancestors.
+//! [`CompressedDom::apply`] is the same call on a batch of one.
 //!
-//! # Recompression counting
-//!
-//! The recompression policy charges [`CompressedDom::apply`] one unit per
-//! operation and [`CompressedDom::apply_batch`] **one unit per non-empty
-//! batch**, regardless of the batch's length — a batch is one logical
+//! The recompression policy charges **one unit per batch that mutated the
+//! grammar**, regardless of the batch's length — a batch is one logical
 //! document transition, and its blow-up is bounded per distinct path rather
 //! than per operation, so charging it per operation would recompress far too
 //! eagerly. [`CompressedDom::total_updates`] still counts individual
@@ -53,7 +47,7 @@ use sltgrammar::Grammar;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
-use crate::error::{RepairError, Result};
+use crate::error::Result;
 use crate::navigate::{Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePairConfig, RepairStats};
@@ -210,35 +204,12 @@ impl CompressedDom {
         Self::state_ok(self.store.query_count(self.doc, query))
     }
 
-    /// Applies one update; recompresses automatically when the policy says so.
-    /// Returns the update statistics and, if triggered, the recompression stats.
-    ///
-    /// Splice-time failures (e.g. renaming a null node) are still charged
-    /// their policy unit: path isolation already ran and grew the grammar, so
-    /// skipping the charge would let repeated failures starve recompression.
-    /// Out-of-range targets are rejected before anything mutates and are not
-    /// charged. [`CompressedDom::total_updates`] only counts applied
-    /// operations.
+    /// Applies one update — [`CompressedDom::apply_batch`] on a batch of one —
+    /// and recompresses automatically when the policy says so. Returns the
+    /// update statistics and, if triggered, the recompression stats.
     pub fn apply(&mut self, op: &UpdateOp) -> Result<(UpdateStats, Option<RepairStats>)> {
-        let result = self.store.apply(self.doc, op).map(|(stats, _)| stats);
-        if matches!(result, Err(RepairError::TargetOutOfRange { .. })) {
-            return result.map(|stats| (stats, None));
-        }
-        self.updates_since_recompress += 1;
-        let due =
-            self.recompress_every > 0 && self.updates_since_recompress >= self.recompress_every;
-        match result {
-            Ok(stats) => {
-                let repair = due.then(|| self.recompress_now());
-                Ok((stats, repair))
-            }
-            Err(e) => {
-                if due {
-                    self.recompress_now();
-                }
-                Err(e)
-            }
-        }
+        self.apply_batch(std::slice::from_ref(op))
+            .map(|(stats, repair)| (stats.into(), repair))
     }
 
     /// Applies a sequence of updates through the batched isolation pipeline
@@ -247,35 +218,24 @@ impl CompressedDom {
     /// **one** unit toward `recompress_every` (see the module docs);
     /// recompression, if due, runs after the whole batch.
     ///
-    /// On error the document reflects every fully applied chunk (plus, for
-    /// splice-time errors, the spliced prefix of the failing chunk — see
-    /// [`crate::update::apply_batch`]); the batch is still charged its
-    /// policy unit — applied chunks and isolation may have grown the grammar
-    /// — but [`CompressedDom::total_updates`] only counts fully applied
-    /// batches.
+    /// The unit is charged whenever the batch mutated the grammar, applied
+    /// or not: on error the document reflects every fully applied chunk
+    /// (plus, for splice-time errors, the spliced prefix and the isolation
+    /// growth of the failing chunk — see [`crate::update::apply_batch`]), and
+    /// skipping the charge would let repeated failures starve recompression.
+    /// A batch that left the grammar untouched (empty, or rejected before
+    /// anything was isolated) is not charged.
+    /// [`CompressedDom::total_updates`] only counts fully applied batches.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<(BatchStats, Option<RepairStats>)> {
-        let result = self.store.apply_batch(self.doc, ops).map(|(stats, _)| stats);
-        if ops.is_empty() {
-            return result.map(|stats| (stats, None));
-        }
-        self.updates_since_recompress += 1;
-        let due =
-            self.recompress_every > 0 && self.updates_since_recompress >= self.recompress_every;
-        match result {
-            Ok(stats) => {
-                let repair = due.then(|| self.recompress_now());
-                Ok((stats, repair))
-            }
-            Err(e) => {
-                // Keep the grammar bounded even on failing batches: the
-                // splices of completed chunks (and the isolation growth of
-                // the failing one) are real.
-                if due {
-                    self.recompress_now();
-                }
-                Err(e)
+        let (result, mutated) = self.store.apply_batch_tracked(self.doc, ops);
+        let mut repair = None;
+        if mutated {
+            self.updates_since_recompress += 1;
+            if self.recompress_every > 0 && self.updates_since_recompress >= self.recompress_every {
+                repair = Some(self.recompress_now());
             }
         }
+        result.map(|(stats, _)| (stats, repair))
     }
 
     /// Forces a GrammarRePair recompression.
@@ -389,15 +349,27 @@ mod tests {
     fn failing_single_ops_still_charge_the_recompression_policy() {
         let xml = doc(10);
         let mut dom = CompressedDom::from_xml(&xml, 2);
-        // Renaming the trailing null of the document fails at splice time,
-        // after isolation already grew the grammar.
-        let null_target = dom.derived_size() - 1;
-        let bad = UpdateOp::Rename {
-            target: null_target as usize,
+        // Renaming a null node fails at splice time. The document's trailing
+        // null is explicit in the start rule, so failing on it isolates
+        // nothing, leaves the grammar untouched and is free...
+        let bad = |target: usize| UpdateOp::Rename {
+            target,
             label: "x".to_string(),
         };
-        assert!(dom.apply(&bad).is_err());
-        assert!(dom.apply(&bad).is_err());
+        let trailing_null = dom.derived_size() as usize - 1;
+        let tables = dom.nav_tables();
+        for _ in 0..3 {
+            assert!(dom.apply(&bad(trailing_null)).is_err());
+        }
+        assert_eq!(dom.recompressions(), 0, "an untouched grammar owes nothing");
+        assert!(Arc::ptr_eq(&tables, &dom.nav_tables()), "and stays published");
+        // ...while the empty child lists of two different <title/>s sit
+        // inside compressed rules: each failure happens after isolation
+        // already grew the grammar.
+        let item = 10; // binary nodes per <item>
+        assert_eq!(dom.label_at(3).unwrap(), "#");
+        assert!(dom.apply(&bad(3)).is_err());
+        assert!(dom.apply(&bad(3 + 4 * item)).is_err());
         assert_eq!(dom.recompressions(), 1, "failed ops must not starve recompression");
         assert_eq!(dom.total_updates(), 0);
         dom.grammar().validate().unwrap();

@@ -8,7 +8,7 @@
 //! handle; `DomStore` generalizes it to a collection: documents are loaded
 //! into the store, addressed by [`DocId`], and served through the same read
 //! and update surface the single-document handle offers — cursors, streaming
-//! preorder, path queries, point label reads, single and batched updates.
+//! preorder, path queries, point label reads, update batches.
 //! The store is `Send + Sync`: many threads share one `DomStore` (or clones
 //! of an `Arc<DomStore>`), reads proceed without locks, writes to distinct
 //! documents proceed in parallel, and a background thread can drain the
@@ -123,7 +123,9 @@
 //!   eligible document is always drained, so a single oversized document
 //!   cannot starve maintenance forever;
 //! * with [`SchedulerConfig::auto`] (the default) a sweep runs after every
-//!   update or batch — inline when no background thread is attached, or
+//!   batch that changed a grammar (a single update is a batch of one; a
+//!   request rejected before it mutates anything schedules nothing) —
+//!   inline when no background thread is attached, or
 //!   signalled to the background thread started by
 //!   [`DomStore::start_maintenance`], which drains debt off the request path
 //!   and atomically swaps the recompressed snapshots in.
@@ -166,7 +168,7 @@ use crate::navigate::{Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
 use crate::sync::ArcSwapCell;
-use crate::update::{apply_batch, apply_update, BatchStats, UpdateStats};
+use crate::update::{apply_batch, mutation_mark, BatchStats, UpdateStats};
 
 /// The distinct terminals occurring in `g`'s rule bodies — a document's own
 /// alphabet, as opposed to whatever else its symbol table carries.
@@ -234,8 +236,8 @@ pub struct SchedulerConfig {
     /// counts) per maintenance sweep; `0` means unbounded. At least one
     /// eligible document is drained per sweep regardless of the budget.
     pub drain_budget: usize,
-    /// Run a maintenance sweep automatically after every update or batch —
-    /// inline, or on the background thread when one is attached.
+    /// Run a maintenance sweep automatically after every batch that changed
+    /// a grammar — inline, or on the background thread when one is attached.
     pub auto: bool,
 }
 
@@ -675,61 +677,43 @@ impl StoreInner {
         id
     }
 
-    /// Applies one mutation under the shard lock; the closure runs on the
-    /// copy-on-write grammar and reports `(result, edges_after)` so the
-    /// shard's counters stay exact without re-walking the grammar.
-    fn apply_one(&self, doc: DocId, op: &UpdateOp) -> Result<UpdateStats> {
-        let shard = self.resolve(doc)?;
+    /// Applies one batch under the shard lock and does the shard's whole
+    /// post-update bookkeeping. What a call costs follows from what it did to
+    /// the grammar, not from how it ended: a batch that left the grammar
+    /// untouched (empty, stale id, rejected before anything was isolated)
+    /// keeps the published snapshot clean and reports `false`, so the caller
+    /// schedules no sweep; any mutation — applied ops, or the isolation
+    /// growth a splice-time failure leaves behind — dirties the snapshot and
+    /// is tracked as debt.
+    fn apply_batch_one(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
+        let shard = match self.resolve(doc) {
+            Ok(shard) => shard,
+            Err(e) => return (Err(e), false),
+        };
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
         let grammar = Arc::make_mut(&mut guard);
-        let result = apply_update(grammar, op);
-        match &result {
-            Err(RepairError::TargetOutOfRange { .. }) => {
-                // Rejected before anything mutated: the published snapshot
-                // still matches the write state.
-            }
-            Ok(stats) => {
-                shard.current_edges.store(stats.edges_after, Ordering::Relaxed);
-                shard.total_updates.fetch_add(1, Ordering::Relaxed);
-                shard.clean.store(false, Ordering::Release);
-            }
-            Err(_) => {
-                // Splice-time failure: isolation already grew the grammar.
-                shard
-                    .current_edges
-                    .store(grammar.edge_count(), Ordering::Relaxed);
-                shard.clean.store(false, Ordering::Release);
-            }
-        }
-        result
-    }
-
-    fn apply_batch_one(&self, doc: DocId, ops: &[UpdateOp]) -> Result<BatchStats> {
-        let shard = self.resolve(doc)?;
-        let mut guard = shard.write.lock().expect("shard lock never poisoned");
-        let grammar = Arc::make_mut(&mut guard);
+        let before = mutation_mark(grammar);
         let result = apply_batch(grammar, ops);
-        match &result {
-            Ok(stats) => {
-                shard.current_edges.store(stats.edges_after, Ordering::Relaxed);
-                shard.total_updates.fetch_add(ops.len(), Ordering::Relaxed);
-            }
-            Err(_) => {
-                shard
-                    .current_edges
-                    .store(grammar.edge_count(), Ordering::Relaxed);
-            }
-        }
-        if !ops.is_empty() {
+        let mutated = mutation_mark(grammar) != before;
+        if mutated {
+            let edges = match &result {
+                Ok(stats) => stats.edges_after,
+                Err(_) => grammar.edge_count(),
+            };
+            shard.current_edges.store(edges, Ordering::Relaxed);
             shard.clean.store(false, Ordering::Release);
         }
-        result
+        if result.is_ok() {
+            shard.total_updates.fetch_add(ops.len(), Ordering::Relaxed);
+        }
+        (result, mutated)
     }
 
-    /// Post-update scheduling: inline sweep, or a signal to the background
-    /// thread when one is attached (whose drains then happen off this path).
-    fn after_update(&self) -> MaintenanceReport {
-        if !self.scheduler.read().expect("scheduler lock").auto {
+    /// Post-update scheduling: nothing when no grammar changed, else an
+    /// inline sweep, or a signal to the background thread when one is
+    /// attached (whose drains then happen off this path).
+    fn after_update(&self, mutated: bool) -> MaintenanceReport {
+        if !mutated || !self.scheduler.read().expect("scheduler lock").auto {
             return MaintenanceReport::default();
         }
         if self.worker_attached.load(Ordering::Acquire) {
@@ -1282,46 +1266,47 @@ impl DomStore {
 
     // ----- updates and scheduling -----
 
-    /// Applies one update to a document, then (under [`SchedulerConfig::auto`])
-    /// runs a maintenance sweep over the *whole store* — inline, or signalled
-    /// to the background thread when one is attached (empty report then).
-    ///
-    /// Error semantics match the single-document handle: out-of-range targets
-    /// are rejected before anything mutates; splice-time failures leave the
-    /// isolation growth in place (debt measures it, so maintenance still
-    /// happens — failing updates cannot starve recompression). Note that a
-    /// sweep triggered by a *failing* update has no channel back to the
-    /// caller (`Err` carries no report); callers tracking drain events
-    /// exactly should observe [`DomStore::recompressions`] instead.
+    /// Applies one update to a document: [`DomStore::apply_batch`] on a
+    /// batch of one, same scheduling, same error semantics.
     pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        let result = self.inner.apply_one(doc, op);
-        if matches!(&result, Err(RepairError::TargetOutOfRange { .. })) {
-            // Rejected before anything mutated: no debt, no maintenance.
-            return result.map(|stats| (stats, MaintenanceReport::default()));
-        }
-        let report = self.inner.after_update();
-        result.map(|stats| (stats, report))
+        self.apply_batch(doc, std::slice::from_ref(op))
+            .map(|(stats, report)| (stats.into(), report))
     }
 
     /// Applies an operation sequence to a document through the batched
     /// isolation pipeline (shared path prefixes isolated once per chunk),
-    /// then (under [`SchedulerConfig::auto`]) runs or signals a maintenance
-    /// sweep like [`DomStore::apply`].
+    /// then (under [`SchedulerConfig::auto`]) runs a maintenance sweep over
+    /// the *whole store* — inline, or signalled to the background thread
+    /// when one is attached (empty report then).
     ///
-    /// On error the document reflects every fully applied chunk, and the
-    /// growth is tracked as debt (see [`crate::update::apply_batch`]).
+    /// A batch that leaves the grammar untouched — empty, or rejected before
+    /// anything was isolated (see [`crate::update::apply_batch`]) — costs
+    /// nothing: the published snapshot stays current and no sweep runs. On
+    /// any other error the document reflects every fully applied chunk plus
+    /// the failing chunk's isolation growth, which is tracked as debt, so
+    /// failing updates cannot starve recompression. A sweep triggered by a
+    /// *failing* batch has no channel back to the caller (`Err` carries no
+    /// report); callers tracking drain events exactly should observe
+    /// [`DomStore::recompressions`] instead.
     pub fn apply_batch(
         &self,
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let result = self.inner.apply_batch_one(doc, ops);
-        let report = if ops.is_empty() {
-            MaintenanceReport::default()
-        } else {
-            self.inner.after_update()
-        };
-        result.map(|stats| (stats, report))
+        self.apply_batch_tracked(doc, ops).0
+    }
+
+    /// [`DomStore::apply_batch`] for holders that keep a policy of their own
+    /// ([`crate::session::CompressedDom`]): also reports whether the batch —
+    /// applied or failed — mutated the grammar.
+    pub(crate) fn apply_batch_tracked(
+        &self,
+        doc: DocId,
+        ops: &[UpdateOp],
+    ) -> (Result<(BatchStats, MaintenanceReport)>, bool) {
+        let (result, mutated) = self.inner.apply_batch_one(doc, ops);
+        let report = self.inner.after_update(mutated);
+        (result.map(|stats| (stats, report)), mutated)
     }
 
     /// Applies one batch per document **in parallel** over a small worker
@@ -1330,23 +1315,21 @@ impl DomStore {
     /// run concurrently on their own shards; jobs sharing a document
     /// serialize on its shard lock in unspecified relative order (pass
     /// distinct ids for deterministic results). One maintenance sweep (or
-    /// background signal) runs after all jobs, not one per job.
+    /// background signal) runs after all jobs, not one per job — and none
+    /// when no job mutated its grammar.
     ///
     /// Returns per-job results in job order plus the sweep's report.
     pub fn apply_batch_many(
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
     ) -> (Vec<Result<BatchStats>>, MaintenanceReport) {
-        let results = fan_out(jobs.len(), |i| {
+        let outcomes = fan_out(jobs.len(), |i| {
             let (doc, ops) = &jobs[i];
             self.inner.apply_batch_one(*doc, ops)
         });
-        let report = if jobs.iter().any(|(_, ops)| !ops.is_empty()) {
-            self.inner.after_update()
-        } else {
-            MaintenanceReport::default()
-        };
-        (results, report)
+        let mutated = outcomes.iter().any(|(_, mutated)| *mutated);
+        let results = outcomes.into_iter().map(|(result, _)| result).collect();
+        (results, self.inner.after_update(mutated))
     }
 
     /// Runs one maintenance sweep: recompresses eligible documents (debt ≥
@@ -1378,64 +1361,6 @@ impl DomStore {
             free: map.free.clone(),
             live: map.live.clone(),
         }
-    }
-
-    /// Rebuilds an **empty** store from a captured layout plus the grammars
-    /// of the live documents (supplied in live order so master-table
-    /// interning is deterministic). Each grammar is rebased onto the shared
-    /// symbol table like [`DomStore::load_grammar`] does, but placed at its
-    /// recorded `(slot, generation)` instead of through slab allocation.
-    pub(crate) fn restore_slab(
-        &self,
-        layout: SlabLayout,
-        docs: Vec<(DocId, Grammar)>,
-    ) -> Result<()> {
-        let _guard = self.inner.map_write.lock().expect("map lock never poisoned");
-        if !self.inner.map.load().live.is_empty() {
-            return Err(RepairError::Storage {
-                detail: "checkpoint restore requires an empty store".to_string(),
-            });
-        }
-        let mut slots: Vec<Slot> = layout
-            .generations
-            .iter()
-            .map(|&generation| Slot {
-                generation,
-                shard: None,
-                pending: None,
-            })
-            .collect();
-        for (id, mut grammar) in docs {
-            self.inner.rebase_onto_master(&mut grammar)?;
-            let slot = slots.get_mut(id.index()).ok_or(RepairError::Storage {
-                detail: format!("checkpoint document slot {} exceeds the slab", id.slot),
-            })?;
-            if slot.generation != id.generation || slot.shard.is_some() {
-                return Err(RepairError::Storage {
-                    detail: format!(
-                        "checkpoint document (slot {}, generation {}) conflicts with the slab layout",
-                        id.slot, id.generation
-                    ),
-                });
-            }
-            slot.shard = Some(Arc::new(DocShard::new(grammar)));
-        }
-        for &id in &layout.live {
-            let ok = slots
-                .get(id.index())
-                .is_some_and(|slot| slot.generation == id.generation && slot.shard.is_some());
-            if !ok {
-                return Err(RepairError::Storage {
-                    detail: format!("checkpoint live document (slot {}) has no grammar", id.slot),
-                });
-            }
-        }
-        self.inner.map.store(Arc::new(DocMap {
-            slots,
-            free: layout.free,
-            live: layout.live,
-        }));
-        Ok(())
     }
 
     /// Rebuilds an **empty** store from a checkpoint-v3 image: the master

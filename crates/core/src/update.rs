@@ -1,5 +1,4 @@
-//! Atomic and batched updates on grammar-compressed XML (paper Section III
-//! and V-C).
+//! Updates on grammar-compressed XML (paper Section III and V-C).
 //!
 //! All three update operations — rename, insert-before, delete-subtree — are
 //! executed directly on the grammar: the target node is made explicit in the
@@ -8,10 +7,14 @@
 //! document takes place; repeated updates gradually blow the grammar up, which
 //! is what [`crate::repair::GrammarRePair`] undoes.
 //!
-//! # Batched updates
+//! # One path: the batch
 //!
-//! [`apply_batch`] executes a *sequence* of operations (each addressed, like
-//! the sequential API, against the document state produced by the preceding
+//! [`apply_batch`] is the only implementation. A single operation
+//! ([`apply_update`], [`rename`], [`insert_before`], [`delete`]) is a batch
+//! of one and reports the same [`BatchStats`] narrowed to [`UpdateStats`].
+//!
+//! [`apply_batch`] executes a *sequence* of operations (each addressed
+//! against the document state produced by the preceding
 //! operations) without paying one full isolation per operation. One
 //! [`IsolationBatch`] session spans the whole call — `own_sizes` /
 //! `segment_sizes` are computed once per batch (splices only edit the start
@@ -36,13 +39,14 @@
 //!
 //! A chunk ends only when an operation targets a node *inside* a fragment
 //! inserted earlier in the same chunk (its pre-chunk coordinate does not
-//! exist) or deletes at a position a null node occupies (the splice is
-//! planned, fails like the sequential API would, and nothing past it is);
-//! the next chunk then starts from the updated grammar. Deletes themselves
-//! no longer flush: mixed insert/delete streams — the paper's 90/10 workload
-//! and FLUX-style functional update programs — batch at full length.
-//! Unreachable rules are garbage collected once per chunk that deleted, not
-//! per delete.
+//! exist), deletes at a position a null node occupies (the splice is
+//! planned, fails, and nothing past it is), or renames to the reserved null
+//! label (rejected before its target is isolated; the planned prefix is
+//! spliced first); the next chunk then starts from the updated grammar.
+//! Deletes themselves do not flush: mixed insert/delete streams — the
+//! paper's 90/10 workload and FLUX-style functional update programs — batch
+//! at full length. Unreachable rules are garbage collected once per chunk
+//! that deleted, not per delete.
 
 use sltgrammar::{Grammar, NodeId, NodeKind};
 use xmltree::binary::to_binary;
@@ -50,7 +54,7 @@ use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
-use crate::isolate::{isolate, IsolationBatch, IsolationStats};
+use crate::isolate::{IsolationBatch, IsolationStats};
 
 /// Statistics of one grammar update.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,13 +80,21 @@ fn expect_element(g: &Grammar, node: NodeId) -> Result<()> {
     }
 }
 
-/// Splice part of `rename`: relabels the already-isolated start-rule node.
-fn rename_node(g: &mut Grammar, node: NodeId, label: &str) -> Result<()> {
+/// A rename may not produce the reserved null label. Checked while an
+/// operation is planned — before its target is isolated — so a rejected
+/// rename costs the grammar nothing.
+fn check_label(label: &str) -> Result<()> {
     if label == sltgrammar::NULL_SYMBOL_NAME {
         return Err(RepairError::InvalidUpdate {
             detail: "cannot rename a node to the null symbol".to_string(),
         });
     }
+    Ok(())
+}
+
+/// Splice part of a rename: relabels the already-isolated start-rule node
+/// (the label passed [`check_label`] when the operation was planned).
+fn rename_node(g: &mut Grammar, node: NodeId, label: &str) -> Result<()> {
     expect_element(g, node)?;
     let term = g
         .symbols
@@ -141,63 +153,56 @@ fn delete_node(g: &mut Grammar, node: NodeId) -> Result<()> {
 /// `rename(G, u, σ)`: relabels the element at preorder index `target` of the
 /// derived tree with `label`.
 pub fn rename(g: &mut Grammar, target: u128, label: &str) -> Result<UpdateStats> {
-    if label == sltgrammar::NULL_SYMBOL_NAME {
-        return Err(RepairError::InvalidUpdate {
-            detail: "cannot rename a node to the null symbol".to_string(),
-        });
-    }
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    rename_node(g, node, label)?;
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
-    })
+    let target = op_target(g, target)?;
+    apply_update(
+        g,
+        &UpdateOp::Rename {
+            target,
+            label: label.to_string(),
+        },
+    )
 }
 
 /// `insert(G, u, s)`: inserts the element `fragment` as a new previous sibling
 /// of the node at preorder index `target` (or at that empty position when the
 /// target is a null node).
 pub fn insert_before(g: &mut Grammar, target: u128, fragment: &XmlTree) -> Result<UpdateStats> {
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    insert_node(g, node, fragment)?;
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
-    })
+    let target = op_target(g, target)?;
+    apply_update(
+        g,
+        &UpdateOp::InsertBefore {
+            target,
+            fragment: fragment.clone(),
+        },
+    )
 }
 
 /// `delete(G, u)`: deletes the element subtree rooted at preorder index
 /// `target`, splicing its following siblings into its place. Rules that become
 /// unreachable are garbage collected.
 pub fn delete(g: &mut Grammar, target: u128) -> Result<UpdateStats> {
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    delete_node(g, node)?;
-    g.gc();
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
+    let target = op_target(g, target)?;
+    apply_update(g, &UpdateOp::Delete { target })
+}
+
+/// Narrows a `u128` preorder index to an [`UpdateOp`] target. An index that
+/// does not fit cannot address a node of any document this process can hold.
+fn op_target(g: &Grammar, target: u128) -> Result<usize> {
+    usize::try_from(target).map_err(|_| RepairError::TargetOutOfRange {
+        index: target,
+        size: sltgrammar::fingerprint::derived_size(g),
     })
 }
 
 /// Applies one [`UpdateOp`] (shared with the uncompressed reference semantics)
-/// to the grammar.
+/// to the grammar: a batch of one.
 pub fn apply_update(g: &mut Grammar, op: &UpdateOp) -> Result<UpdateStats> {
-    match op {
-        UpdateOp::Rename { target, label } => rename(g, *target as u128, label),
-        UpdateOp::InsertBefore { target, fragment } => {
-            insert_before(g, *target as u128, fragment)
-        }
-        UpdateOp::Delete { target } => delete(g, *target as u128),
-    }
+    apply_batch(g, std::slice::from_ref(op)).map(UpdateStats::from)
 }
 
-/// Applies a sequence of updates in order, returning per-update statistics.
+/// Applies a sequence of updates one batch of one at a time, returning
+/// per-update statistics. Unlike [`apply_batch`] over the whole slice, every
+/// operation pays its own isolation session; the documents are identical.
 pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStats>> {
     ops.iter().map(|op| apply_update(g, op)).collect()
 }
@@ -216,6 +221,29 @@ pub struct BatchStats {
     pub edges_before: usize,
     /// Grammar edges after the batch.
     pub edges_after: usize,
+}
+
+/// A cheap signature of everything an update can touch — splices and
+/// inlinings bump the start rule's version, `gc` changes the rule count,
+/// interning grows the symbol table. Equal marks before and after a call
+/// mean it left `g` exactly as it found it; holders use that to decide what
+/// a failed request costs them (nothing).
+pub(crate) fn mutation_mark(g: &Grammar) -> (u64, usize, usize) {
+    (
+        g.rule(g.start()).rhs.version(),
+        g.rule_count(),
+        g.symbols.len(),
+    )
+}
+
+impl From<BatchStats> for UpdateStats {
+    fn from(batch: BatchStats) -> Self {
+        UpdateStats {
+            isolation: batch.isolation,
+            edges_before: batch.edges_before,
+            edges_after: batch.edges_after,
+        }
+    }
 }
 
 /// One splice the current chunk has already planned, in the chunk's evolving
@@ -346,26 +374,28 @@ impl RegionMap {
     }
 }
 
-/// Applies a sequence of updates with **batched path isolation**: operations
-/// use the same sequential addressing as [`apply_updates`] (each target refers
-/// to the document produced by the preceding operations), but
+/// Applies a sequence of updates with **batched path isolation**: each target
+/// refers to the document produced by the preceding operations, but
 /// `own_sizes`/`segment_sizes` are computed once per batch and nonterminal
 /// references on shared path prefixes are inlined once instead of per
 /// operation. See the module docs for the chunking rules. Unreachable rules
 /// are garbage collected once per deleting chunk, not per delete.
 ///
-/// The resulting document is identical to [`apply_updates`]' (asserted
-/// byte-for-byte by the differential update-oracle harness); the grammars may
-/// differ structurally because the batch isolates eagerly.
+/// The resulting document is identical to [`apply_updates`]' and to the
+/// uncompressed `xmltree::updates` oracle's (asserted byte-for-byte by the
+/// differential update-oracle harness); the grammars may differ structurally
+/// because a longer batch isolates eagerly.
 ///
 /// # Errors
 ///
 /// Targets are validated while a chunk is planned, so an out-of-range target
 /// aborts its **whole chunk** before any of that chunk's splices run
-/// (operations of earlier chunks remain applied). Errors raised by the
-/// splices themselves (renaming or deleting a null node, a label rank
-/// conflict) leave the chunk's already-spliced prefix applied, like the
-/// sequential API would.
+/// (operations of earlier chunks remain applied). A rename to the null label
+/// is rejected while it is planned, before its target is isolated. Errors
+/// raised by the splices themselves (renaming or deleting a null node, a
+/// label rank conflict) leave the chunk's already-spliced prefix applied. A
+/// batch of one therefore fails without touching the grammar unless its
+/// target had to be isolated to discover the failure.
 pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
     let mut stats = BatchStats {
         ops: ops.len(),
@@ -386,8 +416,17 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
         let mut regions = RegionMap::default();
         let mut planned: Vec<(usize, NodeId)> = Vec::new();
         let mut chunk_deletes = false;
+        let mut rejected = None;
         let mut j = i;
         while j < ops.len() {
+            if let UpdateOp::Rename { label, .. } = &ops[j] {
+                if let Err(e) = check_label(label) {
+                    // Fails like the sequential API: nothing is isolated for
+                    // it, the planned prefix is spliced, nothing past it is.
+                    rejected = Some(e);
+                    break;
+                }
+            }
             let t = ops[j].target() as u128;
             let Some(base) = regions.resolve(t) else {
                 break; // target lives inside a fragment this chunk inserted
@@ -451,6 +490,9 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
         }
         if chunk_deletes {
             g.gc();
+        }
+        if let Some(e) = rejected {
+            return Err(e);
         }
         i = j;
     }

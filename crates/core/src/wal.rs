@@ -24,14 +24,17 @@
 //! coalescing. A failed append or fsync poisons the log (the record cannot
 //! be half-trusted); every later commit fails with the same storage error.
 //!
-//! # Frame format
+//! # Record format
+//!
+//! Records travel in the shared [`crate::frame`] envelope (`length | crc32 |
+//! payload`); the payload is
 //!
 //! ```text
-//! frame:   length u32-LE | crc32 u32-LE (of payload) | payload
 //! payload: version u8 | lsn varint | kind u8 | body
 //! ```
 //!
-//! Bodies use the `xmltree::wire` encoding for trees and update operations.
+//! Bodies use the `xmltree::wire` encoding for trees and update operations
+//! and the frame module's `(slot, generation)` pair for document ids.
 //! Record kinds cover the store's whole mutation surface: document loads
 //! (as the XML fragment, or as encoded grammar bytes), removal, per-document
 //! update batches, and the multi-document batch (one record per
@@ -62,7 +65,7 @@
 //! log file's creation: [`DiskFs::append`] fsyncs the parent when it
 //! creates the file, before the first commit can report durability.
 //!
-//! Checkpoints are now written *fuzzily*: writers keep committing while the
+//! Checkpoints are written *fuzzily*: writers keep committing while the
 //! checkpoint serializes, so the log may hold records the image already
 //! folds in. [`Wal::truncate_if_at`] therefore truncates only when the log
 //! is provably fully covered (durable LSN still equals the checkpoint's
@@ -111,18 +114,18 @@
 //! touch rather than at open. `doc_lsn` records the durable LSN at the
 //! moment that document was serialized; replay applies a per-document
 //! record only when its LSN exceeds that document's `doc_lsn` (fuzzy
-//! checkpoints fold later records for early-serialized documents). Version
-//! 1 files (eager, monolithic) are still decoded by the shim in
-//! `core::durable`.
+//! checkpoints fold later records for early-serialized documents). No other
+//! version was ever written; a file carrying one is refused with a typed
+//! "unsupported version" error.
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use sltgrammar::crc32::crc32;
 use xmltree::updates::UpdateOp;
 use xmltree::wire::{self, WireReader};
 use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
+use crate::frame::{self, read_doc, write_doc, FRAME_HEADER_LEN};
 use crate::store::DocId;
 
 /// Version byte of the record payload format.
@@ -293,17 +296,6 @@ pub enum WalEntry {
     },
 }
 
-fn write_doc(out: &mut Vec<u8>, doc: DocId) {
-    wire::write_varint(out, doc.slot() as u64);
-    wire::write_varint(out, doc.generation() as u64);
-}
-
-fn read_doc(r: &mut WireReader<'_>) -> std::result::Result<DocId, xmltree::XmlError> {
-    let slot = r.varint()? as u32;
-    let generation = r.varint()? as u32;
-    Ok(DocId::from_parts(slot, generation))
-}
-
 /// Encodes one record into a complete frame (length, CRC, payload).
 pub fn encode_frame(lsn: u64, record: &WalRecord<'_>) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -337,11 +329,7 @@ pub fn encode_frame(lsn: u64, record: &WalRecord<'_>) -> Vec<u8> {
             }
         }
     }
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    frame::seal(&payload)
 }
 
 /// Decodes one frame payload into `(lsn, entry)`.
@@ -364,17 +352,17 @@ fn decode_payload(payload: &[u8]) -> std::result::Result<(u64, WalEntry), String
             }
         }
         2 => WalEntry::Remove {
-            doc: read_doc(&mut r).map_err(fail)?,
+            doc: read_doc(&mut r)?,
         },
         3 => WalEntry::ApplyBatch {
-            doc: read_doc(&mut r).map_err(fail)?,
+            doc: read_doc(&mut r)?,
             ops: r.ops().map_err(fail)?,
         },
         4 => {
             let count = r.varint().map_err(fail)? as usize;
             let mut jobs = Vec::new();
             for _ in 0..count {
-                let doc = read_doc(&mut r).map_err(fail)?;
+                let doc = read_doc(&mut r)?;
                 jobs.push((doc, r.ops().map_err(fail)?));
             }
             WalEntry::ApplyMany { jobs }
@@ -420,25 +408,19 @@ pub fn read_log(bytes: &[u8]) -> Result<WalReplay> {
             offset: pos as u64,
             detail,
         };
-        let remaining = bytes.len() - pos;
-        if remaining < 8 {
+        let Some(header) = bytes[pos..].first_chunk::<FRAME_HEADER_LEN>() else {
             replay.torn = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if remaining - 8 < len {
+        };
+        let body = &bytes[pos + FRAME_HEADER_LEN..];
+        let len = frame::payload_len(header) as usize;
+        if body.len() < len {
             // The frame's payload never made it to disk: a torn final write.
             replay.torn = true;
             break;
         }
-        let expected = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let found = crc32(payload);
-        if expected != found {
-            return Err(corrupt(format!(
-                "record checksum mismatch (header {expected:#010x}, payload {found:#010x})"
-            )));
-        }
+        let payload = &body[..len];
+        frame::verify(header, payload).map_err(|e| corrupt(format!("record {e}")))?;
         let (lsn, entry) = decode_payload(payload).map_err(corrupt)?;
         if prev_lsn != 0 && lsn != prev_lsn + 1 {
             return Err(corrupt(format!(
@@ -447,7 +429,7 @@ pub fn read_log(bytes: &[u8]) -> Result<WalReplay> {
         }
         prev_lsn = lsn;
         let frame_offset = pos as u64;
-        pos += 8 + len;
+        pos += FRAME_HEADER_LEN + len;
         replay.valid_len = pos as u64;
         replay.records.push((lsn, frame_offset, entry));
     }
@@ -571,19 +553,6 @@ impl Wal {
     /// LSN of the last durably committed record.
     pub fn durable_lsn(&self) -> u64 {
         self.state.lock().expect("wal lock never poisoned").durable_lsn
-    }
-
-    /// Truncates the log file to zero length — called after a checkpoint
-    /// has been atomically written (replay skips `lsn <= checkpoint` even
-    /// if this truncation never happens, so it is purely an optimization).
-    pub fn truncate(&self) -> Result<()> {
-        let state = self.state.lock().expect("wal lock never poisoned");
-        if let Some(detail) = &state.poisoned {
-            return Err(RepairError::Storage { detail: detail.clone() });
-        }
-        debug_assert!(state.pending.is_empty(), "truncate with pending frames");
-        self.fs.set_len(&self.path, 0)?;
-        self.fs.sync(&self.path)
     }
 
     /// Truncates the log only if it is provably covered by a checkpoint
@@ -833,6 +802,7 @@ pub mod testing {
 mod tests {
     use super::testing::FailpointFs;
     use super::*;
+    use sltgrammar::crc32::crc32;
     use xmltree::parse::parse_xml;
 
     fn sample_entries() -> Vec<Vec<u8>> {

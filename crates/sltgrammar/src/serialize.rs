@@ -27,14 +27,13 @@
 //!
 //! # Versioning and integrity
 //!
-//! Version 2 (current) places a CRC-32 of the body right after the version
-//! byte; [`decode`] verifies it before parsing and rejects mismatches with
-//! the dedicated [`GrammarError::Checksum`] variant, so bit rot in a stored
-//! grammar is reported as corruption instead of as a confusing structural
-//! error. Version 1 files (no checksum) are still decoded — a deliberate
-//! backward-compatibility shim: the format change ships without invalidating
-//! existing `.sltg` files, and the shim costs four bytes of branch in
-//! `decode`. Unknown versions are rejected.
+//! Version 2 — the only version [`encode`] has ever written — places a
+//! CRC-32 of the body right after the version byte; [`decode`] verifies it
+//! before parsing and rejects mismatches with the dedicated
+//! [`GrammarError::Checksum`] variant, so bit rot in a stored grammar is
+//! reported as corruption instead of as a confusing structural error. Any
+//! other version byte is rejected with a typed "unsupported format version"
+//! decode error.
 //!
 //! # Robustness against corrupt input
 //!
@@ -56,9 +55,6 @@ use crate::symbol::{NtId, SymbolTable, TermId};
 pub const MAGIC: &[u8; 4] = b"SLTG";
 /// Current format version: CRC-32 of the body follows the version byte.
 pub const VERSION: u8 = 2;
-/// The original format version (no checksum). [`decode`] still accepts it so
-/// files written before the CRC was introduced remain readable.
-pub const LEGACY_VERSION: u8 = 1;
 /// Byte offset of the CRC-32 field in a version-2 encoding; the checksummed
 /// body starts at `CRC_OFFSET + 4`.
 const CRC_OFFSET: usize = MAGIC.len() + 1;
@@ -176,7 +172,17 @@ pub fn encode(g: &Grammar) -> Vec<u8> {
         out.extend_from_slice(name.as_bytes());
     }
 
-    // Rule order: start rule first, remaining live rules in NtId order.
+    encode_rules(&mut out, g);
+    let crc = crc32(&out[CRC_OFFSET + 4..]);
+    out[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Writes the rule headers and preorder bodies — the format tail shared by
+/// [`encode`] and [`encode_with_shared`], mirrored by [`decode_rules`]. Rule
+/// order: start rule first, remaining live rules in `NtId` order; terminal
+/// nodes store their raw `TermId`.
+fn encode_rules(out: &mut Vec<u8>, g: &Grammar) {
     let mut order: Vec<NtId> = vec![g.start()];
     order.extend(g.nonterminals().into_iter().filter(|&nt| nt != g.start()));
     let index_of = |nt: NtId| -> u64 {
@@ -186,37 +192,34 @@ pub fn encode(g: &Grammar) -> Vec<u8> {
             .expect("every referenced rule is live") as u64
     };
 
-    write_varint(&mut out, order.len() as u64);
+    write_varint(out, order.len() as u64);
     for &nt in &order {
         let rule = g.rule(nt);
-        write_varint(&mut out, rule.rank as u64);
-        write_varint(&mut out, rule.name.len() as u64);
+        write_varint(out, rule.rank as u64);
+        write_varint(out, rule.name.len() as u64);
         out.extend_from_slice(rule.name.as_bytes());
     }
     for &nt in &order {
         let rhs = &g.rule(nt).rhs;
         let preorder = rhs.preorder();
-        write_varint(&mut out, preorder.len() as u64);
+        write_varint(out, preorder.len() as u64);
         for node in preorder {
             match rhs.kind(node) {
                 NodeKind::Term(t) => {
                     out.push(0);
-                    write_varint(&mut out, t.0 as u64);
+                    write_varint(out, t.0 as u64);
                 }
                 NodeKind::Nt(callee) => {
                     out.push(1);
-                    write_varint(&mut out, index_of(callee));
+                    write_varint(out, index_of(callee));
                 }
                 NodeKind::Param(i) => {
                     out.push(2);
-                    write_varint(&mut out, i as u64);
+                    write_varint(out, i as u64);
                 }
             }
         }
     }
-    let crc = crc32(&out[CRC_OFFSET + 4..]);
-    out[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
 // ----- decoding -----
@@ -250,18 +253,14 @@ pub fn decode(data: &[u8]) -> Result<Grammar> {
         return Err(r.error("bad magic bytes (not an SLTG file)"));
     }
     let version = r.byte()?;
-    match version {
-        VERSION => {
-            let header = r.bytes(4)?;
-            let expected = u32::from_le_bytes(header.try_into().expect("4-byte slice"));
-            let found = crc32(&data[r.pos..]);
-            if expected != found {
-                return Err(GrammarError::Checksum { expected, found });
-            }
-        }
-        // Backward-compat shim: version 1 carried no checksum.
-        LEGACY_VERSION => {}
-        other => return Err(r.error(&format!("unsupported format version {other}"))),
+    if version != VERSION {
+        return Err(r.error(&format!("unsupported format version {version}")));
+    }
+    let header = r.bytes(4)?;
+    let expected = u32::from_le_bytes(header.try_into().expect("4-byte slice"));
+    let found = crc32(&data[r.pos..]);
+    if expected != found {
+        return Err(GrammarError::Checksum { expected, found });
     }
 
     // Symbol table. Every count below is bounded by the bytes remaining
@@ -367,10 +366,10 @@ fn assemble(
 /// shared prefix length  (varint — ids below this come from the master table)
 /// tail symbol count     (varint)
 ///   per tail symbol: rank (varint), name length (varint), name bytes
-/// rule headers + preorder bodies exactly as in the standalone format,
-///   except terminal nodes store the *raw* `TermId` (valid against the
+/// rule headers + preorder bodies exactly as in the standalone format;
+///   terminal nodes store the *raw* `TermId`, valid against the
 ///   reconstructed master-prefix + tail table, so no remapping happens on
-///   either side)
+///   either side
 /// ```
 ///
 /// There is no magic/version/CRC framing: the enclosing checkpoint indexes
@@ -390,42 +389,7 @@ pub fn encode_with_shared(g: &Grammar) -> Vec<u8> {
         out.extend_from_slice(name.as_bytes());
     }
 
-    let mut order: Vec<NtId> = vec![g.start()];
-    order.extend(g.nonterminals().into_iter().filter(|&nt| nt != g.start()));
-    let index_of = |nt: NtId| -> u64 {
-        order
-            .iter()
-            .position(|&x| x == nt)
-            .expect("every referenced rule is live") as u64
-    };
-    write_varint(&mut out, order.len() as u64);
-    for &nt in &order {
-        let rule = g.rule(nt);
-        write_varint(&mut out, rule.rank as u64);
-        write_varint(&mut out, rule.name.len() as u64);
-        out.extend_from_slice(rule.name.as_bytes());
-    }
-    for &nt in &order {
-        let rhs = &g.rule(nt).rhs;
-        let preorder = rhs.preorder();
-        write_varint(&mut out, preorder.len() as u64);
-        for node in preorder {
-            match rhs.kind(node) {
-                NodeKind::Term(t) => {
-                    out.push(0);
-                    write_varint(&mut out, t.0 as u64);
-                }
-                NodeKind::Nt(callee) => {
-                    out.push(1);
-                    write_varint(&mut out, index_of(callee));
-                }
-                NodeKind::Param(i) => {
-                    out.push(2);
-                    write_varint(&mut out, i as u64);
-                }
-            }
-        }
-    }
+    encode_rules(&mut out, g);
     out
 }
 
@@ -627,18 +591,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_decode() {
-        // A version-1 file is the version-2 body with no CRC field and the
-        // version byte set to 1; the compat shim must accept it unchanged.
+    fn version_1_files_are_refused_with_a_typed_error() {
+        // What a checksum-less version-1 writer would have produced, had one
+        // ever existed: the version-2 body behind version byte 1. Nothing
+        // decodes it — not as a grammar, not as a panic.
         let g = paper_grammar();
         let v2 = encode(&g);
         let mut v1 = Vec::with_capacity(v2.len() - 4);
         v1.extend_from_slice(MAGIC);
-        v1.push(LEGACY_VERSION);
+        v1.push(1);
         v1.extend_from_slice(&v2[CRC_OFFSET + 4..]);
-        let back = decode(&v1).unwrap();
-        assert_eq!(fingerprint(&g), fingerprint(&back));
-        assert_eq!(print_grammar(&g), print_grammar(&back));
+        match decode(&v1) {
+            Err(GrammarError::Decode { detail, .. }) => {
+                assert_eq!(detail, "unsupported format version 1")
+            }
+            other => panic!("expected a typed version error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -166,15 +166,15 @@ impl<'a> WireReader<'a> {
 
     /// Reads a count varint bounded by the bytes remaining: each counted
     /// element occupies at least `min_bytes` of input, so a larger count is
-    /// corrupt and must not size an allocation.
-    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
-        let n = self.varint()? as usize;
-        if n > self.remaining() / min_bytes {
+    /// corrupt and must not size an allocation. `min_bytes` must be nonzero.
+    pub fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.varint()?;
+        if n > (self.remaining() / min_bytes) as u64 {
             return Err(self.error(&format!(
                 "{what} count {n} exceeds what the remaining input could hold"
             )));
         }
-        Ok(n)
+        Ok(n as usize)
     }
 
     /// Reads a wire-encoded tree.

@@ -173,11 +173,10 @@ proptest! {
         if let Ok(g) = serialize::decode(&framed) {
             prop_assert!(g.validate().is_ok());
         }
+        // No version-1 format exists: whatever follows the byte is refused.
         let mut legacy = b"SLTG\x01".to_vec();
         legacy.extend_from_slice(&bytes);
-        if let Ok(g) = serialize::decode(&legacy) {
-            prop_assert!(g.validate().is_ok());
-        }
+        prop_assert!(serialize::decode(&legacy).is_err());
     }
 
     /// Adversarial input: truncating or bit-flipping a real encoding never
