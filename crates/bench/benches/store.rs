@@ -4,16 +4,25 @@
 //! debt scheduler vs independent `CompressedDom`s with the paper's
 //! fixed-interval counters.
 //!
-//! The `store_multidoc` group is part of the committed
-//! `BENCH_compression.json` baseline and gated in CI (`bench_gate`). On top
-//! of the timed entries the bench prints the shared-alphabet resident sizes
-//! (one shared table vs per-document tables) once per run.
+//! `store_point_writes` is the point-write fast path: one-op batches
+//! round-robin over 64 small documents through the store's live isolation
+//! sessions, beside the same ops through the sessionless
+//! `update::apply_batch` (one size-table build per call).
+//!
+//! Both groups are part of the committed `BENCH_compression.json` baseline
+//! and gated in CI (`bench_gate`). On top of the timed entries the bench
+//! prints the shared-alphabet resident sizes (one shared table vs
+//! per-document tables) once per run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
+use datasets::random::xmark_like;
 use datasets::workload::{random_update_sequence, WorkloadMix};
+use grammar_repair::isolate::IsolationBatch;
 use grammar_repair::store::{DomStore, SchedulerConfig};
+use grammar_repair::update;
 use grammar_repair::CompressedDom;
+use sltgrammar::Grammar;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
@@ -127,5 +136,84 @@ fn bench_store_multidoc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store_multidoc);
+const POINT_DOCS: usize = 64;
+const POINT_OPS_PER_DOC: usize = 50;
+
+/// The end-to-end benchmark's `point_writes` shape: 64 small XMark documents
+/// (grammars of ~550 edges), 70 % renames to fresh labels and 30 % inserts,
+/// one op per call, round-robin — debt stays under the scheduler's threshold,
+/// so a call is isolation + splice and nothing else. Per-op cost is the
+/// entry's time over `64 × 50` ops.
+fn bench_store_point_writes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_point_writes");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+
+    let docs: Vec<XmlTree> = (0..POINT_DOCS).map(|d| xmark_like(4, 0xB00 + d as u64)).collect();
+    let mix = WorkloadMix {
+        rename_probability: 0.7,
+        insert_probability: 1.0,
+        ..WorkloadMix::default()
+    };
+    let scripts: Vec<Vec<UpdateOp>> = docs
+        .iter()
+        .enumerate()
+        .map(|(d, xml)| random_update_sequence(xml, POINT_OPS_PER_DOC, 0x90 + d as u64, mix))
+        .collect();
+    let store = DomStore::new();
+    let ids = store.load_many(&docs).expect("dataset labels intern");
+    // The twins start from the store's own grammars, as loaded.
+    let twins: Vec<Grammar> = ids
+        .iter()
+        .map(|&id| (*store.grammar(id).expect("live doc")).clone())
+        .collect();
+
+    // Through the store: each document's session is built at its first
+    // write (the clone starts without any) and kept for the other 49.
+    group.bench_with_input(
+        BenchmarkId::new("one_op_batches_live", "xmark_64"),
+        &(&store, &scripts),
+        |b, (store, scripts)| {
+            b.iter(|| {
+                let store = (*store).clone();
+                for round in 0..POINT_OPS_PER_DOC {
+                    for (d, &id) in ids.iter().enumerate() {
+                        store
+                            .apply_batch(id, std::slice::from_ref(&scripts[d][round]))
+                            .expect("workload is valid");
+                    }
+                }
+                store
+            })
+        },
+    );
+    // The same calls on bare grammars: a fresh session per call.
+    group.bench_with_input(
+        BenchmarkId::new("one_op_batches_sessionless", "xmark_64"),
+        &(&twins, &scripts),
+        |b, (twins, scripts)| {
+            b.iter(|| {
+                let mut twins: Vec<Grammar> = (*twins).clone();
+                for round in 0..POINT_OPS_PER_DOC {
+                    for (d, g) in twins.iter_mut().enumerate() {
+                        update::apply_batch(g, std::slice::from_ref(&scripts[d][round]))
+                            .expect("workload is valid");
+                    }
+                }
+                twins
+            })
+        },
+    );
+    // What first touch after load, restart or recompression pays: the cold
+    // build alone, once per document.
+    group.bench_with_input(
+        BenchmarkId::new("cold_session_builds", "xmark_64"),
+        &twins,
+        |b, twins| b.iter(|| twins.iter().map(IsolationBatch::new).collect::<Vec<_>>()),
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_store_multidoc, bench_store_point_writes);
 criterion_main!(benches);

@@ -8,20 +8,48 @@
 //! isolation by a factor of two, because every rule is inlined at most once.
 //!
 //! There is one walk: [`IsolationBatch`]. A session computes the per-rule
-//! size tables (`own_sizes`/`segment_sizes`) and the start rule's subtree
-//! sizes once, walks the start rule with the (sorted) targets distributed
-//! down the tree, patches subtree sizes incrementally after each inlining
-//! instead of recomputing them, and inlines every nonterminal reference on
-//! any target path at most once — shared path prefixes are isolated once for
-//! the whole session, so the Lemma-1 factor-two growth bound holds per
-//! *distinct* root-to-target path, not per target. [`isolate`] (one target)
-//! and [`isolate_many`] (a list) are sessions of that length.
+//! size tables ([`RuleSizes`]) and the start rule's subtree sizes once, walks
+//! the start rule with the (sorted) targets distributed down the tree,
+//! patches subtree sizes incrementally after each inlining instead of
+//! recomputing them, and inlines every nonterminal reference on any target
+//! path at most once — shared path prefixes are isolated once for the whole
+//! session, so the Lemma-1 factor-two growth bound holds per *distinct*
+//! root-to-target path, not per target. [`isolate`] (one target) and
+//! [`isolate_many`] (a list) are sessions of that length.
+//!
+//! # How long a session lives
+//!
+//! The paper pays the `size(A, 0..k)` precomputation once, not per update. A
+//! session is therefore a cache of *sizes only* — it decides nothing, so a
+//! grammar driven through a long-lived session is byte-identical to one
+//! driven through a fresh session per call — and it stays coherent for as
+//! long as every mutation of the grammar is reported to it:
+//!
+//! * inlinings happen inside the session ([`IsolationBatch::isolate_sorted`]);
+//! * splices of the start rule are reported by [`crate::update`] through
+//!   [`note_inserted`](IsolationBatch::note_inserted) /
+//!   [`note_removed`](IsolationBatch::note_removed), and a rule-dropping
+//!   [`Grammar::gc`] through [`note_gc`](IsolationBatch::note_gc);
+//! * a **clone** of the grammar (the store's copy-on-write `Arc::make_mut`)
+//!   preserves every arena [`NodeId`] and every [`NtId`], so the tables
+//!   describe the copy exactly as they described the original;
+//! * [`Grammar::gc`] never renumbers surviving rules, and the rules it drops
+//!   are unreachable, so their stale table rows are never read.
+//!
+//! Anything else invalidates it — recompression (new rules, compacted
+//! arenas), a failed update call (the splice that failed may have been
+//! half-reported), replacing the grammar — and the only repair is to drop the
+//! session and build a new one: [`IsolationBatch::new`] is one size-only pass
+//! over the grammar. [`crate::store::DomStore`] keeps one session per
+//! document beside its write-state grammar on exactly these rules;
+//! [`IsolationBatch::assert_matches_rebuild`] is the oracle that a kept
+//! session equals a fresh one.
 
 use std::collections::HashMap;
 
-use sltgrammar::derive::{own_sizes, segment_sizes, subtree_derived_sizes};
+use sltgrammar::derive::RuleSizes;
 use sltgrammar::fingerprint::derived_size;
-use sltgrammar::{Grammar, NodeId, NodeKind, NtId};
+use sltgrammar::{Grammar, NodeId, NodeKind};
 
 use crate::error::{RepairError, Result};
 
@@ -41,44 +69,64 @@ pub fn isolate(g: &mut Grammar, target: u128) -> Result<(NodeId, IsolationStats)
     Ok((node, batch.stats()))
 }
 
-/// A batch path-isolation session.
+/// A path-isolation session over one grammar (see the module docs for its
+/// lifetime).
 ///
-/// Construction computes `own_sizes`, `segment_sizes` and the start rule's
+/// Construction computes the per-rule size tables and the start rule's
 /// subtree sizes **once**; every subsequent isolation through the same session
 /// reuses them, patching the subtree-size table incrementally after each
 /// inlining (arena node ids are never reused, so entries of surviving nodes
-/// stay valid). The session is only coherent as long as the grammar is mutated
-/// exclusively through it: callers that splice the start rule (updates) must
-/// finish all isolations of a chunk before splicing, and must report every
-/// splice through [`note_inserted`](Self::note_inserted) /
-/// [`note_removed`](Self::note_removed) so the size table and the cached
-/// derived size follow the document. Splices only ever edit the start rule, so
-/// `own_sizes`/`segment_sizes` stay valid across them (and across
-/// [`Grammar::gc`], which never renumbers surviving rules) — one session can
-/// therefore span a whole multi-chunk [`crate::update::apply_batch`] call,
-/// keeping the Lemma-1 factor-two growth bound per *distinct* isolated path
-/// for the entire batch.
+/// stay valid). Callers that splice the start rule (updates) must finish all
+/// isolations of a chunk before splicing, and must report every splice so the
+/// size table, the derived size and the edge total follow the document.
+/// Splices only ever edit the start rule, so the per-rule tables stay valid
+/// across them — one session spans a whole multi-chunk
+/// [`crate::update::apply_batch`] call, and any number of calls after it,
+/// keeping the Lemma-1 factor-two growth bound per *distinct* isolated path.
+///
+/// All tables are dense: per-rule sizes by `NtId::index()`, start-rule
+/// subtree sizes by `NodeId::index()`.
 #[derive(Debug)]
 pub struct IsolationBatch {
-    own: HashMap<NtId, u128>,
-    segments: HashMap<NtId, Vec<u128>>,
-    sizes: HashMap<NodeId, u128>,
+    rules: RuleSizes,
+    /// Derived subtree size of every sized start-rule node; `0` marks an
+    /// arena slot not sized yet (a start-rule node derives at least itself).
+    sizes: Vec<u128>,
     total: u128,
+    /// The grammar's edge total, carried through inlinings and splices so no
+    /// call has to walk the rules for it.
+    edges: usize,
     stats: IsolationStats,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Sessions built on this thread — what "one cold build per document per
+    /// recompression epoch" is asserted against.
+    pub(crate) static COLD_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl IsolationBatch {
-    /// Prepares a batch session for the current grammar (one O(grammar) pass).
+    /// Prepares a session for the current grammar: one size-only pass over
+    /// the rules (callees first) plus one over the start rule.
     pub fn new(g: &Grammar) -> Self {
-        let own = own_sizes(g);
-        let sizes = subtree_derived_sizes(&g.rule(g.start()).rhs, &own);
-        IsolationBatch {
-            segments: segment_sizes(g),
-            total: derived_size(g),
-            own,
-            sizes,
+        #[cfg(test)]
+        COLD_BUILDS.with(|c| c.set(c.get() + 1));
+        let rules = RuleSizes::new(g);
+        let edges = g
+            .nonterminals()
+            .iter()
+            .map(|&nt| rules.rhs_nodes(nt) - 1)
+            .sum();
+        let mut batch = IsolationBatch {
+            total: rules.own(g.start()),
+            rules,
+            sizes: Vec::new(),
+            edges,
             stats: IsolationStats::default(),
-        }
+        };
+        batch.fill_sizes(g, g.rule(g.start()).rhs.root());
+        batch
     }
 
     /// Inlinings performed through this session so far.
@@ -94,6 +142,12 @@ impl IsolationBatch {
         self.total
     }
 
+    /// The grammar's edge count ([`Grammar::edge_count`]), carried instead of
+    /// walked.
+    pub fn edges(&self) -> usize {
+        self.edges
+    }
+
     /// Derived subtree size of an explicit start-rule node, per the session's
     /// size table.
     ///
@@ -102,44 +156,88 @@ impl IsolationBatch {
     /// Panics if `node` is not a start-rule node the session has sized (every
     /// node reachable at session start or touched by an isolation is).
     pub fn subtree_size(&self, node: NodeId) -> u128 {
-        self.sizes[&node]
+        let size = self.sizes[node.index()];
+        assert_ne!(size, 0, "start-rule node was never sized");
+        size
     }
 
     /// Records an insert splice: the fragment rooted at the fresh start-rule
     /// node `frag_root` was grafted in, growing the derived tree by `grown`
     /// nodes. Sizes of the fresh fragment nodes are filled in (the grafted old
     /// subtree keeps its entries — arena ids are never recycled) and every
-    /// ancestor of the graft point grows by `grown`.
+    /// ancestor of the graft point grows by `grown`. A fragment is all
+    /// terminals, so the start rule grows by the same number of edges.
     pub fn note_inserted(&mut self, g: &Grammar, frag_root: NodeId, grown: u128) {
         self.fill_sizes(g, frag_root);
         let rhs = &g.rule(g.start()).rhs;
-        let mut cur = rhs.parent(frag_root);
-        while let Some(p) = cur {
-            *self
-                .sizes
-                .get_mut(&p)
-                .expect("ancestors of a splice point are sized") += grown;
-            cur = rhs.parent(p);
-        }
+        self.resize_ancestors(g, rhs.parent(frag_root), |s| s + grown);
         self.total += grown;
+        self.edges += grown as usize;
     }
 
-    /// Records a delete splice: a subtree of `removed` derived nodes was
-    /// spliced out from under `parent` (`None` when the start rule's root
-    /// itself was replaced). Entries of the detached nodes are left behind;
-    /// they are never re-attached, so the stale entries are unreachable.
-    pub fn note_removed(&mut self, g: &Grammar, parent: Option<NodeId>, removed: u128) {
+    /// Records a delete splice: a subtree of `removed` derived nodes, held in
+    /// `removed_edges` start-rule nodes, was spliced out from under `parent`
+    /// (`None` when the start rule's root itself was replaced). Entries of the
+    /// detached nodes are left behind; they are never re-attached, so the
+    /// stale entries are unreachable.
+    pub fn note_removed(
+        &mut self,
+        g: &Grammar,
+        parent: Option<NodeId>,
+        removed: u128,
+        removed_edges: usize,
+    ) {
+        self.resize_ancestors(g, parent, |s| s - removed);
+        self.total -= removed;
+        self.edges -= removed_edges;
+    }
+
+    /// Records that [`Grammar::gc`] dropped rules: their edges leave the
+    /// total. Their table rows stay behind, unreachable like the rules.
+    pub fn note_gc(&mut self, g: &Grammar) {
+        self.edges = g.edge_count();
+    }
+
+    /// Applies `resize` to the size of `from` and of every ancestor above it.
+    fn resize_ancestors(&mut self, g: &Grammar, from: Option<NodeId>, resize: impl Fn(u128) -> u128) {
         let rhs = &g.rule(g.start()).rhs;
-        let mut cur = parent;
+        let mut cur = from;
         while let Some(p) = cur {
-            let s = self
-                .sizes
-                .get_mut(&p)
-                .expect("ancestors of a splice point are sized");
-            *s -= removed;
+            debug_assert_ne!(self.sizes[p.index()], 0, "ancestors of a splice point are sized");
+            self.sizes[p.index()] = resize(self.sizes[p.index()]);
             cur = rhs.parent(p);
         }
-        self.total -= removed;
+    }
+
+    /// Panics unless this session equals a fresh [`IsolationBatch::new`] of
+    /// `g` in everything a later call can read: own and segment sizes of every
+    /// live callee, the size of every start-rule node reachable from the root,
+    /// the derived size and the carried edge total. The oracle behind keeping
+    /// a session alive across calls (O(grammar); for tests and debugging).
+    pub fn assert_matches_rebuild(&self, g: &Grammar) {
+        let fresh = IsolationBatch::new(g);
+        // The start rule's own row goes stale with the first splice and is
+        // never read (nothing calls the start rule): `total` stands in for it.
+        for nt in g.nonterminals().into_iter().filter(|&nt| nt != g.start()) {
+            let name = &g.rule(nt).name;
+            assert_eq!(self.rules.own(nt), fresh.rules.own(nt), "own size of rule {name}");
+            assert_eq!(
+                self.rules.segments(nt),
+                fresh.rules.segments(nt),
+                "segment sizes of rule {name}"
+            );
+        }
+        let rhs = &g.rule(g.start()).rhs;
+        for node in rhs.walk_from(rhs.root()) {
+            assert_eq!(
+                self.sizes.get(node.index()).copied().unwrap_or(0),
+                fresh.sizes[node.index()],
+                "subtree size of start-rule node {node:?}"
+            );
+        }
+        assert_eq!(self.total, fresh.total, "derived size");
+        assert_eq!(self.edges, fresh.edges, "edge total");
+        assert_eq!(fresh.edges, g.edge_count(), "edge total of a fresh session");
     }
 
     /// Isolates a single target through the session (sizes are reused and
@@ -196,7 +294,7 @@ impl IsolationBatch {
                         let mut k = 0;
                         let mut offset: u128 = 0;
                         for &c in &children {
-                            let s = self.sizes[&c];
+                            let s = self.sizes[c.index()];
                             let mut bucket = Vec::new();
                             while k < pending.len() && pending[k].0 - 1 < offset + s {
                                 bucket.push((pending[k].0 - 1 - offset, pending[k].1));
@@ -224,7 +322,7 @@ impl IsolationBatch {
                     NodeKind::Nt(callee) => {
                         // Classify each target: produced by the callee's own
                         // content (some segment) or by an argument subtree.
-                        let segs = &self.segments[&callee];
+                        let segs = self.rules.segments(callee);
                         let args = g.rule(start).rhs.children(node).to_vec();
                         let mut any_in_callee = false;
                         let mut buckets: Vec<(NodeId, Vec<(u128, usize)>)> = Vec::new();
@@ -237,7 +335,7 @@ impl IsolationBatch {
                             }
                             offset += seg;
                             if j < args.len() {
-                                let s = self.sizes[&args[j]];
+                                let s = self.sizes[args[j].index()];
                                 let mut bucket = Vec::new();
                                 while k < pending.len() && pending[k].0 < offset + s {
                                     bucket.push((pending[k].0 - offset, pending[k].1));
@@ -258,11 +356,11 @@ impl IsolationBatch {
                         if any_in_callee {
                             // Inline once for the whole batch and re-classify
                             // every pending target inside the copy.
-                            let new_root = {
-                                let callee_rhs = g.rule(callee).rhs.clone();
-                                g.rule_mut(start).rhs.inline_at(node, &callee_rhs)
-                            };
+                            let new_root = g.inline_at(start, node);
                             self.stats.inlinings += 1;
+                            // The copy holds the callee's nodes minus its
+                            // parameters; the reference node is gone.
+                            self.edges += self.rules.rhs_nodes(callee) - args.len() - 1;
                             self.fill_sizes(g, new_root);
                             node = new_root;
                         } else {
@@ -303,44 +401,20 @@ impl IsolationBatch {
         Some(first)
     }
 
-    /// Computes subtree sizes for the nodes freshly created by an inlining.
-    /// Nodes already present in the table (the grafted argument subtrees and
-    /// everything outside the copy) are reused, not descended into — arena ids
-    /// are never recycled, so present entries are always current.
+    /// Computes subtree sizes for the nodes freshly created by an inlining or
+    /// a graft. Nodes already present in the table (the grafted argument
+    /// subtrees and everything outside the copy) are reused, not descended
+    /// into — arena ids are never recycled, so present entries are always
+    /// current.
     fn fill_sizes(&mut self, g: &Grammar, root: NodeId) {
-        let rhs = &g.rule(g.start()).rhs;
-        let mut stack = vec![(root, false)];
-        while let Some((n, children_done)) = stack.pop() {
-            if self.sizes.contains_key(&n) {
-                continue;
-            }
-            if children_done {
-                let children_sum: u128 = rhs
-                    .children(n)
-                    .iter()
-                    .map(|c| self.sizes[c])
-                    .fold(0u128, |a, b| a.saturating_add(b));
-                let size = match rhs.kind(n) {
-                    NodeKind::Term(_) => children_sum.saturating_add(1),
-                    NodeKind::Nt(b) => children_sum.saturating_add(self.own[&b]),
-                    NodeKind::Param(_) => 0,
-                };
-                self.sizes.insert(n, size);
-            } else {
-                stack.push((n, true));
-                for &c in rhs.children(n) {
-                    if !self.sizes.contains_key(&c) {
-                        stack.push((c, false));
-                    }
-                }
-            }
-        }
+        self.rules
+            .fill_subtree_sizes(&g.rule(g.start()).rhs, root, &mut self.sizes);
     }
 }
 
 /// Makes every node of `targets` (0-based preorder indices of the derived
 /// tree, duplicates allowed) explicit in the start rule with **one**
-/// `own_sizes`/`segment_sizes` computation and one walk of the start rule.
+/// size-table computation and one walk of the start rule.
 /// Returns the node ids in the order of the input targets.
 ///
 pub fn isolate_many(g: &mut Grammar, targets: &[u128]) -> Result<(Vec<NodeId>, IsolationStats)> {

@@ -14,11 +14,12 @@
 //!   maintained occurrence table + frequency queue that keeps rounds from
 //!   paying O(grammar)) and [`replace`] (localization by minimal inlining,
 //!   greedy local replacement, fragment export).
-//! * [`isolate`] / [`update`] — path isolation (one session per batch,
-//!   shared path prefixes isolated once) and the three update operations
-//!   (rename, insert-before, delete-subtree) on the grammar:
-//!   [`update::apply_batch`] runs an operation sequence, and a single
-//!   operation is a batch of one.
+//! * [`isolate`] / [`update`] — path isolation (one session of size tables
+//!   per document, kept across calls by the store and rebuilt per call by
+//!   the bare-grammar entry points; shared path prefixes isolated once) and
+//!   the three update operations (rename, insert-before, delete-subtree) on
+//!   the grammar: [`update::apply_batch`] runs an operation sequence, and a
+//!   single operation is a batch of one.
 //! * [`udc`] — the update–decompress–compress baseline the paper compares against.
 //! * [`session`] / [`store`] — the application-facing handles:
 //!   [`session::CompressedDom`], a mutable always-compressed single-document

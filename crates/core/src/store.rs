@@ -64,6 +64,34 @@
 //! its snapshot; locks are never nested except shard-after-map-write in
 //! [`DomStore::remove`]. Steady-state reads take none of them.
 //!
+//! # The live isolation session
+//!
+//! A point write is navigation by the paper's precomputed `size(A, 0..k)`
+//! plus a local splice; the precomputation is meant to be paid once per
+//! document, not once per update. A shard's write state is therefore the
+//! grammar **and** an `Option<`[`IsolationBatch`]`>` under the one shard
+//! mutex. `StoreInner::apply_batch_one` — the only writer every layer above
+//! funnels into, recovery replay included — takes the session (building it
+//! with one size-only pass over the grammar if absent), runs the batch
+//! through it ([`crate::update::apply_batch_in`]) and puts it back. The
+//! session caches sizes and decides nothing, so the grammar after every call
+//! is byte-identical to the sessionless [`crate::update::apply_batch`].
+//!
+//! The session is only ever **dropped and rebuilt, never repaired**:
+//!
+//! * recompression drops it (new rules, compacted arenas);
+//! * any `Err` from a batch drops it (a failing splice may have
+//!   half-reported itself);
+//! * [`DomStore::remove`] and [`DomStore::clone`] hand out grammars without
+//!   one.
+//!
+//! It survives the two things that look like foreign mutations but are not:
+//! the copy-on-write clone behind `Arc::make_mut` (a cloned grammar keeps
+//! every arena node id and every rule id, so the tables describe the copy),
+//! and `Grammar::gc` inside a deleting batch (surviving rules are never
+//! renumbered; the batch reports the dropped edges itself). So a document
+//! pays one cold build per recompression epoch, at its first write.
+//!
 //! # Shared symbol table
 //!
 //! Collections of similar documents share most of their label alphabet (the
@@ -168,7 +196,8 @@ use crate::navigate::{Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
 use crate::sync::ArcSwapCell;
-use crate::update::{apply_batch, mutation_mark, BatchStats, UpdateStats};
+use crate::isolate::IsolationBatch;
+use crate::update::{apply_batch_in, mutation_mark, BatchStats, UpdateStats};
 
 /// The distinct terminals occurring in `g`'s rule bodies — a document's own
 /// alphabet, as opposed to whatever else its symbol table carries.
@@ -389,14 +418,26 @@ impl Snapshot {
     }
 }
 
+/// What a shard's lock guards: the authoritative grammar and the live
+/// isolation session that describes it (see "The live isolation session" in
+/// the module docs).
+#[derive(Debug)]
+struct WriteState {
+    /// The authoritative grammar. `Arc::make_mut` gives writers copy-on-write
+    /// against the published snapshot: the deep clone happens at most once
+    /// per read→write phase transition, in-place mutation otherwise.
+    grammar: Arc<Grammar>,
+    /// The size tables of `grammar`, kept from the last successful batch.
+    /// `None` until the first write, and again after anything but
+    /// [`StoreInner::apply_batch_one`] touched the grammar.
+    session: Option<IsolationBatch>,
+}
+
 /// One document of the store: write state behind the shard's own lock,
 /// published snapshot behind a lock-free cell (see the module docs).
 #[derive(Debug)]
 struct DocShard {
-    /// The authoritative grammar. `Arc::make_mut` gives writers copy-on-write
-    /// against the published snapshot: the deep clone happens at most once
-    /// per read→write phase transition, in-place mutation otherwise.
-    write: Mutex<Arc<Grammar>>,
+    write: Mutex<WriteState>,
     published: ArcSwapCell<SnapshotInner>,
     /// Whether `published` reflects the write state. Cleared by writers,
     /// set by the (lazy) publish and by recompression's eager publish.
@@ -417,7 +458,10 @@ impl DocShard {
         let grammar = Arc::new(grammar);
         DocShard {
             published: ArcSwapCell::new(SnapshotInner::of(grammar.clone())),
-            write: Mutex::new(grammar),
+            write: Mutex::new(WriteState {
+                grammar,
+                session: None,
+            }),
             clean: AtomicBool::new(true),
             baseline_edges: AtomicUsize::new(edges),
             current_edges: AtomicUsize::new(edges),
@@ -426,13 +470,26 @@ impl DocShard {
         }
     }
 
+    /// The authoritative grammar (an `Arc` clone taken under the shard lock).
+    fn grammar(&self) -> Arc<Grammar> {
+        self.write
+            .lock()
+            .expect("shard lock never poisoned")
+            .grammar
+            .clone()
+    }
+
     /// A deep-ish copy for [`DomStore::clone`]: shares the grammar `Arc`
-    /// (copy-on-write protects both sides), copies the counters.
+    /// (copy-on-write protects both sides), copies the counters. The copy
+    /// starts without a session and builds its own on its first write.
     fn duplicate(&self) -> Self {
-        let grammar = self.write.lock().expect("shard lock never poisoned").clone();
+        let grammar = self.grammar();
         DocShard {
             published: ArcSwapCell::new(SnapshotInner::of(grammar.clone())),
-            write: Mutex::new(grammar),
+            write: Mutex::new(WriteState {
+                grammar,
+                session: None,
+            }),
             clean: AtomicBool::new(true),
             baseline_edges: AtomicUsize::new(self.baseline_edges.load(Ordering::Relaxed)),
             current_edges: AtomicUsize::new(self.current_edges.load(Ordering::Relaxed)),
@@ -459,7 +516,7 @@ impl DocShard {
         }
         match self.write.try_lock() {
             Ok(guard) => {
-                let inner = SnapshotInner::of(guard.clone());
+                let inner = SnapshotInner::of(guard.grammar.clone());
                 self.published.store(inner.clone());
                 self.clean.store(true, Ordering::Release);
                 drop(guard);
@@ -691,9 +748,19 @@ impl StoreInner {
             Err(e) => return (Err(e), false),
         };
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
-        let grammar = Arc::make_mut(&mut guard);
+        let state = &mut *guard;
+        // The copy-on-write clone (if a snapshot shares the grammar) keeps
+        // every node and rule id, so a session taken before it stays valid.
+        let grammar = Arc::make_mut(&mut state.grammar);
         let before = mutation_mark(grammar);
-        let result = apply_batch(grammar, ops);
+        let mut session = state
+            .session
+            .take()
+            .unwrap_or_else(|| IsolationBatch::new(grammar));
+        let result = apply_batch_in(&mut session, grammar, ops);
+        // A failed batch may have half-reported a splice: its session is
+        // dropped and the next write rebuilds one.
+        state.session = result.is_ok().then_some(session);
         let mutated = mutation_mark(grammar) != before;
         if mutated {
             let edges = match &result {
@@ -768,13 +835,15 @@ impl StoreInner {
         // Recompress aside: `make_mut` clones iff a published snapshot (or
         // other reader) still shares this grammar, so in-flight readers keep
         // their version while the recompressor works on the copy.
-        let stats = repair.recompress(Arc::make_mut(&mut guard));
+        // New rules, compacted arenas: nothing the session knew survives.
+        guard.session = None;
+        let stats = repair.recompress(Arc::make_mut(&mut guard.grammar));
         shard.current_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.baseline_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.recompressions.fetch_add(1, Ordering::Relaxed);
         // The atomic swap: publish the recompressed grammar; readers holding
         // the old snapshot finish on it undisturbed.
-        shard.publish_locked(&guard);
+        shard.publish_locked(&guard.grammar);
         Ok(stats)
     }
 }
@@ -1104,11 +1173,11 @@ impl DomStore {
         // final state are still held elsewhere.
         let grammar = match Arc::try_unwrap(shard) {
             Ok(shard) => {
-                let grammar = shard.write.into_inner().expect("shard lock never poisoned");
+                let state = shard.write.into_inner().expect("shard lock never poisoned");
                 drop(shard.published); // releases the snapshot's grammar ref
-                grammar
+                state.grammar
             }
-            Err(shard) => shard.write.lock().expect("shard lock never poisoned").clone(),
+            Err(shard) => shard.grammar(),
         };
         Ok(Arc::try_unwrap(grammar).unwrap_or_else(|shared| (*shared).clone()))
     }
@@ -1168,7 +1237,7 @@ impl DomStore {
         let map = self.inner.map.load();
         for &id in &map.live {
             let Some(shard) = map.get(id) else { continue };
-            let write = shard.write.lock().expect("shard lock never poisoned").clone();
+            let write = shard.grammar();
             visit(&write.symbols, &mut stats);
             // Per-document baseline: only the labels this grammar uses.
             stats.unshared_bytes += used_terms(&write)
@@ -1348,6 +1417,23 @@ impl DomStore {
         self.inner.recompress(doc)
     }
 
+    /// Test seam: runs `inspect` on a document's authoritative write state —
+    /// the grammar and the live isolation session, if one is kept — under
+    /// the shard lock, without publishing a snapshot (so the next write does
+    /// not copy). The differential suites use it to compare the write-state
+    /// bytes against a sessionless twin and to run
+    /// [`IsolationBatch::assert_matches_rebuild`] after every call.
+    #[doc(hidden)]
+    pub fn inspect_write_state<R>(
+        &self,
+        doc: DocId,
+        inspect: impl FnOnce(&Grammar, Option<&IsolationBatch>) -> R,
+    ) -> Result<R> {
+        let shard = self.inner.resolve(doc)?;
+        let guard = shard.write.lock().expect("shard lock never poisoned");
+        Ok(inspect(&guard.grammar, guard.session.as_ref()))
+    }
+
     // ----- slab capture/restore (the durable layer's checkpoint seam) -----
 
     /// Captures the slab layout — per-slot generations, the free list, the
@@ -1447,7 +1533,7 @@ impl DomStore {
         if let Some(shard) = &slot.shard {
             // Hold the shard lock only to clone the grammar `Arc`; the
             // serialization runs on the immutable clone.
-            let grammar = shard.write.lock().expect("shard lock never poisoned").clone();
+            let grammar = shard.grammar();
             let bytes = serialize::encode_with_shared(&grammar);
             let crc = crc32(&bytes);
             return Ok((bytes, crc));
@@ -1813,6 +1899,55 @@ mod tests {
             .unwrap();
         assert_eq!(store.to_xml(a).unwrap().to_xml(), before, "copy-on-write isolation");
         assert_ne!(copy.to_xml(a).unwrap().to_xml(), before);
+    }
+
+    #[test]
+    fn a_document_pays_one_cold_build_per_recompression_epoch() {
+        let builds = || crate::isolate::COLD_BUILDS.with(|c| c.get());
+        let store = DomStore::new().with_scheduler(SchedulerConfig {
+            auto: false,
+            ..SchedulerConfig::default()
+        });
+        let xml = doc("feed", 8);
+        let elements = element_positions(&xml);
+        let a = store.load_xml(&xml).unwrap();
+        let b = store.load_xml(&xml).unwrap();
+        let rename = |k: usize| UpdateOp::Rename {
+            target: elements[1 + k % (elements.len() - 1)],
+            label: format!("fresh_{k}"),
+        };
+        let start = builds();
+        for k in 0..6 {
+            store.apply(a, &rename(k)).unwrap();
+            store.apply_batch(b, &[rename(k), rename(k + 7)]).unwrap();
+            // A read publishes the write state: the next write copies the
+            // grammar, and the session carries over to the copy.
+            store.snapshot(a).unwrap();
+        }
+        assert_eq!(builds() - start, 2, "one build per document, not per call");
+
+        store.recompress(a).unwrap();
+        for k in 6..9 {
+            store.apply(a, &rename(k)).unwrap();
+            store.apply(b, &rename(k)).unwrap();
+        }
+        assert_eq!(builds() - start, 3, "recompression starts a new epoch for `a` only");
+
+        // A failed batch — rejected before isolation or after it — drops the
+        // session; the next write builds a fresh one.
+        let null_label = UpdateOp::Rename { target: 1, label: "#".into() };
+        assert!(store.apply(b, &null_label).is_err());
+        assert_eq!(builds() - start, 3, "a kept session serves the failing call");
+        store.apply(b, &rename(9)).unwrap();
+        assert_eq!(builds() - start, 4, "fresh build after an Err");
+        store.apply(b, &rename(10)).unwrap();
+        assert_eq!(builds() - start, 4);
+
+        // A cloned store shares grammars, not sessions.
+        let copy = store.clone();
+        copy.apply(a, &rename(11)).unwrap();
+        store.apply(a, &rename(11)).unwrap();
+        assert_eq!(builds() - start, 5, "the clone builds its own; the original keeps its");
     }
 
     #[test]

@@ -9,18 +9,34 @@
 //!
 //! # One path: the batch
 //!
-//! [`apply_batch`] is the only implementation. A single operation
+//! [`apply_batch_in`] is the only implementation. A single operation
 //! ([`apply_update`], [`rename`], [`insert_before`], [`delete`]) is a batch
 //! of one and reports the same [`BatchStats`] narrowed to [`UpdateStats`].
 //!
-//! [`apply_batch`] executes a *sequence* of operations (each addressed
-//! against the document state produced by the preceding
-//! operations) without paying one full isolation per operation. One
-//! [`IsolationBatch`] session spans the whole call — `own_sizes` /
-//! `segment_sizes` are computed once per batch (splices only edit the start
-//! rule, so they stay valid) and the start rule's subtree-size table is
-//! patched through every splice instead of recomputed. The sequence is cut
-//! into **chunks**; per chunk:
+//! # One session per document, not per call
+//!
+//! [`apply_batch_in`] runs a batch through an [`IsolationBatch`] session the
+//! caller owns. The session is the paper's `size(A, 0..k)` precomputation
+//! plus the start rule's subtree sizes and the grammar's edge total; it is
+//! patched through every inlining and splice, so it is as valid after the
+//! call as before it, and the next call — a point write, typically — pays
+//! only for the path it touches. [`crate::store::DomStore`] keeps one per
+//! document. The holder's contract is [`crate::isolate`]'s: the session
+//! survives a clone of the grammar and everything this module does to it,
+//! and must be **dropped** (never patched) when anything else mutates the
+//! grammar (recompression) or when a call here returns `Err` — a failing
+//! splice may have half-reported itself. [`apply_batch`] is the sessionless
+//! adapter: a fresh session per call, the same grammar byte for byte (the
+//! session caches sizes, it decides nothing).
+//!
+//! # Chunks
+//!
+//! A call executes a *sequence* of operations (each addressed against the
+//! document state produced by the preceding operations) without paying one
+//! full isolation per operation: the per-rule size tables stay valid across
+//! splices (they only edit the start rule) and the start rule's
+//! subtree-size table is patched through every splice instead of
+//! recomputed. The sequence is cut into **chunks**; per chunk:
 //!
 //! 1. every target is remapped from its sequential coordinates back to the
 //!    chunk-start document coordinates through a signed-shift **region
@@ -139,15 +155,14 @@ fn insert_node(g: &mut Grammar, node: NodeId, fragment: &XmlTree) -> Result<(Nod
 }
 
 /// Splice part of `delete`: removes the element subtree at the
-/// already-isolated start-rule node. The caller is responsible for `gc`.
-fn delete_node(g: &mut Grammar, node: NodeId) -> Result<()> {
-    expect_element(g, node)?;
+/// already-isolated start-rule node (an element — see [`expect_element`]).
+/// The caller is responsible for `gc`.
+fn delete_node(g: &mut Grammar, node: NodeId) {
     let start = g.start();
     let rhs = &mut g.rule_mut(start).rhs;
     let next_sibling = rhs.children(node)[1];
     rhs.detach(next_sibling);
     rhs.replace_subtree(node, next_sibling);
-    Ok(())
 }
 
 /// `rename(G, u, σ)`: relabels the element at preorder index `target` of the
@@ -212,8 +227,8 @@ pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStat
 pub struct BatchStats {
     /// Number of operations applied.
     pub ops: usize,
-    /// Number of chunks the sequence was cut into (each chunk pays one
-    /// isolation-table computation).
+    /// Number of chunks the sequence was cut into (each chunk plans and
+    /// isolates its targets before any of its splices run).
     pub chunks: usize,
     /// Total isolation cost over all chunks.
     pub isolation: IsolationStats,
@@ -375,11 +390,11 @@ impl RegionMap {
 }
 
 /// Applies a sequence of updates with **batched path isolation**: each target
-/// refers to the document produced by the preceding operations, but
-/// `own_sizes`/`segment_sizes` are computed once per batch and nonterminal
-/// references on shared path prefixes are inlined once instead of per
-/// operation. See the module docs for the chunking rules. Unreachable rules
-/// are garbage collected once per deleting chunk, not per delete.
+/// refers to the document produced by the preceding operations, but the size
+/// tables are computed once per call and nonterminal references on shared
+/// path prefixes are inlined once instead of per operation. This is the
+/// sessionless adapter of [`apply_batch_in`]: it builds an [`IsolationBatch`]
+/// (one size-only pass over the grammar) and drops it afterwards.
 ///
 /// The resulting document is identical to [`apply_updates`]' and to the
 /// uncompressed `xmltree::updates` oracle's (asserted byte-for-byte by the
@@ -397,17 +412,27 @@ impl RegionMap {
 /// batch of one therefore fails without touching the grammar unless its
 /// target had to be isolated to discover the failure.
 pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
+    apply_batch_in(&mut IsolationBatch::new(g), g, ops)
+}
+
+/// [`apply_batch`] through a session the caller keeps (see the module docs):
+/// `batch` must describe `g` — built from it, or carried from earlier calls
+/// with nothing else having mutated `g` in between (a clone of `g` counts as
+/// `g`). On `Ok` the session describes the updated grammar and may be kept;
+/// on `Err` it must be dropped. The grammar and the returned statistics are
+/// identical to the sessionless call's.
+pub fn apply_batch_in(
+    batch: &mut IsolationBatch,
+    g: &mut Grammar,
+    ops: &[UpdateOp],
+) -> Result<BatchStats> {
+    debug_assert_eq!(batch.edges(), g.edge_count(), "session edge total on entry");
+    let inlinings_before = batch.stats().inlinings;
     let mut stats = BatchStats {
         ops: ops.len(),
-        edges_before: g.edge_count(),
-        edges_after: g.edge_count(),
+        edges_before: batch.edges(),
         ..BatchStats::default()
     };
-    // One isolation session for the whole batch: splices only edit the start
-    // rule, so the per-rule tables survive every chunk (and the per-chunk
-    // `gc`, which never renumbers surviving rules); the subtree-size table
-    // and derived size are patched through each splice below.
-    let mut batch = IsolationBatch::new(g);
     let mut i = 0;
     while i < ops.len() {
         // Plan + isolate one chunk against the current grammar. Isolation
@@ -477,27 +502,29 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
                 }
                 UpdateOp::Delete { .. } => {
                     expect_element(g, node)?;
-                    let start = g.start();
-                    let parent = g.rule(start).rhs.parent(node);
-                    let content = g.rule(start).rhs.children(node)[0];
-                    // Splice-time size: earlier splices of this chunk may
+                    let rhs = &g.rule(g.start()).rhs;
+                    let parent = rhs.parent(node);
+                    let content = rhs.children(node)[0];
+                    // Splice-time sizes: earlier splices of this chunk may
                     // have grown or shrunk the subtree being removed.
                     let removed = 1 + batch.subtree_size(content);
-                    delete_node(g, node)?;
-                    batch.note_removed(g, parent, removed);
+                    let removed_edges = 1 + rhs.subtree_size(content);
+                    delete_node(g, node);
+                    batch.note_removed(g, parent, removed, removed_edges);
                 }
             }
         }
-        if chunk_deletes {
-            g.gc();
+        if chunk_deletes && g.gc() > 0 {
+            batch.note_gc(g);
         }
         if let Some(e) = rejected {
             return Err(e);
         }
         i = j;
     }
-    stats.isolation = batch.stats();
-    stats.edges_after = g.edge_count();
+    stats.isolation.inlinings = batch.stats().inlinings - inlinings_before;
+    stats.edges_after = batch.edges();
+    debug_assert_eq!(stats.edges_after, g.edge_count(), "session edge total on exit");
     Ok(stats)
 }
 

@@ -265,9 +265,10 @@ pub fn fingerprint(g: &Grammar) -> Fingerprint {
     }
 }
 
-/// Number of nodes of the derived tree (saturating).
+/// Number of nodes of the derived tree (saturating) — a length, so it comes
+/// from the size-only pass ([`crate::derive::RuleSizes`]) and hashes nothing.
 pub fn derived_size(g: &Grammar) -> u128 {
-    fingerprint(g).size
+    crate::derive::RuleSizes::new(g).own(g.start())
 }
 
 #[cfg(test)]
