@@ -6,8 +6,8 @@
 //! interleave), replies are dispatched by request id under a
 //! reader-leader protocol — whichever waiting thread finds no leader
 //! becomes it, reads exactly one frame, posts the reply into a shared
-//! map by id, and hands leadership back. This mirrors the WAL's
-//! group-commit leadership and is what makes **pipelining** work: N
+//! map by id, and hands leadership back. This mirrors the ingestion
+//! queue's flush leadership and is what makes **pipelining** work: N
 //! threads (or one thread using [`Client::begin`]) can have N requests
 //! in flight on one socket, which is how the server's drain policy gets
 //! whole windows of batches to coalesce into one fsync.
@@ -306,7 +306,7 @@ impl Client {
         })
     }
 
-    /// Asks the server for a fuzzy paged checkpoint.
+    /// Asks the server for a consistent-cut paged checkpoint.
     pub fn checkpoint(&self) -> Result<WireCheckpoint> {
         Self::expect_ok(self.request(&Request::Checkpoint), |r| match r {
             Response::CheckpointDone { report } => Ok(report),

@@ -11,7 +11,10 @@
 //!
 //! * [`DurableStore::load_xml`] logs the XML fragment itself; replay re-runs
 //!   the same compression against the same shared-alphabet state, so the
-//!   recovered grammar and [`DocId`] are bit-identical to the original.
+//!   recovered grammar and [`DocId`] are bit-identical to the original. The
+//!   compression runs before the commit; it touches only the shared
+//!   alphabet, which no document reads until the load's slab insert, and
+//!   a fragment it rejects is not logged.
 //! * [`DurableStore::load_grammar`] logs the grammar's binary encoding.
 //! * [`DurableStore::remove`] logs the removed id; replay reproduces the
 //!   slab's free-list state (and therefore all later id assignments).
@@ -19,9 +22,9 @@
 //!   ([`DurableStore::apply`] is that call on a batch of one, so a single
 //!   update is logged as a one-op batch); [`DurableStore::apply_batch_many`]
 //!   logs **one** `ApplyMany` record for the whole fan-out, so the
-//!   multi-document batch pays one fsync built-in, and concurrent
-//!   single-document writers share fsyncs through the log's leader-based
-//!   group commit.
+//!   multi-document batch pays one fsync. Coalescing many writers' batches
+//!   into such a record is the ingestion queue's job
+//!   ([`crate::queue::IngestQueue`]).
 //!
 //! Maintenance (recompression) is deliberately **not** logged: it never
 //! changes the derived document, so replaying the update log against the
@@ -30,36 +33,49 @@
 //!
 //! # Ordering discipline
 //!
-//! Replay applies records strictly in LSN order, so the log order must
-//! agree with the in-memory apply order wherever the two operations do not
-//! commute: a per-document lock is held across *commit + apply* for
-//! updates, a store-level lifecycle lock for loads and removals (which
-//! contend on the slab and the shared alphabet). Operations on distinct
-//! documents commute, so their records may interleave freely — that is
-//! what lets their commits coalesce into shared fsyncs.
+//! Replay applies records strictly in LSN order, so the log order must be
+//! the in-memory apply order. The store has **one commit order**: a single
+//! mutex every logged mutation holds across *commit + apply*. The log is
+//! therefore one total order, the order the paper's updates are defined
+//! in, and replaying it reproduces the store exactly. Reads take no part
+//! in it. The one writer `sltxml serve` has, the queue's drain, already
+//! runs one flush at a time, so the order costs it nothing.
+//!
+//! Work that need not be ordered stays outside it, so loads and writes,
+//! which `sltxml serve` runs on different threads, do not stall each
+//! other. A load compresses before it takes the order; loads are ordered
+//! among themselves by a second lock that only they take, because
+//! compression interns into the shared alphabet and replay must intern in
+//! log order. An update's maintenance sweep runs after the order is
+//! released: a sweep never changes a derived document.
 //!
 //! # Checkpoints and recovery
 //!
-//! [`DurableStore::checkpoint`] is **fuzzy**: it holds only the lifecycle
-//! lock (freezing the slab layout and the shared alphabet — loads and
-//! removes wait, updates keep flowing) and serializes each document under
-//! that document's own commit lock, recording the durable LSN at that
-//! moment as the document's `doc_lsn`. Writers therefore only ever wait on
-//! the one document currently being serialized, never on the whole
-//! checkpoint. The image is written in the paged checkpoint-v3 layout
-//! (documented in [`crate::wal`]) **atomically** (temp + rename); the log
-//! is truncated afterwards only if it is provably covered
-//! ([`crate::wal::Wal::truncate_if_at`] — when writers raced past the
-//! checkpoint, the log survives and replay's per-document filter skips the
-//! folded records).
+//! [`DurableStore::checkpoint`] takes a **consistent cut**: under the
+//! commit order it copies only pointers — the durable LSN as `base_lsn`,
+//! the slab layout, the symbol image, and each live document's undecoded
+//! payload or grammar `Arc`. No commit sits between its append and its
+//! apply while the order is held, so every document is cut exactly at
+//! `base_lsn`. The symbol image may also hold the alphabet of a load still
+//! compressing; no document in the image uses it, and replaying that load
+//! re-interns it at the same ids. Encoding, the CRCs and the file write
+//! run after the order is released, so writers and loads keep flowing;
+//! copy-on-write keeps the cut's grammars immutable, and each is dropped
+//! once encoded, so a writer pays at most one clone. The image is written
+//! in the paged checkpoint-v3 layout (documented in [`crate::wal`])
+//! **atomically** (temp + rename); the log is truncated afterwards only if
+//! nothing committed since the cut ([`crate::wal::Wal::truncate_if_at`] —
+//! otherwise the log survives and replay skips the covered records).
 //!
 //! Recovery reads the checkpoint (if any), adopts the symbol-table image
 //! wholesale and installs every document as an undecoded lazy payload
 //! (decoded on first touch — cold start is O(open) + O(touched docs), not
 //! O(fleet)), then replays log records with `lsn > checkpoint_lsn`,
-//! skipping per-document updates with `lsn <= doc_lsn` (already folded
-//! into that document's extent). A torn final record is truncated
-//! silently; genuinely corrupt records surface as
+//! skipping per-document updates with `lsn <= doc_lsn`. This writer sets
+//! every `doc_lsn` to `base_lsn`; images from older writers, which
+//! serialized documents one at a time while updates flowed, can carry a
+//! later one, and the filter keeps those readable. A torn final record is
+//! truncated silently; genuinely corrupt records surface as
 //! [`RepairError::WalCorrupt`]. Replayed operations that failed originally
 //! (stale ids, out-of-range targets) fail identically on replay — per-op
 //! errors are deliberately not fatal to recovery. A `LoadGrammar` payload
@@ -152,17 +168,16 @@ impl std::fmt::Display for RecoveryReport {
 /// What [`DurableStore::checkpoint`] wrote.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointReport {
-    /// Base LSN of the checkpoint: every record at or below it is folded
-    /// in for every document (per-document extents may fold later records
-    /// too — see their `doc_lsn`s).
+    /// Base LSN of the checkpoint: the image folds in exactly the records
+    /// at or below it.
     pub last_lsn: u64,
     /// Documents serialized into the checkpoint.
     pub documents: usize,
     /// Size of the checkpoint file in bytes.
     pub bytes: usize,
-    /// Whether the log could be truncated afterwards (false when writers
-    /// committed during the fuzzy checkpoint — replay skips the folded
-    /// records either way).
+    /// Whether the log could be truncated afterwards (false when a writer
+    /// committed after the cut — replay skips the covered records either
+    /// way).
     pub log_truncated: bool,
 }
 
@@ -187,15 +202,17 @@ pub struct DurableStore {
     wal: Wal,
     fs: Arc<dyn StorageFs>,
     checkpoint_path: String,
-    /// Orders lifecycle events (load/remove) among themselves: they contend
-    /// on the slab and the shared alphabet, so their log order must match
-    /// their apply order. [`DurableStore::checkpoint`] holds it across the
-    /// whole serialize (the slab and master alphabet stay frozen) — but
-    /// updates never take it, so writers keep flowing during a checkpoint.
-    lifecycle: Mutex<()>,
-    /// Per-document commit+apply locks: ops on one document must reach the
-    /// log in the order they reach the grammar.
-    doc_locks: Mutex<HashMap<DocId, Arc<Mutex<()>>>>,
+    /// The commit order: every logged mutation holds it across commit and
+    /// apply, so log order is apply order (see the module docs).
+    order: Mutex<()>,
+    /// Orders loads among themselves from interning to insert: a load
+    /// interns into the shared alphabet before it commits, so loads must
+    /// reach the log in interning order. Only loads take it.
+    loads: Mutex<()>,
+    /// Serializes checkpoints among themselves, so images reach the file in
+    /// cut order: an older cut landing after a newer one had truncated the
+    /// log would lose the records between them. Commits never take it.
+    checkpointing: Mutex<()>,
 }
 
 fn log_path(dir: &str) -> String {
@@ -226,8 +243,8 @@ impl DurableStore {
         let ckpt = checkpoint_path(dir);
         let store = DomStore::new();
         let mut report = RecoveryReport::default();
-        // Per-document fold horizons of a (fuzzy) v3 checkpoint: replay
-        // skips a document's updates at or below its recorded `doc_lsn`.
+        // Per-document fold horizons of a v3 checkpoint: replay skips a
+        // document's updates at or below its recorded `doc_lsn`.
         let mut doc_lsns: HashMap<DocId, u64> = HashMap::new();
 
         if let Some(bytes) = fs.read(&ckpt)? {
@@ -252,10 +269,8 @@ impl DurableStore {
             fs.set_len(&log, replay.valid_len)?;
             fs.sync(&log)?;
         }
-        let mut last_lsn = report.checkpoint_lsn.max(replay.last_lsn());
-        for &doc_lsn in doc_lsns.values() {
-            last_lsn = last_lsn.max(doc_lsn);
-        }
+        let horizon = report.checkpoint_lsn.max(replay.last_lsn());
+        report.last_lsn = doc_lsns.values().fold(horizon, |last, &doc_lsn| last.max(doc_lsn));
         for (lsn, offset, entry) in replay.records {
             if lsn <= report.checkpoint_lsn {
                 continue; // already folded into the checkpoint for every doc
@@ -265,9 +280,7 @@ impl DurableStore {
             };
             apply_entry(&store, lsn, offset, entry)?;
             report.replayed += 1;
-            last_lsn = last_lsn.max(lsn);
         }
-        report.last_lsn = last_lsn;
         report.replay_elapsed = replay_start.elapsed();
         report.lazy_docs = store.pending_count();
         report.open_elapsed = open_start.elapsed();
@@ -279,59 +292,45 @@ impl DurableStore {
                 wal,
                 fs,
                 checkpoint_path: ckpt,
-                lifecycle: Mutex::new(()),
-                doc_locks: Mutex::new(HashMap::new()),
+                order: Mutex::new(()),
+                loads: Mutex::new(()),
+                checkpointing: Mutex::new(()),
             },
             report,
         ))
     }
 
-    fn doc_lock(&self, doc: DocId) -> Arc<Mutex<()>> {
-        let mut map = self.doc_locks.lock().expect("doc-lock map never poisoned");
-        // Stale ids fed to apply/apply_batch/remove create entries too, and
-        // only a successful remove() deletes one — so the map would grow by
-        // one Arc per distinct id ever touched. Prune dead entries (nobody
-        // holds the Arc, document no longer live) whenever the map outgrows
-        // the live-document count, keeping it bounded on long-lived stores.
-        if map.len() > 2 * self.store.len() + 16 {
-            map.retain(|&id, lock| Arc::strong_count(lock) > 1 || self.store.contains(id));
-        }
-        map.entry(doc).or_default().clone()
-    }
-
     // ----- logged mutations (fsync before apply; see the module docs) -----
 
-    /// Durable [`DomStore::load_xml`]: the fragment is logged and fsync'd,
-    /// then compressed into the store.
+    /// Commits `record`, then runs `apply`, both under the commit order —
+    /// the one place a mutation enters the log.
+    fn commit_then<T>(&self, record: &WalRecord<'_>, apply: impl FnOnce() -> T) -> Result<T> {
+        let _order = self.order.lock().expect("commit order never poisoned");
+        self.wal.commit(record)?;
+        Ok(apply())
+    }
+
+    /// Durable [`DomStore::load_xml`]: the fragment is compressed, then
+    /// logged and fsync'd, then added to the store. Only the log append and
+    /// the slab insert hold the commit order; a fragment the store rejects
+    /// changes nothing and is not logged.
     pub fn load_xml(&self, xml: &XmlTree) -> Result<DocId> {
-        let _order = self.lifecycle.lock().expect("lifecycle lock never poisoned");
-        self.wal.commit(&WalRecord::LoadXml { tree: xml })?;
-        self.store.load_xml(xml)
+        let _loads = self.loads.lock().expect("load lock never poisoned");
+        let grammar = self.store.compress_for_load(xml)?;
+        self.commit_then(&WalRecord::LoadXml { tree: xml }, || self.store.insert_loaded(grammar))
     }
 
     /// Durable [`DomStore::load_grammar`]: the grammar's binary encoding is
     /// logged, then the grammar joins the store.
     pub fn load_grammar(&self, grammar: Grammar) -> Result<DocId> {
-        let _order = self.lifecycle.lock().expect("lifecycle lock never poisoned");
         let bytes = serialize::encode(&grammar);
-        self.wal.commit(&WalRecord::LoadGrammar { bytes: &bytes })?;
-        self.store.load_grammar(grammar)
+        let _loads = self.loads.lock().expect("load lock never poisoned");
+        self.commit_then(&WalRecord::LoadGrammar { bytes: &bytes }, || self.store.load_grammar(grammar))?
     }
 
     /// Durable [`DomStore::remove`].
     pub fn remove(&self, doc: DocId) -> Result<Grammar> {
-        let _order = self.lifecycle.lock().expect("lifecycle lock never poisoned");
-        let lock = self.doc_lock(doc);
-        let _doc = lock.lock().expect("doc lock never poisoned");
-        self.wal.commit(&WalRecord::Remove { doc })?;
-        let result = self.store.remove(doc);
-        if result.is_ok() {
-            self.doc_locks
-                .lock()
-                .expect("doc-lock map never poisoned")
-                .remove(&doc);
-        }
-        result
+        self.commit_then(&WalRecord::Remove { doc }, || self.store.remove(doc))?
     }
 
     /// Durable [`DomStore::apply`]: [`DurableStore::apply_batch`] on a batch
@@ -341,20 +340,22 @@ impl DurableStore {
             .map(|(stats, report)| (stats.into(), report))
     }
 
-    /// Durable [`DomStore::apply_batch`].
+    /// Durable [`DomStore::apply_batch`]. The maintenance sweep runs after
+    /// the commit order is released.
     pub fn apply_batch(
         &self,
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let lock = self.doc_lock(doc);
-        let _doc = lock.lock().expect("doc lock never poisoned");
-        self.wal.commit(&WalRecord::ApplyBatch { doc, ops })?;
-        self.store.apply_batch(doc, ops)
+        let record = WalRecord::ApplyBatch { doc, ops };
+        let (result, mutated) = self.commit_then(&record, || self.store.apply_batch_unswept(doc, ops))?;
+        let report = self.store.sweep_after(mutated);
+        result.map(|stats| (stats, report))
     }
 
     /// Durable [`DomStore::apply_batch_many`]: **one** log record (one
-    /// fsync) covers the whole multi-document fan-out.
+    /// fsync) covers the whole multi-document fan-out. The maintenance
+    /// sweep runs after the commit order is released.
     pub fn apply_batch_many(
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
@@ -362,57 +363,39 @@ impl DurableStore {
         if jobs.is_empty() {
             return (Vec::new(), MaintenanceReport::default());
         }
-        // Lock every distinct target in sorted order (no deadlocks with
-        // concurrent multi-document batches).
-        let mut targets: Vec<DocId> = jobs.iter().map(|(doc, _)| *doc).collect();
-        targets.sort();
-        targets.dedup();
-        let locks: Vec<Arc<Mutex<()>>> = targets.iter().map(|&d| self.doc_lock(d)).collect();
-        let _guards: Vec<_> = locks
-            .iter()
-            .map(|l| l.lock().expect("doc lock never poisoned"))
-            .collect();
-        if let Err(e) = self.wal.commit(&WalRecord::ApplyMany { jobs }) {
-            let results = jobs.iter().map(|_| Err(e.clone())).collect();
-            return (results, MaintenanceReport::default());
+        match self.commit_then(&WalRecord::ApplyMany { jobs }, || self.store.apply_batch_many_unswept(jobs)) {
+            Ok((results, mutated)) => (results, self.store.sweep_after(mutated)),
+            Err(e) => (jobs.iter().map(|_| Err(e.clone())).collect(), MaintenanceReport::default()),
         }
-        self.store.apply_batch_many(jobs)
     }
 
     // ----- checkpointing -----
 
-    /// Writes a **fuzzy** checkpoint in the paged v3 layout (see
-    /// [`crate::wal`]): the lifecycle lock is held across the whole call —
-    /// loads and removes wait, so the slab layout and master alphabet stay
-    /// frozen — but updates keep flowing; each document is serialized under
-    /// its own commit lock from an immutable grammar snapshot, with the
-    /// durable LSN at that moment recorded as the document's fold horizon
-    /// (`doc_lsn`). The image is written **atomically** (temp + rename) and
-    /// the log truncated only if provably covered. After a crash at any
-    /// point of this sequence, recovery sees either the old checkpoint plus
-    /// the full log or the new checkpoint (plus a log whose folded records
-    /// it skips by LSN) — never a half state.
-    ///
-    /// Reads are never blocked (they take none of these locks), and a
-    /// writer to document B proceeds while document A is being serialized.
+    /// Writes a checkpoint in the paged v3 layout (see [`crate::wal`]) as a
+    /// **consistent cut** at `base_lsn`: the commit order is held only to
+    /// copy pointers (the durable LSN, slab layout, symbol image, and each
+    /// document's payload or grammar `Arc`). Encoding, the CRCs and the
+    /// write run after it is released, so writers and lifecycle events
+    /// keep flowing. The image is written **atomically** (temp + rename)
+    /// and the log truncated only if nothing committed since the cut. After
+    /// a crash at any point of this sequence, recovery sees either the old
+    /// checkpoint plus the full log or the new checkpoint (plus a log whose
+    /// covered records it skips by LSN) — never a half state.
     pub fn checkpoint(&self) -> Result<CheckpointReport> {
-        let _order = self.lifecycle.lock().expect("lifecycle lock never poisoned");
-        let base_lsn = self.wal.durable_lsn();
-        let layout = self.store.capture_slab();
-        let segments = self.store.symbol_image();
-        let mut docs = Vec::with_capacity(layout.live.len());
-        for &id in &layout.live {
-            let lock = self.doc_lock(id);
-            let guard = lock.lock().expect("doc lock never poisoned");
-            // Read the horizon while holding the commit lock: every record
-            // for this doc with lsn <= doc_lsn was applied before we got
-            // the lock (commit+apply happen under it), so it is in the
-            // payload; any later record will have lsn > doc_lsn.
-            let doc_lsn = self.wal.durable_lsn();
-            let (payload, crc) = self.store.checkpoint_payload(id)?;
-            drop(guard);
-            docs.push(DocExtent { id, doc_lsn, payload, crc });
-        }
+        let _checkpointing = self.checkpointing.lock().expect("checkpoint lock never poisoned");
+        let (base_lsn, segments, (layout, cut)) = {
+            let _order = self.order.lock().expect("commit order never poisoned");
+            (self.wal.durable_lsn(), self.store.symbol_image(), self.store.checkpoint_cut())
+        };
+        // No commit sits between its append and its apply while the order
+        // is held, so every document is cut exactly at `base_lsn`.
+        let docs: Vec<DocExtent> = cut
+            .into_iter()
+            .map(|(id, doc)| {
+                let (payload, crc) = doc.encode();
+                DocExtent { id, doc_lsn: base_lsn, payload, crc }
+            })
+            .collect();
         let bytes = encode_checkpoint_v3(base_lsn, &layout, &segments, &docs);
         self.fs.write_atomic(&self.checkpoint_path, &bytes)?;
         let log_truncated = self.wal.truncate_if_at(base_lsn)?;
@@ -472,8 +455,8 @@ impl DurableStore {
         self.wal.durable_lsn()
     }
 
-    /// Number of log fsyncs so far (commits ÷ fsyncs = group-commit
-    /// coalescing factor).
+    /// Number of log fsyncs so far: one per commit. Coalescing writes into
+    /// fewer commits is the ingestion queue's drain.
     pub fn wal_sync_count(&self) -> u64 {
         self.wal.sync_count()
     }
@@ -785,20 +768,16 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
 
 /// Drops (or trims) a replayed record whose effects the checkpoint already
 /// folded into a document extent. A record counts as replayed only when
-/// some part of it survives this filter. Lifecycle records (loads, removes)
-/// are never filtered: they cannot commit during a checkpoint, so any in
-/// the tail postdate every extent.
+/// some part of it survives this filter. Only images from older writers
+/// carry a `doc_lsn` above `base_lsn`; those writers let loads and removes
+/// wait out the checkpoint, so lifecycle records are never filtered.
 fn filter_folded(entry: WalEntry, lsn: u64, doc_lsns: &HashMap<DocId, u64>) -> Option<WalEntry> {
     let folded = |doc: &DocId| doc_lsns.get(doc).is_some_and(|&d| lsn <= d);
     match entry {
         WalEntry::ApplyBatch { doc, .. } if folded(&doc) => None,
         WalEntry::ApplyMany { mut jobs } => {
             jobs.retain(|(doc, _)| !folded(doc));
-            if jobs.is_empty() {
-                None
-            } else {
-                Some(WalEntry::ApplyMany { jobs })
-            }
+            (!jobs.is_empty()).then_some(WalEntry::ApplyMany { jobs })
         }
         other => Some(other),
     }
@@ -1112,58 +1091,151 @@ mod tests {
         }
     }
 
+    /// A [`StorageFs`] whose `write_atomic` meets the test at `gate` once
+    /// when it parks and once more to be released.
+    struct ParkingFs {
+        inner: FailpointFs,
+        gate: std::sync::Barrier,
+    }
+
+    impl StorageFs for ParkingFs {
+        fn append(&self, path: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.append(path, bytes)
+        }
+        fn sync(&self, path: &str) -> Result<()> {
+            self.inner.sync(path)
+        }
+        fn read(&self, path: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.read(path)
+        }
+        fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<()> {
+            self.gate.wait();
+            self.gate.wait();
+            self.inner.write_atomic(path, bytes)
+        }
+        fn set_len(&self, path: &str, len: u64) -> Result<()> {
+            self.inner.set_len(path, len)
+        }
+    }
+
     #[test]
-    fn checkpoint_does_not_block_readers_or_other_doc_writers() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (_fs, store) = mem_store();
+    fn a_checkpoint_being_written_blocks_no_load_remove_write_or_read() {
+        use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+        let gate = std::sync::Barrier::new(2);
+        let fs = Arc::new(ParkingFs { inner: FailpointFs::new(), gate });
+        let store = Arc::new(DurableStore::open_with(fs.clone(), "db").unwrap().0);
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         let b = store.load_xml(&doc("blog", 3)).unwrap();
-        let store = Arc::new(store);
-
-        // Stall the checkpoint at its first document by holding that doc's
-        // commit lock from this thread. (`live` is slab order: doc a.)
-        let first = store.store.capture_slab().live[0];
-        assert_eq!(first, a);
-        let lock = store.doc_lock(first);
-        let guard = lock.lock().unwrap();
-        let done = Arc::new(AtomicBool::new(false));
+        let c = store.load_xml(&doc("log", 2)).unwrap();
         let ckpt = {
             let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
+            std::thread::spawn(move || store.checkpoint())
+        };
+        fs.gate.wait(); // the checkpoint is parked inside `write_atomic`
+
+        // While the image is parked, the whole write surface and the reads
+        // complete — on a helper thread, so a block fails instead of hanging.
+        let (done_tx, done) = sync_channel(1);
+        let worker = {
+            let store = Arc::clone(&store);
             std::thread::spawn(move || {
-                let report = store.checkpoint();
-                done.store(true, Ordering::SeqCst);
-                report
+                let d = store.load_xml(&doc("note", 2)).unwrap();
+                store.remove(c).unwrap();
+                for id in [a, b, d] {
+                    let rename = UpdateOp::Rename { target: 1, label: "entry".into() };
+                    store.apply_batch(id, &[rename]).unwrap();
+                    store.to_xml(id).unwrap();
+                    store.query_str(id, "//entry").unwrap();
+                }
+                done_tx.send(()).unwrap();
             })
         };
-        // Wait until the checkpoint thread is parked on the held lock: it
-        // clones the lock's Arc out of the map (count 2 → 3) before
-        // blocking. From then on its base_lsn is already captured.
-        while Arc::strong_count(&lock) < 3 {
-            std::thread::yield_now();
-        }
+        let blocked = done.recv_timeout(Duration::from_secs(30)) == Err(RecvTimeoutError::Timeout);
+        assert!(!blocked, "a load, remove, write or read blocked behind the checkpoint write");
+        worker.join().unwrap();
 
-        // Mid-checkpoint: a writer to another document proceeds (the old
-        // implementation gated ALL writers out for the duration) and reads
-        // of the stalled document itself stay lock-free.
-        assert!(!done.load(Ordering::SeqCst), "checkpoint must be stalled");
-        store
-            .apply_batch(b, &[UpdateOp::Rename { target: 1, label: "entry".into() }])
-            .expect("writer to another doc must not block on a checkpoint");
-        store
-            .to_xml(first)
-            .expect("reads never block on a checkpoint");
-        assert!(
-            !done.load(Ordering::SeqCst),
-            "checkpoint still stalled on the held doc lock"
-        );
-
-        drop(guard);
+        fs.gate.wait();
         let report = ckpt.join().unwrap().unwrap();
-        assert_eq!(report.documents, 2);
-        // Doc b's rename committed after base_lsn, under its doc lock, so
-        // its extent folds it: replay skips it either way.
-        assert!(!report.log_truncated, "a writer landed mid-checkpoint");
+        assert_eq!((report.last_lsn, report.documents), (3, 3));
+        assert!(!report.log_truncated, "writes landed after the cut");
+        let image = decode_checkpoint(&fs.inner.file("db/checkpoint.slck").unwrap()).unwrap();
+        assert!(image.base_lsn == 3 && image.docs.iter().all(|extent| extent.doc_lsn == 3));
+
+        let documents = |store: &DurableStore| -> Vec<(DocId, String)> {
+            let xml = |id| store.to_xml(id).unwrap().to_xml();
+            store.doc_ids().into_iter().map(|id| (id, xml(id))).collect()
+        };
+        let want = documents(&store);
+        drop(store);
+        let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
+        assert_eq!(report.replayed, 5, "exactly the records after the cut replay");
+        assert_eq!(documents(&recovered), want);
+    }
+
+    #[test]
+    fn concurrent_loads_replay_to_bit_identical_grammars() {
+        // Loads compress outside the commit order but intern into the
+        // shared alphabet, so the log must carry them in interning order:
+        // replay then assigns every label the id it had, and each loaded
+        // grammar re-encodes to the same bytes. A writer runs beside them.
+        let (fs, store) = mem_store();
+        let a = store.load_xml(&doc("feed", 3)).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..4 {
+                        store.load_xml(&doc(&format!("t{t}d{i}"), 2 + 20 * i)).unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for i in 0..16 {
+                    let rename = UpdateOp::Rename { target: 1, label: format!("r{i}") };
+                    store.apply(a, &rename).unwrap();
+                }
+            });
+        });
+        let grammars = |store: &DurableStore| -> Vec<(DocId, Vec<u8>)> {
+            let ids = store.doc_ids().into_iter().filter(|&id| id != a);
+            ids.map(|id| (id, serialize::encode(&store.dom().grammar(id).unwrap()))).collect()
+        };
+        let (want, want_a) = (grammars(&store), store.to_xml(a).unwrap().to_xml());
+        assert_eq!(want.len(), 16);
+        drop(store);
+        let (recovered, _) = DurableStore::open_with(fs, "db").unwrap();
+        assert_eq!(grammars(&recovered), want);
+        assert_eq!(recovered.to_xml(a).unwrap().to_xml(), want_a);
+    }
+
+    #[test]
+    fn images_with_a_doc_lsn_past_base_skip_exactly_the_folded_records() {
+        // Older writers serialized documents one at a time while updates
+        // flowed, so an extent could fold records past `base_lsn`. Build
+        // such an image by hand: base 1 (the load), doc extent at lsn 2 (an
+        // insert, which must not apply twice), and a log holding lsn 3 too.
+        let (fs, store) = mem_store();
+        let a = store.load_xml(&doc("feed", 3)).unwrap();
+        let insert = UpdateOp::InsertBefore { target: 1, fragment: parse_xml("<ad/>").unwrap() };
+        store.apply(a, &insert).unwrap();
+        let (layout, cut) = store.store.checkpoint_cut();
+        let docs: Vec<DocExtent> = cut
+            .into_iter()
+            .map(|(id, doc)| {
+                let (payload, crc) = doc.encode();
+                DocExtent { id, doc_lsn: 2, payload, crc }
+            })
+            .collect();
+        let image = encode_checkpoint_v3(1, &layout, &store.store.symbol_image(), &docs);
+        let rename = UpdateOp::Rename { target: 1, label: "entry".into() };
+        store.apply(a, &rename).unwrap();
+        let want = store.to_xml(a).unwrap().to_xml();
+        drop(store);
+        fs.set_file("db/checkpoint.slck", image);
+
+        let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
+        assert_eq!((report.checkpoint_lsn, report.replayed, report.last_lsn), (1, 1, 3));
+        assert_eq!(recovered.to_xml(a).unwrap().to_xml(), want);
     }
 
     #[test]
@@ -1180,23 +1252,6 @@ mod tests {
             DurableStore::open_with(fs, "db"),
             Err(RepairError::WalCorrupt { lsn: 0, .. })
         ));
-    }
-
-    #[test]
-    fn stale_doc_lock_entries_are_pruned() {
-        let (_fs, store) = mem_store();
-        let a = store.load_xml(&doc("feed", 1)).unwrap();
-        for slot in 0..200u32 {
-            let stale = DocId::from_parts(slot, 999);
-            let _ = store.apply(stale, &UpdateOp::Delete { target: 1 });
-            let _ = store.remove(stale);
-        }
-        let size = store.doc_locks.lock().unwrap().len();
-        assert!(
-            size <= 2 * store.len() + 17,
-            "doc-lock map should stay bounded, holds {size} entries"
-        );
-        assert!(store.contains(a), "live document survives the pruning");
     }
 
     #[test]

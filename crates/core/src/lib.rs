@@ -30,10 +30,11 @@
 //!   scheduler that recompresses by *update debt* (edge growth since the
 //!   last recompression), draining the worst offenders on a budget.
 //! * [`wal`] / [`durable`] / [`queue`] — crash safety and ingestion: a
-//!   write-ahead op log with leader-based group commit, framed by the one
-//!   length-prefixed, CRC-checked envelope ([`frame`]) the wire protocol
-//!   shares; [`durable::DurableStore`], a [`store::DomStore`] wrapper that
-//!   logs every mutation before applying it, writes fuzzy checkpoints in a
+//!   write-ahead op log, framed by the one length-prefixed, CRC-checked
+//!   envelope ([`frame`]) the wire protocol shares;
+//!   [`durable::DurableStore`], a [`store::DomStore`] wrapper that logs
+//!   every mutation in one commit order before applying it, writes
+//!   consistent-cut checkpoints in a
 //!   paged, offset-indexed format whose documents are decoded lazily on
 //!   first touch, and recovers the exact pre-crash state (checkpoint +
 //!   log-tail replay, torn final records truncated, interior corruption

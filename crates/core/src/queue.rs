@@ -3,12 +3,12 @@
 //!
 //! High-throughput ingestion workloads submit many small per-document
 //! batches. Pushing each one through [`DurableStore::apply_batch`] pays one
-//! WAL record — and, under light concurrency, close to one fsync — per
-//! batch. The [`IngestQueue`] decouples *submission* from *durability*:
-//! writers enqueue batches without blocking, and a **drain** folds
-//! everything pending into a single [`ApplyMany`](crate::wal::WalEntry)
-//! record, so the whole drain costs one group-committed fsync and one
-//! scheduler maintenance sweep no matter how many batches it absorbed.
+//! WAL record and one fsync per batch. The [`IngestQueue`] decouples
+//! *submission* from *durability*: writers enqueue batches without
+//! blocking, and a **drain** folds everything pending into a single
+//! [`ApplyMany`](crate::wal::WalEntry) record, so the whole drain costs one
+//! fsync and one scheduler maintenance sweep no matter how many batches it
+//! absorbed.
 //!
 //! # Coalescing rules
 //!
@@ -365,7 +365,7 @@ impl IngestQueue {
     }
 
     /// Drains everything pending as **one** coalesced `ApplyMany` record —
-    /// one group-committed fsync, one scheduler sweep — and posts each
+    /// one fsync, one scheduler sweep — and posts each
     /// document's outcome to all of its tickets. Waits first if another
     /// drain is in flight.
     pub fn flush(&self) -> FlushReport {
@@ -761,12 +761,7 @@ mod tests {
         let flushed_syncs = fs.sync_count() - syncs_before;
         let stats = queue.stats();
         assert_eq!(stats.submitted, 32);
-        assert!(
-            flushed_syncs <= stats.flushes,
-            "one fsync per drain at most (group commit may merge even those): \
-             {flushed_syncs} syncs for {} drains",
-            stats.flushes
-        );
+        assert_eq!(flushed_syncs, stats.flushes, "one fsync per drain");
         assert!(
             flushed_syncs < 32,
             "coalescing must beat one fsync per submitted batch"

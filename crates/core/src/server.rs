@@ -135,7 +135,8 @@ pub enum Request {
         /// Target document.
         doc: DocId,
     },
-    /// Write a fuzzy paged checkpoint and (if possible) truncate the log.
+    /// Write a consistent-cut paged checkpoint and (if possible) truncate
+    /// the log.
     Checkpoint,
     /// Server, store and queue counters.
     Stats,

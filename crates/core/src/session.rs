@@ -227,7 +227,7 @@ impl CompressedDom {
     /// anything was isolated) is not charged.
     /// [`CompressedDom::total_updates`] only counts fully applied batches.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<(BatchStats, Option<RepairStats>)> {
-        let (result, mutated) = self.store.apply_batch_tracked(self.doc, ops);
+        let (result, mutated) = self.store.apply_batch_unswept(self.doc, ops);
         let mut repair = None;
         if mutated {
             self.updates_since_recompress += 1;
@@ -235,7 +235,7 @@ impl CompressedDom {
                 repair = Some(self.recompress_now());
             }
         }
-        result.map(|(stats, _)| (stats, repair))
+        result.map(|stats| (stats, repair))
     }
 
     /// Forces a GrammarRePair recompression.

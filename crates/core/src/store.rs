@@ -542,7 +542,7 @@ impl DocShard {
 /// and is verified at materialization time, not at open — the trade-off
 /// that keeps cold start O(open) (see the layout docs in `core::wal`).
 #[derive(Debug)]
-struct PendingDoc {
+pub(crate) struct PendingDoc {
     bytes: Vec<u8>,
     crc: u32,
 }
@@ -1078,10 +1078,22 @@ impl DomStore {
     /// Fails (without adding the document or touching the master table) when
     /// a label clashes with a different rank already interned in the store.
     pub fn load_xml(&self, xml: &XmlTree) -> Result<DocId> {
+        Ok(self.insert_loaded(self.compress_for_load(xml)?))
+    }
+
+    /// [`DomStore::load_xml`] short of adding the document: interns the
+    /// alphabet into the master and compresses. The durable layer logs the
+    /// load between this and [`DomStore::insert_loaded`], so compression
+    /// stays outside its commit order.
+    pub(crate) fn compress_for_load(&self, xml: &XmlTree) -> Result<Grammar> {
         let mut table = self.inner.intern_labels(xml)?;
         let repair = self.inner.repair.read().expect("repair lock").clone();
-        let (grammar, _) = repair.compress_xml_shared(xml, &mut table)?;
-        Ok(self.inner.insert_doc(grammar))
+        Ok(repair.compress_xml_shared(xml, &mut table)?.0)
+    }
+
+    /// Adds a grammar from [`DomStore::compress_for_load`] to the slab.
+    pub(crate) fn insert_loaded(&self, grammar: Grammar) -> DocId {
+        self.inner.insert_doc(grammar)
     }
 
     /// Loads many documents, compressing them in parallel on a small worker
@@ -1362,20 +1374,18 @@ impl DomStore {
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        self.apply_batch_tracked(doc, ops).0
+        let (result, mutated) = self.apply_batch_unswept(doc, ops);
+        let report = self.sweep_after(mutated);
+        result.map(|stats| (stats, report))
     }
 
-    /// [`DomStore::apply_batch`] for holders that keep a policy of their own
-    /// ([`crate::session::CompressedDom`]): also reports whether the batch —
-    /// applied or failed — mutated the grammar.
-    pub(crate) fn apply_batch_tracked(
-        &self,
-        doc: DocId,
-        ops: &[UpdateOp],
-    ) -> (Result<(BatchStats, MaintenanceReport)>, bool) {
-        let (result, mutated) = self.inner.apply_batch_one(doc, ops);
-        let report = self.inner.after_update(mutated);
-        (result.map(|stats| (stats, report)), mutated)
+    /// [`DomStore::apply_batch`] without its maintenance sweep, for holders
+    /// that schedule recompression themselves: also reports whether the
+    /// batch — applied or failed — mutated the grammar. The durable layer
+    /// runs [`DomStore::sweep_after`] once it has released its commit
+    /// order; [`crate::session::CompressedDom`] keeps a policy of its own.
+    pub(crate) fn apply_batch_unswept(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
+        self.inner.apply_batch_one(doc, ops)
     }
 
     /// Applies one batch per document **in parallel** over a small worker
@@ -1392,13 +1402,30 @@ impl DomStore {
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
     ) -> (Vec<Result<BatchStats>>, MaintenanceReport) {
+        let (results, mutated) = self.apply_batch_many_unswept(jobs);
+        (results, self.sweep_after(mutated))
+    }
+
+    /// [`DomStore::apply_batch_many`] without its maintenance sweep (see
+    /// [`DomStore::apply_batch_unswept`]); also reports whether any job
+    /// mutated its grammar.
+    pub(crate) fn apply_batch_many_unswept(
+        &self,
+        jobs: &[(DocId, Vec<UpdateOp>)],
+    ) -> (Vec<Result<BatchStats>>, bool) {
         let outcomes = fan_out(jobs.len(), |i| {
             let (doc, ops) = &jobs[i];
             self.inner.apply_batch_one(*doc, ops)
         });
         let mutated = outcomes.iter().any(|(_, mutated)| *mutated);
-        let results = outcomes.into_iter().map(|(result, _)| result).collect();
-        (results, self.inner.after_update(mutated))
+        (outcomes.into_iter().map(|(result, _)| result).collect(), mutated)
+    }
+
+    /// The post-update scheduling the apply calls end with: nothing when no
+    /// grammar changed, else an inline sweep or a signal to the background
+    /// thread.
+    pub(crate) fn sweep_after(&self, mutated: bool) -> MaintenanceReport {
+        self.inner.after_update(mutated)
     }
 
     /// Runs one maintenance sweep: recompresses eligible documents (debt ≥
@@ -1436,17 +1463,34 @@ impl DomStore {
 
     // ----- slab capture/restore (the durable layer's checkpoint seam) -----
 
-    /// Captures the slab layout — per-slot generations, the free list, the
-    /// live list — for checkpointing. Restoring the exact layout (and then
-    /// replaying the logged lifecycle events in order) makes [`DocId`]
-    /// assignment after recovery identical to the original run.
-    pub(crate) fn capture_slab(&self) -> SlabLayout {
+    /// A checkpoint cut, read from one map snapshot: the slab layout —
+    /// per-slot generations, the free list, the live list — and, per live
+    /// document, its undecoded payload or its authoritative grammar. Only
+    /// pointers are copied; [`CutDoc::encode`] does the work later, off
+    /// every lock. Restoring the exact layout (and then replaying the logged
+    /// lifecycle events in order) makes [`DocId`] assignment after recovery
+    /// identical to the original run.
+    pub(crate) fn checkpoint_cut(&self) -> (SlabLayout, Vec<(DocId, CutDoc)>) {
         let map = self.inner.map.load();
-        SlabLayout {
+        let docs = map
+            .live
+            .iter()
+            .map(|&id| {
+                let slot = &map.slots[id.index()];
+                let doc = match (&slot.shard, &slot.pending) {
+                    (Some(shard), _) => CutDoc::Live(shard.grammar()),
+                    (None, Some(pending)) => CutDoc::Pending(pending.clone()),
+                    (None, None) => unreachable!("a live slot holds a shard or a payload"),
+                };
+                (id, doc)
+            })
+            .collect();
+        let layout = SlabLayout {
             generations: map.slots.iter().map(|slot| slot.generation).collect(),
             free: map.free.clone(),
             live: map.live.clone(),
-        }
+        };
+        (layout, docs)
     }
 
     /// Rebuilds an **empty** store from a checkpoint-v3 image: the master
@@ -1514,33 +1558,6 @@ impl DomStore {
         Ok(())
     }
 
-    /// The checkpoint-v3 extent payload for one document, with its CRC: a
-    /// still-pending document hands back its stored bytes verbatim (never
-    /// decoded just to be re-encoded), a live one is serialized from its
-    /// authoritative write state. The durable layer calls this under the
-    /// document's commit lock, so the payload reflects exactly the records
-    /// committed so far for this document.
-    pub(crate) fn checkpoint_payload(&self, doc: DocId) -> Result<(Vec<u8>, u32)> {
-        let map = self.inner.map.load();
-        let slot = map
-            .slots
-            .get(doc.index())
-            .filter(|slot| slot.generation == doc.generation)
-            .ok_or(RepairError::NoSuchDocument { id: doc.slot })?;
-        if let Some(pending) = &slot.pending {
-            return Ok((pending.bytes.clone(), pending.crc));
-        }
-        if let Some(shard) = &slot.shard {
-            // Hold the shard lock only to clone the grammar `Arc`; the
-            // serialization runs on the immutable clone.
-            let grammar = shard.grammar();
-            let bytes = serialize::encode_with_shared(&grammar);
-            let crc = crc32(&bytes);
-            return Ok((bytes, crc));
-        }
-        Err(RepairError::NoSuchDocument { id: doc.slot })
-    }
-
     /// The master symbol table's sealed segment runs — the checkpoint-v3
     /// symbol image adopted wholesale on restore. The master is always
     /// fully sealed (loads commit sealed scratch tables), so the runs
@@ -1561,7 +1578,33 @@ impl DomStore {
     }
 }
 
-/// Snapshot of the document slab's layout (see [`DomStore::capture_slab`]).
+/// One live document in a checkpoint cut ([`DomStore::checkpoint_cut`]).
+pub(crate) enum CutDoc {
+    /// A lazily restored document, never decoded since.
+    Pending(Arc<PendingDoc>),
+    /// A materialized document's authoritative grammar; copy-on-write keeps
+    /// it immutable while the cut holds it.
+    Live(Arc<Grammar>),
+}
+
+impl CutDoc {
+    /// The checkpoint-v3 extent payload, with its CRC: a pending document's
+    /// stored bytes verbatim (never decoded just to be re-encoded), a live
+    /// grammar serialized. Consumes the cut's reference, so a writer to
+    /// this document pays no copy-on-write clone once it is encoded.
+    pub(crate) fn encode(self) -> (Vec<u8>, u32) {
+        match self {
+            CutDoc::Pending(pending) => (pending.bytes.clone(), pending.crc),
+            CutDoc::Live(grammar) => {
+                let bytes = serialize::encode_with_shared(&grammar);
+                let crc = crc32(&bytes);
+                (bytes, crc)
+            }
+        }
+    }
+}
+
+/// Snapshot of the document slab's layout (see [`DomStore::checkpoint_cut`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SlabLayout {
     /// Per-slot generation counters, in slot order.

@@ -1,12 +1,11 @@
 //! Write-ahead op log for the durable store: framed, checksummed, versioned
-//! records over an injectable storage backend, with leader-based group
-//! commit.
+//! records over an injectable storage backend.
 //!
 //! # Commit protocol
 //!
 //! Every mutation of a [`crate::durable::DurableStore`] becomes exactly one
 //! log record, assigned a **log sequence number** (LSN, 1-based, strictly
-//! sequential) at enqueue time. The durability discipline is
+//! sequential) when it is appended. The durability discipline is
 //! *fsync-before-apply*: a record is appended to the log file and fsync'd
 //! **before** the corresponding in-memory change is made, so any state a
 //! reader could ever observe is reconstructible by replay. A crash between
@@ -14,15 +13,16 @@
 //! never visible — replay is idempotent against that because recovery starts
 //! from the checkpoint, not from the crashed process's memory.
 //!
-//! **Group commit.** Concurrent committers enqueue their encoded frames
-//! under the log mutex and then elect a leader: the first committer finding
-//! no leader active drains *every* pending frame (its own and everyone
-//! else's enqueued meanwhile) with one `append` + one `fsync`, then wakes
-//! the waiters whose LSNs the flush covered. Writers to distinct documents
-//! therefore share fsyncs under load instead of paying one each —
-//! [`Wal::sync_count`] exposes the actual fsync count so tests can pin the
-//! coalescing. A failed append or fsync poisons the log (the record cannot
-//! be half-trusted); every later commit fails with the same storage error.
+//! **One committer at a time.** [`Wal::commit`] encodes, appends and
+//! fsyncs under the writer's own mutex, so one commit is one fsync
+//! ([`Wal::sync_count`]). The durable store already serializes its commits
+//! through one commit order, so there is never a second committer to wait
+//! for; coalescing happens one layer up, where the ingestion queue's drain
+//! folds many submitted batches into one record. The durable LSN and the
+//! fsync count are published as atomics after each fsync, so a stats reader
+//! never waits behind one in flight. A failed append or fsync poisons the
+//! log (the record cannot be half-trusted); every later commit fails with
+//! the same storage error.
 //!
 //! # Record format
 //!
@@ -37,8 +37,8 @@
 //! and the frame module's `(slot, generation)` pair for document ids.
 //! Record kinds cover the store's whole mutation surface: document loads
 //! (as the XML fragment, or as encoded grammar bytes), removal, per-document
-//! update batches, and the multi-document batch (one record per
-//! `apply_batch_many` call — built-in group commit).
+//! update batches, and the multi-document batch (one record, and so one
+//! fsync, per `apply_batch_many` call).
 //!
 //! # Torn-tail rule
 //!
@@ -65,13 +65,12 @@
 //! log file's creation: [`DiskFs::append`] fsyncs the parent when it
 //! creates the file, before the first commit can report durability.
 //!
-//! Checkpoints are written *fuzzily*: writers keep committing while the
-//! checkpoint serializes, so the log may hold records the image already
-//! folds in. [`Wal::truncate_if_at`] therefore truncates only when the log
-//! is provably fully covered (durable LSN still equals the checkpoint's
-//! base LSN and nothing is in flight); otherwise the log survives until the
-//! next quiescent checkpoint and replay's per-document LSN filter skips the
-//! folded records.
+//! A checkpoint is a consistent cut at its base LSN, but writers keep
+//! committing while it is encoded and written, so the log may already hold
+//! later records. [`Wal::truncate_if_at`] therefore truncates only when the
+//! durable LSN still equals the checkpoint's base LSN; otherwise the log
+//! survives until the next quiescent checkpoint and replay skips the
+//! records at or below the base LSN.
 //!
 //! # Checkpoint-v3 on-disk layout
 //!
@@ -111,14 +110,15 @@
 //! table** that is verified only when the document is first materialized —
 //! the deliberate trade-off that keeps open O(1) in fleet size: bit rot in
 //! a cold document surfaces as a typed [`RepairError::Storage`] on first
-//! touch rather than at open. `doc_lsn` records the durable LSN at the
-//! moment that document was serialized; replay applies a per-document
-//! record only when its LSN exceeds that document's `doc_lsn` (fuzzy
-//! checkpoints fold later records for early-serialized documents). No other
-//! version was ever written; a file carrying one is refused with a typed
-//! "unsupported version" error.
+//! touch rather than at open. `doc_lsn` is the highest LSN folded into that
+//! document's payload; the writer records `base_lsn` for every extent.
+//! Older writers recorded later horizons for some documents, so replay
+//! still applies a per-document record only when its LSN exceeds that
+//! document's `doc_lsn`. No other version was ever written; a file carrying
+//! one is refused with a typed "unsupported version" error.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use xmltree::updates::UpdateOp;
 use xmltree::wire::{self, WireReader};
@@ -438,31 +438,21 @@ pub fn read_log(bytes: &[u8]) -> Result<WalReplay> {
 
 // ----- the log writer -----
 
-#[derive(Debug)]
-struct WalState {
-    /// LSN the next enqueued record receives.
-    next_lsn: u64,
-    /// Highest LSN whose frame has been appended *and* fsync'd.
-    durable_lsn: u64,
-    /// Encoded frames enqueued but not yet flushed.
-    pending: Vec<u8>,
-    /// Highest LSN in `pending`.
-    pending_hi: u64,
-    /// Whether a leader is currently flushing outside the lock.
-    leader: bool,
-    /// Set once an append/fsync fails: the log is poisoned (its tail state
-    /// on storage is unknown) and every later commit fails fast.
-    poisoned: Option<String>,
-    syncs: u64,
-}
-
-/// The write-ahead log: sequential LSN assignment, leader-based group
-/// commit, fsync-before-return (see the module docs).
+/// The write-ahead log: sequential LSN assignment, fsync-before-return
+/// (see the module docs).
 pub struct Wal {
     fs: Arc<dyn StorageFs>,
     path: String,
-    state: Mutex<WalState>,
-    flushed: Condvar,
+    /// Serializes appends and truncation. Holds the poison: set once an
+    /// append/fsync fails (the tail state on storage is unknown), after
+    /// which every later commit fails fast.
+    poisoned: Mutex<Option<String>>,
+    /// Highest LSN appended *and* fsync'd; written only under `poisoned`,
+    /// read lock-free so a stats reader never waits behind an fsync. Its
+    /// `Release` store follows the `syncs` increment, so a reader whose
+    /// `Acquire` load sees an LSN also sees the fsync that covered it.
+    durable_lsn: AtomicU64,
+    syncs: AtomicU64,
 }
 
 impl std::fmt::Debug for Wal {
@@ -479,97 +469,61 @@ impl Wal {
         Wal {
             fs,
             path,
-            state: Mutex::new(WalState {
-                next_lsn: last_lsn + 1,
-                durable_lsn: last_lsn,
-                pending: Vec::new(),
-                pending_hi: last_lsn,
-                leader: false,
-                poisoned: None,
-                syncs: 0,
-            }),
-            flushed: Condvar::new(),
+            poisoned: Mutex::new(None),
+            durable_lsn: AtomicU64::new(last_lsn),
+            syncs: AtomicU64::new(0),
         }
     }
 
-    /// Commits one record: assigns it the next LSN, enqueues its frame, and
-    /// returns once the frame is appended **and fsync'd** — possibly by
-    /// another committer's flush (group commit). Returns the record's LSN.
+    /// Locks the writer, failing fast once the log is poisoned.
+    fn lock(&self) -> Result<MutexGuard<'_, Option<String>>> {
+        let guard = self.poisoned.lock().expect("wal lock never poisoned");
+        match &*guard {
+            Some(detail) => Err(RepairError::Storage { detail: detail.clone() }),
+            None => Ok(guard),
+        }
+    }
+
+    /// Commits one record: assigns it the next LSN, appends its frame and
+    /// fsyncs, all under the writer's lock. Returns the record's LSN.
     pub fn commit(&self, record: &WalRecord<'_>) -> Result<u64> {
-        let mut state = self.state.lock().expect("wal lock never poisoned");
-        if let Some(detail) = &state.poisoned {
-            return Err(RepairError::Storage { detail: detail.clone() });
-        }
-        let lsn = state.next_lsn;
-        state.next_lsn += 1;
+        let mut poisoned = self.lock()?;
+        let lsn = self.durable_lsn.load(Ordering::Acquire) + 1;
         let frame = encode_frame(lsn, record);
-        state.pending.extend_from_slice(&frame);
-        state.pending_hi = lsn;
-        loop {
-            if state.durable_lsn >= lsn {
-                return Ok(lsn);
-            }
-            if let Some(detail) = &state.poisoned {
-                return Err(RepairError::Storage { detail: detail.clone() });
-            }
-            if state.leader {
-                // A flush is in flight; wait for it (it may cover our LSN,
-                // or we become the next leader after it).
-                state = self.flushed.wait(state).expect("wal lock never poisoned");
-                continue;
-            }
-            // Become the leader: drain everything pending (our frame plus
-            // whatever other committers enqueued meanwhile) in one
-            // append + one fsync, outside the lock.
-            state.leader = true;
-            let batch = std::mem::take(&mut state.pending);
-            let batch_hi = state.pending_hi;
-            drop(state);
-            let result = self
-                .fs
-                .append(&self.path, &batch)
-                .and_then(|()| self.fs.sync(&self.path));
-            state = self.state.lock().expect("wal lock never poisoned");
-            state.leader = false;
-            match result {
-                Ok(()) => {
-                    state.syncs += 1;
-                    state.durable_lsn = state.durable_lsn.max(batch_hi);
-                }
-                Err(e) => {
-                    state.poisoned = Some(e.to_string());
-                }
-            }
-            self.flushed.notify_all();
+        let result = self
+            .fs
+            .append(&self.path, &frame)
+            .and_then(|()| self.fs.sync(&self.path));
+        if let Err(e) = result {
+            *poisoned = Some(e.to_string());
+            return Err(e);
         }
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.durable_lsn.store(lsn, Ordering::Release);
+        Ok(lsn)
     }
 
-    /// Number of fsyncs performed so far — committers per fsync is the
-    /// group-commit coalescing factor.
+    /// Number of fsyncs performed so far (one per commit).
     pub fn sync_count(&self) -> u64 {
-        self.state.lock().expect("wal lock never poisoned").syncs
+        self.syncs.load(Ordering::Relaxed)
     }
 
     /// LSN of the last durably committed record.
     pub fn durable_lsn(&self) -> u64 {
-        self.state.lock().expect("wal lock never poisoned").durable_lsn
+        self.durable_lsn.load(Ordering::Acquire)
     }
 
     /// Truncates the log only if it is provably covered by a checkpoint
-    /// whose base LSN is `lsn`: the durable LSN must still be exactly
-    /// `lsn` with no frames pending or mid-flush. Returns whether the
-    /// truncation happened. A fuzzy checkpoint written while writers kept
-    /// committing calls this with its base LSN; when writers raced past
-    /// it, the log simply survives until the next quiescent checkpoint —
-    /// truncation stays an optimization, never a correctness step. The
-    /// state lock is held across the truncate so no commit can append
-    /// between the check and the `set_len`.
+    /// whose base LSN is `lsn`: nothing may have committed since. Returns
+    /// whether the truncation happened. A checkpoint encodes its cut
+    /// without holding the store's commit order, so a writer may commit
+    /// meanwhile; the log then simply survives until the next quiescent
+    /// checkpoint — truncation stays an optimization, never a correctness
+    /// step. The writer's lock is held across the truncate so no commit
+    /// can append between the check and the `set_len`.
     pub fn truncate_if_at(&self, lsn: u64) -> Result<bool> {
-        let state = self.state.lock().expect("wal lock never poisoned");
-        if let Some(detail) = &state.poisoned {
-            return Err(RepairError::Storage { detail: detail.clone() });
-        }
-        if state.durable_lsn != lsn || !state.pending.is_empty() || state.leader {
+        let _guard = self.lock()?;
+        if self.durable_lsn() != lsn {
             return Ok(false);
         }
         self.fs.set_len(&self.path, 0)?;
@@ -605,8 +559,7 @@ pub mod testing {
         /// the disk image the next incarnation recovers from).
         dead: bool,
         syncs: u64,
-        /// Artificial latency added to every `sync` — models a slow disk so
-        /// group-commit tests can pile committers up behind the leader.
+        /// Artificial latency added to every `sync` — models a slow disk.
         sync_delay: Option<std::time::Duration>,
     }
 
@@ -654,14 +607,14 @@ pub mod testing {
             self.state.lock().expect("failpoint lock").consumed = 0;
         }
 
-        /// Number of successful syncs (for group-commit assertions).
+        /// Number of successful syncs (for fsync-count assertions).
         pub fn sync_count(&self) -> u64 {
             self.state.lock().expect("failpoint lock").syncs
         }
 
         /// Makes every subsequent `sync` sleep for `delay` first — a slow
-        /// fsync, so concurrent committers stack up behind the group-commit
-        /// leader and fairness tests can pin the coalescing factor.
+        /// fsync, so writes pile up in the ingestion queue behind the
+        /// in-flight drain and tests can pin how they coalesce.
         pub fn set_sync_delay(&self, delay: std::time::Duration) {
             self.state.lock().expect("failpoint lock").sync_delay = Some(delay);
         }
@@ -942,16 +895,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_commits_share_fsyncs() {
+    fn concurrent_commits_get_sequential_lsns_and_one_fsync_each() {
         let fs = Arc::new(FailpointFs::new());
-        let wal = Arc::new(Wal::new(fs.clone(), "wal.log".into(), 0));
+        let wal = Wal::new(fs.clone(), "wal.log".into(), 0);
         let tree = parse_xml("<a><b/><c/></a>").unwrap();
         let threads = 8;
         let commits_per_thread = 16;
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let wal = wal.clone();
-                let tree = &tree;
+                let (wal, tree) = (&wal, &tree);
                 scope.spawn(move || {
                     for _ in 0..commits_per_thread {
                         wal.commit(&WalRecord::LoadXml { tree }).unwrap();
@@ -961,52 +913,11 @@ mod tests {
         });
         let total = (threads * commits_per_thread) as u64;
         assert_eq!(wal.durable_lsn(), total);
-        // Group commit can never use more fsyncs than commits; the log must
-        // replay completely either way.
-        assert!(wal.sync_count() <= total);
+        assert_eq!(wal.sync_count(), total, "one fsync per commit");
+        // `read_log` rejects any gap or repeat, so `total` intact records
+        // ending at `total` are the LSNs 1..=total, one per commit.
         let replay = read_log(&fs.read("wal.log").unwrap().unwrap()).unwrap();
-        assert_eq!(replay.last_lsn(), total);
+        assert_eq!((replay.records.len() as u64, replay.last_lsn()), (total, total));
         assert!(!replay.torn);
-    }
-
-    #[test]
-    fn group_commit_fairness_bounds_fsyncs_under_a_slow_disk() {
-        // Fairness/regression pin for leader-based group commit: on a disk
-        // where every fsync takes 2 ms, concurrent committers must pile up
-        // behind the in-flight leader and be drained together — N commits
-        // may cost at most ceil(N / batch) fsyncs with an average batch of
-        // at least 2 (in practice each flush covers most of the other
-        // threads' enqueued frames; batch = 2 is the conservative floor
-        // that still fails if the leader ever flushes one frame at a time).
-        let fs = Arc::new(FailpointFs::new());
-        fs.set_sync_delay(std::time::Duration::from_millis(2));
-        let wal = Arc::new(Wal::new(fs.clone(), "wal.log".into(), 0));
-        let tree = parse_xml("<a><b/><c/></a>").unwrap();
-        let threads = 8;
-        let commits_per_thread = 8;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let wal = wal.clone();
-                let tree = &tree;
-                scope.spawn(move || {
-                    for _ in 0..commits_per_thread {
-                        wal.commit(&WalRecord::LoadXml { tree }).unwrap();
-                    }
-                });
-            }
-        });
-        let total = (threads * commits_per_thread) as u64;
-        assert_eq!(wal.durable_lsn(), total);
-        let syncs = fs.sync_count();
-        assert!(syncs >= 1);
-        assert!(
-            syncs <= total / 2,
-            "expected ≤ {} fsyncs for {total} concurrent commits, got {syncs}",
-            total / 2
-        );
-        // Wal- and fs-level accounting agree, and nothing was lost.
-        assert_eq!(wal.sync_count(), syncs);
-        let replay = read_log(&fs.read("wal.log").unwrap().unwrap()).unwrap();
-        assert_eq!(replay.last_lsn(), total);
     }
 }

@@ -51,7 +51,10 @@ fn grammarrepair_compresses_as_well_as_treerepair() {
 
 /// Figures 4/5 shape: after a batch of updates, naive grammars carry a large
 /// overhead over compression from scratch, while GrammarRePair-maintained
-/// grammars stay close to it.
+/// grammars stay close to it. The runs are deterministic; at this scale the
+/// overheads are 2.68 (EXI-Weblog) and 1.63 (XMark) for naive updates and
+/// 1.0022 and 1.0047 for GrammarRePair, so the bounds leave a margin of
+/// about 2 % on GrammarRePair.
 #[test]
 fn update_overheads_match_the_dynamic_experiments() {
     for (dataset, scale) in [(Dataset::ExiWeblog, 0.15), (Dataset::XMark, 0.06)] {
@@ -75,7 +78,7 @@ fn update_overheads_match_the_dynamic_experiments() {
         let naive_overhead = naive.edge_count() as f64 / scratch.edge_count() as f64;
         let gr_overhead = maintained.edge_count() as f64 / scratch.edge_count() as f64;
         assert!(
-            naive_overhead > 1.05,
+            naive_overhead > 1.3,
             "{}: naive updates should carry visible overhead, got {naive_overhead}",
             dataset.name()
         );
@@ -85,7 +88,7 @@ fn update_overheads_match_the_dynamic_experiments() {
             dataset.name()
         );
         assert!(
-            gr_overhead < 6.0,
+            gr_overhead < 1.02,
             "{}: GrammarRePair overhead should stay small, got {gr_overhead}",
             dataset.name()
         );

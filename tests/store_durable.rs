@@ -309,9 +309,10 @@ fn recovered_store_accepts_writes_and_survives_a_second_crash() {
     }
 }
 
-/// Concurrent writers to distinct documents share fsyncs through group
-/// commit, and the interleaved log still recovers every document to its
-/// single-threaded oracle state.
+/// Concurrent writers to distinct documents commit through the store's one
+/// commit order — one record and one fsync each (sharing fsyncs is the
+/// ingestion queue's job) — and the interleaved log still recovers every
+/// document to its single-threaded oracle state.
 #[test]
 fn concurrent_writers_share_fsyncs_and_recover_to_per_doc_oracles() {
     let docs = corpus();
@@ -337,10 +338,7 @@ fn concurrent_writers_share_fsyncs_and_recover_to_per_doc_oracles() {
     });
     let commits = 3 + (16 / 2) * 3; // loads + batches
     assert_eq!(store.durable_lsn(), commits as u64);
-    assert!(
-        store.wal_sync_count() <= commits as u64,
-        "group commit must never fsync more than once per commit"
-    );
+    assert_eq!(store.wal_sync_count(), commits as u64, "one fsync per commit");
     drop(store);
 
     // Per-document recovery oracle: the log interleaving across documents is
@@ -416,7 +414,7 @@ enum QueueAction {
 }
 
 /// A deterministic queued workload over three documents: bursts of
-/// per-document submissions coalesced by flushes, and a mid-script fuzzy
+/// per-document submissions coalesced by flushes, and a mid-script
 /// checkpoint taken while a batch is still queued.
 fn queue_script() -> (Vec<XmlTree>, Vec<QueueAction>) {
     let docs = corpus();
@@ -536,7 +534,7 @@ fn queue_oracle(corpus: &[XmlTree], actions: &[QueueAction], committed: u64) -> 
 
 /// The queued analogue of the main kill matrix: a crash at **every** fault
 /// point of a workload whose writes reach the log only as coalesced
-/// `ApplyMany` drains (plus one fuzzy v3 checkpoint with a batch queued
+/// `ApplyMany` drains (plus one v3 checkpoint with a batch queued
 /// across it) recovers exactly the committed prefix — a mid-flush kill loses the
 /// whole drain, never half of one.
 #[test]
