@@ -9,7 +9,9 @@
 //!
 //! * `traversal` — visit every node in document order and sum label lengths.
 //!   The grammar side builds its [`NavTables`] once (the `CompressedDom`
-//!   caching pattern) and streams through `PreorderLabels::with_tables`.
+//!   caching pattern) and streams through `PreorderLabels::with_tables`;
+//!   `to_xml` prints the whole document through `write_xml` over the same
+//!   tables (what a `ToXml` request costs on a snapshot with cached tables).
 //! * `query` — materialize path queries on XMark: the memoized
 //!   output-sensitive `evaluate` (tables prebuilt once, memo per call), the
 //!   cursor-based `evaluate_streaming` oracle, the grammar-only `count`, and
@@ -19,7 +21,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
-use grammar_repair::navigate::{NavTables, PreorderLabels};
+use grammar_repair::navigate::{write_xml, NavTables, PreorderLabels};
 use grammar_repair::query::PathQuery;
 use grammar_repair::repair::GrammarRePair;
 use succinct_xml::louds::LoudsTree;
@@ -78,6 +80,17 @@ fn bench_traversal(c: &mut Criterion) {
                         count += grammar.symbols.name(t).len();
                     }
                     count
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("to_xml", dataset.name()),
+            &(&grammar, &tables),
+            |b, (grammar, tables)| {
+                b.iter(|| {
+                    let mut text = String::new();
+                    write_xml(grammar, tables, usize::MAX, &mut text).expect("corpus documents");
+                    text.len()
                 })
             },
         );

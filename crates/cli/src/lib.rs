@@ -49,18 +49,18 @@ use std::sync::Arc;
 
 use dag_xml::Dag;
 use datasets::Dataset;
-use grammar_repair::navigate::{element_count, label_counts};
+use grammar_repair::navigate::{element_count, label_counts, write_xml, NavTables};
 use grammar_repair::query::PathQuery;
 use grammar_repair::queue::{BackpressurePolicy, IngestQueue};
 use grammar_repair::{
     update::apply_batch,
-    Client, DomStore, DurableStore, GrammarRePair, GrammarRePairConfig, RecoveryReport, Server,
-    ServerConfig,
+    Client, DomStore, DurableStore, GrammarRePair, GrammarRePairConfig, RecoveryReport,
+    RepairError, Server, ServerConfig,
 };
 use sltgrammar::{serialize, Grammar};
 use succinct_xml::SuccinctDom;
 use treerepair::TreeRePair;
-use xmltree::binary::{from_binary, to_binary};
+use xmltree::binary::to_binary;
 use xmltree::parse::parse_xml;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
@@ -325,15 +325,19 @@ fn cmd_decompress(args: &[String]) -> Result<String, CliError> {
     };
     let output = parsed.output()?;
     let grammar = load_grammar(input)?;
-    let bin = sltgrammar::derive::val(&grammar)
-        .map_err(|e| CliError::failure(format!("cannot materialize the document: {e}")))?;
-    let xml = from_binary(&bin, &grammar.symbols)
-        .map_err(|e| CliError::failure(format!("grammar does not encode a document: {e}")))?;
-    write_file(output, xml.to_xml().as_bytes())?;
+    let tables = Arc::new(NavTables::build(&grammar));
+    let mut text = String::new();
+    let elements = write_xml(&grammar, &tables, usize::MAX, &mut text).map_err(|e| {
+        CliError::failure(match e {
+            RepairError::Grammar(e) => format!("cannot materialize the document: {e}"),
+            RepairError::Xml(e) => format!("grammar does not encode a document: {e}"),
+            e => e.to_string(),
+        })
+    })?;
+    write_file(output, text.as_bytes())?;
     Ok(format!(
-        "decompressed {} grammar edges into {} elements\nwrote {output}\n",
+        "decompressed {} grammar edges into {elements} elements\nwrote {output}\n",
         grammar.edge_count(),
-        xml.node_count()
     ))
 }
 
@@ -1010,6 +1014,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmltree::binary::from_binary;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1059,6 +1064,60 @@ mod tests {
         assert!(report.contains("13 elements"));
         let text = fs::read_to_string(&restored).unwrap();
         assert_eq!(text, DOC.replace("  ", "").replace('\n', ""));
+    }
+
+    /// `decompress` writes the file and reports the element count the
+    /// materializing path (`from_binary(val(g))`) gives, for both backends
+    /// and for a forest left by an insert before the root.
+    #[test]
+    fn decompress_matches_the_materialized_document() {
+        let input = write_doc("decompress-oracle.xml");
+        for compressor in ["grammar", "tree"] {
+            let compressed = temp_path(&format!("decompress-{compressor}.sltg"));
+            let forest = temp_path(&format!("decompress-{compressor}-forest.sltg"));
+            run(&args(&[
+                "compress",
+                &input,
+                "-o",
+                &compressed,
+                "--compressor",
+                compressor,
+            ]))
+            .unwrap();
+            run(&args(&[
+                "update",
+                &compressed,
+                "-o",
+                &forest,
+                "--insert",
+                "0=<stray><x/></stray>",
+            ]))
+            .unwrap();
+            for sltg in [&compressed, &forest] {
+                let restored = temp_path(&format!("decompress-{compressor}.xml"));
+                let report = run(&args(&["decompress", sltg, "-o", &restored])).unwrap();
+                let g = serialize::decode(&fs::read(sltg).unwrap()).unwrap();
+                let want = from_binary(&sltgrammar::derive::val(&g).unwrap(), &g.symbols).unwrap();
+                // The insert makes the fragment the first tree and the
+                // 13-element document its next sibling, which is dropped.
+                let dropped = element_count(&g) - want.node_count() as u128;
+                assert_eq!(dropped, if sltg == &forest { 13 } else { 0 }, "{sltg}");
+                assert_eq!(
+                    fs::read_to_string(&restored).unwrap(),
+                    want.to_xml(),
+                    "{sltg}"
+                );
+                assert_eq!(
+                    report,
+                    format!(
+                        "decompressed {} grammar edges into {} elements\nwrote {restored}\n",
+                        g.edge_count(),
+                        want.node_count()
+                    ),
+                    "{sltg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -425,6 +425,11 @@ impl DurableStore {
         self.store.to_xml(doc)
     }
 
+    /// See [`DomStore::xml_text`].
+    pub fn xml_text(&self, doc: DocId, budget: usize) -> Result<String> {
+        self.store.xml_text(doc, budget)
+    }
+
     /// See [`DomStore::query_str`].
     pub fn query_str(&self, doc: DocId, query: &str) -> Result<QueryMatches> {
         self.store.query_str(doc, query)

@@ -31,6 +31,12 @@ pub enum RepairError {
     Grammar(sltgrammar::GrammarError),
     /// An underlying XML error (fragment conversion, …).
     Xml(xmltree::XmlError),
+    /// Serialized output would exceed the caller's byte budget (a `ToXml`
+    /// reply larger than the server's frame cap).
+    OutputTooLarge {
+        /// The budget in bytes.
+        limit: usize,
+    },
     /// A storage operation of the durable layer failed (I/O error, or an
     /// injected fault in tests).
     Storage {
@@ -71,6 +77,9 @@ impl fmt::Display for RepairError {
             RepairError::InvalidQuery { detail } => write!(f, "invalid query: {detail}"),
             RepairError::Grammar(e) => write!(f, "grammar error: {e}"),
             RepairError::Xml(e) => write!(f, "xml error: {e}"),
+            RepairError::OutputTooLarge { limit } => {
+                write!(f, "output exceeds the {limit}-byte limit")
+            }
             RepairError::Storage { detail } => write!(f, "storage error: {detail}"),
             RepairError::Protocol { detail } => write!(f, "protocol error: {detail}"),
             RepairError::WalCorrupt { lsn, offset, detail } => write!(

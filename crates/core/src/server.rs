@@ -39,6 +39,13 @@
 //! protocol errors — they come back as [`ErrorCode::Store`] replies on a
 //! connection that stays open.
 //!
+//! The cap binds replies too. [`Request::ToXml`] writes the document text
+//! from the snapshot's tables with a budget of `max_frame_len` minus the
+//! reply's header bytes, and stops as soon as the text exceeds it. The
+//! client then gets an [`ErrorCode::Store`] reply naming the cap, instead of
+//! a frame its reader would reject by closing the connection and failing
+//! every request in flight on it.
+//!
 //! # Ack semantics
 //!
 //! [`Request::ApplyBatch`] is acknowledged **only after the
@@ -103,6 +110,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Default bound on a single frame's payload (requests *and* responses).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 << 20;
+
+/// Payload bytes of an `Xml` reply besides its text: version, request-id
+/// varint (≤ 10), kind, text-length varint (≤ 10).
+const XML_REPLY_OVERHEAD: usize = 22;
 
 /// One request record (see the module docs for the frame layout).
 #[derive(Debug, Clone)]
@@ -1119,12 +1130,18 @@ fn dispatch(shared: &Shared, request: Request) -> Response {
             Ok(matches) => Response::Matches { matches },
             Err(e) => store_error(e),
         },
-        Request::ToXml { doc } => match store.to_xml(doc) {
-            Ok(tree) => Response::Xml {
-                text: tree.to_xml(),
-            },
-            Err(e) => store_error(e),
-        },
+        Request::ToXml { doc } => {
+            let cap = shared.config.max_frame_len;
+            let budget = (cap as usize).saturating_sub(XML_REPLY_OVERHEAD);
+            match store.xml_text(doc, budget) {
+                Ok(text) => Response::Xml { text },
+                Err(RepairError::OutputTooLarge { .. }) => Response::Error {
+                    code: ErrorCode::Store,
+                    message: format!("document text does not fit the {cap}-byte frame cap"),
+                },
+                Err(e) => store_error(e),
+            }
+        }
         Request::Checkpoint => match store.checkpoint() {
             Ok(report) => Response::CheckpointDone {
                 report: WireCheckpoint {

@@ -244,9 +244,8 @@ impl CompressedDom {
         Self::state_ok(self.store.recompress(self.doc))
     }
 
-    /// Materializes the document back to an [`XmlTree`]. Only intended for
-    /// small documents (tests, exports); errors if the document exceeds the
-    /// default derivation limit.
+    /// Builds the document as an [`XmlTree`] from the cached tables; errors
+    /// if the document exceeds the default derivation limit.
     pub fn to_xml(&self) -> Result<XmlTree> {
         self.store.to_xml(self.doc)
     }

@@ -187,12 +187,12 @@ use std::time::Duration;
 use sltgrammar::crc32::crc32;
 use sltgrammar::fingerprint::derived_size;
 use sltgrammar::{serialize, Grammar, SymbolTable};
-use xmltree::binary::{from_binary, to_binary};
+use xmltree::binary::to_binary;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
-use crate::navigate::{Cursor, NavTables, PreorderLabels};
+use crate::navigate::{write_xml, xml_tree, Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
 use crate::sync::ArcSwapCell;
@@ -410,11 +410,19 @@ impl Snapshot {
         query.count(&self.inner.grammar)
     }
 
-    /// Materializes the snapshot back to an [`XmlTree`]. Only intended for
-    /// small documents (tests, exports).
+    /// Builds the snapshot's document as an [`XmlTree`], walking the cached
+    /// tables ([`navigate::xml_tree`](crate::navigate::xml_tree)).
     pub fn to_xml(&self) -> Result<XmlTree> {
-        let bin = sltgrammar::derive::val(&self.inner.grammar)?;
-        Ok(from_binary(&bin, &self.inner.grammar.symbols)?)
+        xml_tree(&self.inner.grammar, &self.nav_tables())
+    }
+
+    /// Serializes the snapshot's document to XML text, walking the cached
+    /// tables ([`write_xml`]). Fails with [`RepairError::OutputTooLarge`]
+    /// once the text would exceed `budget` bytes.
+    pub fn xml_text(&self, budget: usize) -> Result<String> {
+        let mut text = String::new();
+        write_xml(&self.inner.grammar, &self.nav_tables(), budget, &mut text)?;
+        Ok(text)
     }
 }
 
@@ -1339,10 +1347,15 @@ impl DomStore {
         Ok(self.snapshot(doc)?.query_count(query))
     }
 
-    /// Materializes a document back to an [`XmlTree`]. Only intended for
-    /// small documents (tests, exports).
+    /// Builds a document as an [`XmlTree`] (see [`Snapshot::to_xml`]).
     pub fn to_xml(&self, doc: DocId) -> Result<XmlTree> {
         self.snapshot(doc)?.to_xml()
+    }
+
+    /// Serializes a document to XML text within `budget` bytes (see
+    /// [`Snapshot::xml_text`]).
+    pub fn xml_text(&self, doc: DocId, budget: usize) -> Result<String> {
+        self.snapshot(doc)?.xml_text(budget)
     }
 
     // ----- updates and scheduling -----

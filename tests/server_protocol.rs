@@ -19,7 +19,7 @@ use std::time::Duration;
 use grammar_repair::durable::DurableStore;
 use grammar_repair::queue::DrainPolicy;
 use grammar_repair::server::{
-    encode_request, Request, Server, ServerConfig, FRAME_HEADER_LEN,
+    encode_request, ErrorCode, Request, Response, Server, ServerConfig, FRAME_HEADER_LEN,
 };
 use grammar_repair::wal::testing::FailpointFs;
 use grammar_repair::{Client, ClientConfig, DocId, Endpoint, RepairError};
@@ -222,6 +222,66 @@ fn client_reconnects_after_a_dead_connection() {
     let _ = raw.read_to_end(&mut buf);
     drop(raw);
     assert!(client.to_xml(a).unwrap().contains("<item"));
+    drop(server);
+}
+
+/// A `ToXml` reply that would not fit the frame cap comes back as a store
+/// error naming the cap, and the connection survives: a query pipelined
+/// behind it on the same socket still gets its answer.
+#[test]
+fn oversized_to_xml_replies_fail_alone() {
+    const CAP: u32 = 4096;
+    let fs = Arc::new(FailpointFs::new());
+    let (store, _) = DurableStore::open_with(fs, "db").unwrap();
+    let config = ServerConfig {
+        max_frame_len: CAP,
+        ..test_config()
+    };
+    let server = Server::serve_tcp(Arc::new(store), "127.0.0.1:0", config).unwrap();
+    let client = Client::with_config(
+        Endpoint::Tcp(server.local_addr().unwrap().to_string()),
+        ClientConfig {
+            max_frame_len: CAP,
+            ..ClientConfig::default()
+        },
+    );
+
+    // 24 nested elements with 100-byte labels: ~2.5 KB on the wire as a
+    // tree image, ~4.9 KB as text (every label is printed twice).
+    let label = "x".repeat(100);
+    let mut deep = XmlTree::new(&label);
+    let mut at = deep.root();
+    for _ in 1..24 {
+        at = deep.add_child(at, &label);
+    }
+    assert!(deep.to_xml().len() > CAP as usize);
+    let big = client.load_xml(&deep).unwrap();
+    let small = client.load_xml(&doc("feed", 1)).unwrap();
+
+    let to_xml = client.begin(&Request::ToXml { doc: big }).unwrap();
+    let query = client
+        .begin(&Request::Query {
+            doc: big,
+            path: format!("//{label}"),
+        })
+        .unwrap();
+    match to_xml.wait().unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Store);
+            assert!(
+                message.contains(&format!("{CAP}-byte frame cap")),
+                "got {message}"
+            );
+        }
+        other => panic!("expected a store error, got {other:?}"),
+    }
+    match query.wait().unwrap() {
+        Response::Matches { matches } => assert_eq!(matches.len(), 24),
+        other => panic!("expected matches, got {other:?}"),
+    }
+    assert_eq!(client.to_xml(small).unwrap(), doc("feed", 1).to_xml());
+    let err = client.to_xml(big).unwrap_err();
+    assert!(matches!(err, RepairError::Storage { .. }), "got {err}");
     drop(server);
 }
 
