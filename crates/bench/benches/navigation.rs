@@ -8,8 +8,8 @@
 //! and gated in CI (`bench_gate`): a >20 % regression on any entry fails.
 //!
 //! * `traversal` — visit every node in document order and sum label lengths.
-//!   The grammar side builds its [`NavTables`] once (the `CompressedDom`
-//!   caching pattern) and streams through `PreorderLabels::with_tables`;
+//!   The grammar side builds its [`NavTables`] once (what a `DomStore`
+//!   snapshot caches) and streams through `PreorderLabels::with_tables`;
 //!   `to_xml` prints the whole document through `write_xml` over the same
 //!   tables (what a `ToXml` request costs on a snapshot with cached tables).
 //! * `query` — materialize path queries on XMark: the memoized

@@ -1,8 +1,8 @@
 //! Criterion benches for the multi-document session (`DomStore`): loading a
 //! fleet of similar documents against the shared symbol table, and serving a
 //! mixed read/update workload interleaved across the fleet — store with its
-//! debt scheduler vs independent `CompressedDom`s with the paper's
-//! fixed-interval counters.
+//! debt scheduler vs six bare grammars under the paper's fixed-interval
+//! policy (`GrammarRePair::recompress` every few batches).
 //!
 //! `store_point_writes` is the point-write fast path: one-op batches
 //! round-robin over 64 small documents through the store's live isolation
@@ -19,9 +19,10 @@ use datasets::catalog::Dataset;
 use datasets::random::xmark_like;
 use datasets::workload::{random_update_sequence, WorkloadMix};
 use grammar_repair::isolate::IsolationBatch;
+use grammar_repair::query::PathQuery;
+use grammar_repair::repair::GrammarRePair;
 use grammar_repair::store::{DomStore, SchedulerConfig};
 use grammar_repair::update;
-use grammar_repair::CompressedDom;
 use sltgrammar::Grammar;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
@@ -52,7 +53,6 @@ fn loaded_store(docs: &[XmlTree]) -> DomStore {
     let store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 300,
         drain_budget: 30_000,
-        auto: true,
     });
     for xml in docs {
         store.load_xml(xml).expect("dataset labels intern");
@@ -110,22 +110,28 @@ fn bench_store_multidoc(c: &mut Criterion) {
         },
     );
 
-    // The same workload against independent single-document handles with the
-    // paper's fixed-interval policy (one counter per document, interval
-    // chosen to recompress about as often as the store's scheduler does).
-    let doms: Vec<CompressedDom> = docs.iter().map(|xml| CompressedDom::from_xml(xml, 3)).collect();
+    // The same workload on six bare grammars under the paper's fixed-interval
+    // policy, as the Figure 4/5 experiments run it: one batch counter per
+    // document, a `recompress` every 3 batches (about as often as the
+    // store's scheduler drains).
+    let repair = GrammarRePair::default();
+    let grammars: Vec<Grammar> = docs.iter().map(|xml| repair.compress_xml(xml).0).collect();
+    let query = PathQuery::parse("//message").expect("valid query");
     group.bench_with_input(
         BenchmarkId::new("mixed_workload_independent", "exi_weblog_6"),
-        &(&doms, &workloads),
-        |b, (doms, workloads)| {
+        &(&grammars, &workloads),
+        |b, (grammars, workloads)| {
             b.iter(|| {
-                let mut doms: Vec<CompressedDom> = (*doms).clone();
+                let mut grammars: Vec<Grammar> = (*grammars).clone();
                 let mut matched = 0usize;
                 for round in 0..OPS_PER_DOC / CHUNK {
-                    for (d, dom) in doms.iter_mut().enumerate() {
+                    for (d, g) in grammars.iter_mut().enumerate() {
                         let chunk = &workloads[d][round * CHUNK..(round + 1) * CHUNK];
-                        dom.apply_batch(chunk).expect("workload is valid");
-                        matched += dom.query_str("//message").expect("valid query").len();
+                        update::apply_batch(g, chunk).expect("workload is valid");
+                        if (round + 1).is_multiple_of(3) {
+                            repair.recompress(g);
+                        }
+                        matched += query.evaluate(g).len();
                     }
                 }
                 matched

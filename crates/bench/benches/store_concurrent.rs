@@ -46,7 +46,6 @@ fn loaded_store(docs: &[XmlTree]) -> DomStore {
     let store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 300,
         drain_budget: 30_000,
-        auto: true,
     });
     for xml in docs {
         store.load_xml(xml).expect("dataset labels intern");
@@ -97,10 +96,10 @@ fn bench_store_concurrent(c: &mut Criterion) {
     let ids = store.doc_ids();
 
     // Snapshot-read throughput at 1/2/4/8 reader threads: a fixed number of
-    // lock-free snapshot queries split across the thread pool. On an
+    // snapshot queries split across the thread pool. On an
     // N-core host the wall clock drops toward 1/N of the single-thread
-    // entry; on one core the entries pin that zero-lock readers at least
-    // never get *slower* with thread count.
+    // entry; on one core the entries pin that readers, which share the
+    // cells' read locks, at least never get *slower* with thread count.
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("read_throughput", format!("threads_{threads}")),

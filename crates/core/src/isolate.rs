@@ -436,9 +436,8 @@ pub fn isolate_many(g: &mut Grammar, targets: &[u128]) -> Result<(Vec<NodeId>, I
 /// [`crate::navigate::NavTables`] and a positional cursor jump
 /// ([`crate::navigate::Cursor::node_at_preorder`]) instead of isolating the
 /// path, so the grammar is never mutated by a read. Holders with a cached
-/// table snapshot ([`crate::session::CompressedDom`],
-/// [`crate::store::DomStore`]) answer the same lookup without the O(grammar)
-/// table build this convenience wrapper pays.
+/// table snapshot ([`crate::store::DomStore`]) answer the same lookup
+/// without the O(grammar) table build this convenience wrapper pays.
 pub fn label_at(g: &Grammar, target: u128) -> Result<String> {
     let mut cursor = crate::navigate::Cursor::new(g);
     if !cursor.node_at_preorder(target) {

@@ -21,14 +21,12 @@
 //!   the grammar: [`update::apply_batch`] runs an operation sequence, and a
 //!   single operation is a batch of one.
 //! * [`udc`] — the update–decompress–compress baseline the paper compares against.
-//! * [`session`] / [`store`] — the application-facing handles:
-//!   [`session::CompressedDom`], a mutable always-compressed single-document
-//!   handle with a fixed-interval recompression policy, and
-//!   [`store::DomStore`], the multi-document session it is a thin wrapper
-//!   over — many documents behind one shared [`sltgrammar::SymbolTable`]
-//!   (similar documents share one resident alphabet) and a store-level
-//!   scheduler that recompresses by *update debt* (edge growth since the
-//!   last recompression), draining the worst offenders on a budget.
+//! * [`store`] — the application-facing document handle:
+//!   [`store::DomStore`], mutable always-compressed documents behind one
+//!   shared [`sltgrammar::SymbolTable`] (similar documents share one
+//!   resident alphabet) and a store-level scheduler that recompresses by
+//!   *update debt* (edge growth since the last recompression), draining the
+//!   worst offenders on a budget.
 //! * [`wal`] / [`durable`] / [`queue`] — crash safety and ingestion: a
 //!   write-ahead op log, framed by the one length-prefixed, CRC-checked
 //!   envelope ([`frame`]) the wire protocol shares;
@@ -44,27 +42,30 @@
 //!   preorder traversal, label statistics and child/descendant path queries,
 //!   all evaluated directly on the grammar without decompression and resolved
 //!   through shared per-snapshot [`navigate::NavTables`] (invalidated via the
-//!   [`sltgrammar::RhsTree::version`] counters, cached by
-//!   [`session::CompressedDom`]).
+//!   [`sltgrammar::RhsTree::version`] counters, cached per published
+//!   [`store::Snapshot`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use grammar_repair::session::CompressedDom;
+//! use grammar_repair::store::DomStore;
 //! use xmltree::parse::parse_xml;
 //! use xmltree::updates::UpdateOp;
 //!
 //! let xml = parse_xml(
 //!     "<log><e><t/><m/></e><e><t/><m/></e><e><t/><m/></e><e><t/><m/></e></log>"
 //! ).unwrap();
-//! let mut dom = CompressedDom::from_xml(&xml, 100);
+//! let store = DomStore::new();
+//! let doc = store.load_xml(&xml).unwrap();
 //! // The grammar represents the full binary tree (2·13 + 1 nodes) of the document.
-//! assert_eq!(dom.derived_size(), 27);
+//! assert_eq!(store.derived_size(doc).unwrap(), 27);
 //!
 //! // Rename the first <e> element (preorder index 1 of the binary tree)
-//! // without decompressing the document.
-//! dom.apply(&UpdateOp::Rename { target: 1, label: "entry".into() }).unwrap();
-//! assert_eq!(dom.label_at(1).unwrap(), "entry");
+//! // without decompressing the document; recompress when the caller likes
+//! // (the store's debt scheduler also does so on its own).
+//! store.apply(doc, &UpdateOp::Rename { target: 1, label: "entry".into() }).unwrap();
+//! store.recompress(doc).unwrap();
+//! assert_eq!(store.label_at(doc, 1).unwrap(), "entry");
 //! ```
 
 #![warn(missing_docs)]
@@ -82,9 +83,7 @@ pub mod queue;
 pub mod repair;
 pub mod replace;
 pub mod server;
-pub mod session;
 pub mod store;
-pub mod sync;
 pub mod udc;
 pub mod update;
 pub mod wal;
@@ -99,6 +98,5 @@ pub use queue::{
 };
 pub use server::{Server, ServerConfig, ServerStats};
 pub use repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
-pub use session::CompressedDom;
 pub use store::{DocId, DomStore, MaintenanceReport, SchedulerConfig, Snapshot};
 pub use udc::{update_decompress_compress, UdcStats};

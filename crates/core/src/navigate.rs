@@ -36,9 +36,10 @@
 //! counter at build time; [`NavTables::is_current`] re-checks the live rule
 //! set and versions in O(rules). Tables are **immutable**: after any grammar
 //! mutation (updates, recompression, isolation) a new snapshot must be built.
-//! Holders that cache tables — [`crate::session::CompressedDom`] keeps one
-//! behind an `Arc` — revalidate on access and rebuild lazily, so cursors
-//! handed out after a mutation always see fresh tables. A live [`Cursor`]
+//! Holders that cache tables — each [`crate::store::Snapshot`] keeps one
+//! behind an `Arc`, and a write publishes a new snapshot — build them lazily
+//! per version, so cursors handed out after a mutation always see fresh
+//! tables. A live [`Cursor`]
 //! borrows the grammar immutably for its whole life, so it can never observe
 //! a mutation mid-walk; the differential suite
 //! (`tests/navigation_differential.rs`) pins the rebuild-after-mutation
@@ -348,7 +349,7 @@ impl RuleNav {
 /// The tables borrow nothing from the grammar, so they can be shared behind
 /// an [`Arc`] and outlive intermediate mutations — holders are responsible
 /// for the revalidate-and-rebuild dance, which
-/// [`crate::session::CompressedDom`] implements.
+/// [`crate::store::DomStore`]'s snapshots implement.
 #[derive(Debug, Clone)]
 pub struct NavTables {
     rules: Vec<Option<RuleNav>>,

@@ -1,34 +1,36 @@
-//! `DomStore` — a concurrent multi-document session with a shared symbol
-//! table, lock-free snapshot reads, and cross-document recompression
-//! scheduling.
+//! `DomStore` — the document handle: a concurrent multi-document session
+//! with a shared symbol table, snapshot reads, and cross-document
+//! recompression scheduling.
 //!
-//! The paper's motivating scenario is a long-lived service that keeps many
-//! XML documents in memory in compressed form while serving interleaved reads
-//! and updates. [`crate::session::CompressedDom`] is the single-document
-//! handle; `DomStore` generalizes it to a collection: documents are loaded
-//! into the store, addressed by [`DocId`], and served through the same read
-//! and update surface the single-document handle offers — cursors, streaming
-//! preorder, path queries, point label reads, update batches.
+//! The paper's motivating scenario is a long-lived service that keeps XML
+//! documents in memory in compressed form while serving interleaved reads
+//! and updates. Documents are loaded into the store, addressed by [`DocId`],
+//! and served through one read and update surface — cursors, streaming
+//! preorder, path queries, point label reads, update batches; a single
+//! document is a store of one.
 //! The store is `Send + Sync`: many threads share one `DomStore` (or clones
-//! of an `Arc<DomStore>`), reads proceed without locks, writes to distinct
+//! of an `Arc<DomStore>`), reads wait on a writer at most for a pointer
+//! swap, writes to distinct
 //! documents proceed in parallel, and a background thread can drain the
 //! recompression scheduler off the request path.
 //!
 //! # Concurrency architecture: shards, snapshots, epochs
 //!
 //! The store is sharded per document. Each live [`DocId`] resolves (through
-//! one lock-free [`crate::sync::ArcSwapCell`] load of the document map) to a
-//! `DocShard` holding
+//! one load of the document map's `RwLock<Arc<_>>` cell) to a `DocShard`
+//! holding
 //!
 //! * the **write state** — the authoritative grammar behind the shard's own
 //!   `Mutex`, so writers to *different* documents never contend; and
 //! * the **published snapshot** — an `Arc` of (grammar, lazily built
-//!   [`NavTables`]) behind an [`crate::sync::ArcSwapCell`], the version
+//!   [`NavTables`]) behind a second `RwLock<Arc<_>>` cell, the version
 //!   readers see.
 //!
-//! **Readers take zero locks on the steady-state path.** A read resolves the
-//! document map (atomic load), checks the shard's `clean` flag (atomic
-//! load), and loads the published snapshot (atomic loads) — then runs
+//! **Readers never hold a lock across work.** A read resolves the document
+//! map, checks the shard's `clean` flag (atomic load), and loads the
+//! published snapshot: each cell load is one read-lock acquire, held only
+//! to clone the `Arc`. Writers hold a cell's write lock only to swap the
+//! pointer, and drop the old value after releasing it. The read then runs
 //! entirely on immutable `Arc`-shared state: the snapshot grammar, its
 //! `NavTables` (built on first use through a `OnceLock`), and the sealed
 //! symbol segments shared with the master table.
@@ -59,10 +61,11 @@
 //! only at load/seal time ([`DomStore::load_xml`] / [`DomStore::load_many`] /
 //! [`DomStore::load_grammar`]) and by [`DomStore::symbol_stats`] /
 //! [`DomStore::symbols`]; the **map write lock** serializes document
-//! insertion/removal (readers resolve through the lock-free cell instead);
+//! insertion/removal (readers resolve through the map cell instead);
 //! each **shard lock** serializes writes to one document and the publish of
 //! its snapshot; locks are never nested except shard-after-map-write in
-//! [`DomStore::remove`]. Steady-state reads take none of them.
+//! [`DomStore::remove`], and a cell lock is innermost wherever it is taken.
+//! Steady-state reads take only the two cells' read locks.
 //!
 //! # The live isolation session
 //!
@@ -132,31 +135,29 @@
 //!
 //! # Debt-based recompression scheduling
 //!
-//! The single-document handle recompresses after a fixed number of updates
-//! (`recompress_every`), which generalizes badly to a store: a hot document
-//! stalls its readers at fixed intervals regardless of how little its grammar
-//! actually grew, while a cold-but-drifted document never reaches its counter
-//! and never recompresses. The store replaces the counter with **update
-//! debt**: per document, the edge-count growth since its last recompression
+//! The store schedules recompression by **update debt**: per document, the
+//! edge-count growth since its last recompression
 //! (`debt = edges_now − edges_at_last_recompress`), i.e. exactly the blow-up
 //! GrammarRePair exists to undo. The scheduler
 //! ([`DomStore::maintain`]) drains the *worst offenders first* under a
 //! configurable budget:
 //!
 //! * a document becomes **eligible** when its debt reaches
-//!   [`SchedulerConfig::debt_threshold`];
+//!   [`SchedulerConfig::debt_threshold`] (`usize::MAX`: never);
 //! * one maintenance sweep recompresses eligible documents in decreasing debt
 //!   order until [`SchedulerConfig::drain_budget`] (measured in grammar edges
 //!   processed, a proxy for recompression work) is exhausted — at least one
 //!   eligible document is always drained, so a single oversized document
 //!   cannot starve maintenance forever;
-//! * with [`SchedulerConfig::auto`] (the default) a sweep runs after every
-//!   batch that changed a grammar (a single update is a batch of one; a
-//!   request rejected before it mutates anything schedules nothing) —
-//!   inline when no background thread is attached, or
+//! * a sweep runs after every batch that changed a grammar (a single update
+//!   is a batch of one; a request rejected before it mutates anything
+//!   schedules nothing) — inline when no background thread is attached, or
 //!   signalled to the background thread started by
 //!   [`DomStore::start_maintenance`], which drains debt off the request path
 //!   and atomically swaps the recompressed snapshots in.
+//!
+//! The paper's fixed-interval policy ("recompress every 100 updates") is a
+//! caller's loop: count calls and run [`DomStore::recompress`].
 //!
 //! # Example
 //!
@@ -194,8 +195,7 @@ use xmltree::XmlTree;
 use crate::error::{RepairError, Result};
 use crate::navigate::{write_xml, xml_tree, Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
-use crate::repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
-use crate::sync::ArcSwapCell;
+use crate::repair::{GrammarRePair, RepairStats};
 use crate::isolate::IsolationBatch;
 use crate::update::{apply_batch_in, mutation_mark, BatchStats, UpdateStats};
 
@@ -212,6 +212,20 @@ fn used_terms(g: &Grammar) -> std::collections::HashSet<sltgrammar::TermId> {
         }
     }
     used
+}
+
+/// The current value of a publication cell: one read-lock acquire, held
+/// only for the `Arc` clone.
+fn load_cell<T>(cell: &RwLock<Arc<T>>) -> Arc<T> {
+    cell.read().expect("cell lock never poisoned").clone()
+}
+
+/// Replaces a publication cell's value. The old value is dropped after the
+/// write guard is released: it can own a whole grammar and its `NavTables`,
+/// and freeing those under the lock would stall readers.
+fn store_cell<T>(cell: &RwLock<Arc<T>>, value: Arc<T>) {
+    let old = std::mem::replace(&mut *cell.write().expect("cell lock never poisoned"), value);
+    drop(old);
 }
 
 /// Store-level identifier of a loaded document: a slab slot plus its
@@ -259,15 +273,13 @@ impl DocId {
 pub struct SchedulerConfig {
     /// A document becomes eligible for recompression once its update debt
     /// (edge growth since the last recompression) reaches this many edges.
-    /// Treated as at least 1 — zero-debt documents are never recompressed.
+    /// Treated as at least 1 — zero-debt documents are never recompressed;
+    /// `usize::MAX` leaves every document to [`DomStore::recompress`].
     pub debt_threshold: usize,
     /// Maximum total work (sum of the drained documents' current edge
     /// counts) per maintenance sweep; `0` means unbounded. At least one
     /// eligible document is drained per sweep regardless of the budget.
     pub drain_budget: usize,
-    /// Run a maintenance sweep automatically after every batch that changed
-    /// a grammar — inline, or on the background thread when one is attached.
-    pub auto: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -275,7 +287,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             debt_threshold: 512,
             drain_budget: 1 << 16,
-            auto: true,
         }
     }
 }
@@ -307,8 +318,8 @@ pub struct SymbolStats {
     pub private_bytes: usize,
     /// What per-document tables would occupy instead: each document
     /// privately interning exactly the labels its grammar uses (what
-    /// [`crate::session::CompressedDom::from_xml`]-style loading builds) —
-    /// a conservative baseline, since a real private table would also keep
+    /// compressing it alone, as [`GrammarRePair::compress_xml`] does, builds)
+    /// — a conservative baseline, since a real private table would also keep
     /// labels that updates have since removed from the document.
     pub unshared_bytes: usize,
     /// Number of symbols in the master table.
@@ -342,7 +353,7 @@ impl SnapshotInner {
 
 /// An owned, immutable view of one document version.
 ///
-/// A snapshot is what the store's lock-free read path hands out: it stays
+/// A snapshot is what the store's read path hands out: it stays
 /// fully readable — cursors, preorder streaming, queries, point reads — for
 /// as long as the handle lives, unaffected by concurrent updates or
 /// recompressions of the document (which publish *new* snapshots instead of
@@ -442,11 +453,11 @@ struct WriteState {
 }
 
 /// One document of the store: write state behind the shard's own lock,
-/// published snapshot behind a lock-free cell (see the module docs).
+/// published snapshot behind a publication cell (see the module docs).
 #[derive(Debug)]
 struct DocShard {
     write: Mutex<WriteState>,
-    published: ArcSwapCell<SnapshotInner>,
+    published: RwLock<Arc<SnapshotInner>>,
     /// Whether `published` reflects the write state. Cleared by writers,
     /// set by the (lazy) publish and by recompression's eager publish.
     clean: AtomicBool,
@@ -465,7 +476,7 @@ impl DocShard {
         let edges = grammar.edge_count();
         let grammar = Arc::new(grammar);
         DocShard {
-            published: ArcSwapCell::new(SnapshotInner::of(grammar.clone())),
+            published: RwLock::new(SnapshotInner::of(grammar.clone())),
             write: Mutex::new(WriteState {
                 grammar,
                 session: None,
@@ -493,7 +504,7 @@ impl DocShard {
     fn duplicate(&self) -> Self {
         let grammar = self.grammar();
         DocShard {
-            published: ArcSwapCell::new(SnapshotInner::of(grammar.clone())),
+            published: RwLock::new(SnapshotInner::of(grammar.clone())),
             write: Mutex::new(WriteState {
                 grammar,
                 session: None,
@@ -512,26 +523,26 @@ impl DocShard {
             .saturating_sub(self.baseline_edges.load(Ordering::Relaxed))
     }
 
-    /// The read path. Steady state (`clean`): two atomic loads, zero locks.
-    /// After a write: republish through the uncontended shard lock, or — if
-    /// a writer holds it right now — serve the previous published snapshot
-    /// rather than block (snapshot semantics; see the module docs).
+    /// The read path. Steady state (`clean`): an atomic load and one cell
+    /// load. After a write: republish through the uncontended shard lock,
+    /// or — if a writer holds it right now — serve the previous published
+    /// snapshot rather than block (snapshot semantics; see the module docs).
     fn snapshot(&self) -> Snapshot {
         if self.clean.load(Ordering::Acquire) {
             return Snapshot {
-                inner: self.published.load(),
+                inner: load_cell(&self.published),
             };
         }
         match self.write.try_lock() {
             Ok(guard) => {
                 let inner = SnapshotInner::of(guard.grammar.clone());
-                self.published.store(inner.clone());
+                store_cell(&self.published, inner.clone());
                 self.clean.store(true, Ordering::Release);
                 drop(guard);
                 Snapshot { inner }
             }
             Err(_) => Snapshot {
-                inner: self.published.load(),
+                inner: load_cell(&self.published),
             },
         }
     }
@@ -539,7 +550,7 @@ impl DocShard {
     /// Publishes the current write state while already holding the shard
     /// lock — the atomic snapshot swap after a recompression.
     fn publish_locked(&self, grammar: &Arc<Grammar>) {
-        self.published.store(SnapshotInner::of(grammar.clone()));
+        store_cell(&self.published, SnapshotInner::of(grammar.clone()));
         self.clean.store(true, Ordering::Release);
     }
 }
@@ -565,7 +576,7 @@ struct Slot {
 }
 
 /// The copy-on-write document map readers resolve through. Replaced
-/// wholesale (via [`ArcSwapCell`]) on insert/remove, never mutated in place.
+/// wholesale (a cell swap) on insert/remove, never mutated in place.
 #[derive(Debug, Clone, Default)]
 struct DocMap {
     slots: Vec<Slot>,
@@ -597,10 +608,10 @@ struct WorkerSignal {
 #[derive(Debug)]
 struct StoreInner {
     symbols: Mutex<SymbolTable>,
-    map: ArcSwapCell<DocMap>,
+    map: RwLock<Arc<DocMap>>,
     /// Serializes insert/remove (which copy-on-write-replace `map`).
     map_write: Mutex<()>,
-    repair: RwLock<GrammarRePair>,
+    repair: GrammarRePair,
     scheduler: RwLock<SchedulerConfig>,
     /// Fast check on the update path: is a background thread attached?
     worker_attached: AtomicBool,
@@ -610,7 +621,7 @@ struct StoreInner {
 
 impl StoreInner {
     fn resolve(&self, doc: DocId) -> Result<Arc<DocShard>> {
-        let map = self.map.load();
+        let map = load_cell(&self.map);
         let slot = map
             .slots
             .get(doc.index())
@@ -657,7 +668,7 @@ impl StoreInner {
             })?;
         let shard = Arc::new(DocShard::new(grammar));
         let _guard = self.map_write.lock().expect("map lock never poisoned");
-        let mut map = (*self.map.load()).clone();
+        let mut map = (*load_cell(&self.map)).clone();
         let slot = map
             .slots
             .get_mut(doc.index())
@@ -669,7 +680,7 @@ impl StoreInner {
         }
         slot.pending = None;
         slot.shard = Some(shard.clone());
-        self.map.store(Arc::new(map));
+        store_cell(&self.map, Arc::new(map));
         Ok(shard)
     }
 
@@ -725,7 +736,7 @@ impl StoreInner {
     fn insert_doc(&self, grammar: Grammar) -> DocId {
         let shard = Arc::new(DocShard::new(grammar));
         let _guard = self.map_write.lock().expect("map lock never poisoned");
-        let mut map = (*self.map.load()).clone();
+        let mut map = (*load_cell(&self.map)).clone();
         let slot = map.free.pop().unwrap_or_else(|| {
             map.slots.push(Slot::default());
             (map.slots.len() - 1) as u32
@@ -738,7 +749,7 @@ impl StoreInner {
             generation: entry.generation,
         };
         map.live.push(id);
-        self.map.store(Arc::new(map));
+        store_cell(&self.map, Arc::new(map));
         id
     }
 
@@ -788,7 +799,7 @@ impl StoreInner {
     /// inline sweep, or a signal to the background thread when one is
     /// attached (whose drains then happen off this path).
     fn after_update(&self, mutated: bool) -> MaintenanceReport {
-        if !mutated || !self.scheduler.read().expect("scheduler lock").auto {
+        if !mutated {
             return MaintenanceReport::default();
         }
         if self.worker_attached.load(Ordering::Acquire) {
@@ -803,7 +814,7 @@ impl StoreInner {
     fn maintain(&self) -> MaintenanceReport {
         let scheduler = *self.scheduler.read().expect("scheduler lock");
         let threshold = scheduler.debt_threshold.max(1);
-        let map = self.map.load();
+        let map = load_cell(&self.map);
         let mut eligible: Vec<(usize, DocId)> = map
             .live
             .iter()
@@ -838,14 +849,13 @@ impl StoreInner {
 
     fn recompress(&self, doc: DocId) -> Result<RepairStats> {
         let shard = self.resolve(doc)?;
-        let repair = self.repair.read().expect("repair lock").clone();
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
         // Recompress aside: `make_mut` clones iff a published snapshot (or
         // other reader) still shares this grammar, so in-flight readers keep
         // their version while the recompressor works on the copy.
         // New rules, compacted arenas: nothing the session knew survives.
         guard.session = None;
-        let stats = repair.recompress(Arc::make_mut(&mut guard.grammar));
+        let stats = self.repair.recompress(Arc::make_mut(&mut guard.grammar));
         shard.current_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.baseline_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.recompressions.fetch_add(1, Ordering::Relaxed);
@@ -898,8 +908,8 @@ fn fan_out<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
 ///
 /// `DomStore` is `Send + Sync`; share it across threads directly or behind an
 /// `Arc`. Reads ([`DomStore::snapshot`] and everything built on it) are
-/// `&self` and lock-free in steady state; writes to distinct documents run
-/// in parallel.
+/// `&self` and wait on a writer at most for a pointer swap; writes to
+/// distinct documents run in parallel.
 #[derive(Debug)]
 pub struct DomStore {
     inner: Arc<StoreInner>,
@@ -927,7 +937,7 @@ impl Clone for DomStore {
     /// maintenance thread.
     fn clone(&self) -> Self {
         let master = self.inner.symbols.lock().expect("master lock").clone();
-        let src = self.inner.map.load();
+        let src = load_cell(&self.inner.map);
         let slots = src
             .slots
             .iter()
@@ -946,9 +956,9 @@ impl Clone for DomStore {
         DomStore {
             inner: Arc::new(StoreInner {
                 symbols: Mutex::new(master),
-                map: ArcSwapCell::new(Arc::new(map)),
+                map: RwLock::new(Arc::new(map)),
                 map_write: Mutex::new(()),
-                repair: RwLock::new(self.inner.repair.read().expect("repair lock").clone()),
+                repair: self.inner.repair.clone(),
                 scheduler: RwLock::new(*self.inner.scheduler.read().expect("scheduler lock")),
                 worker_attached: AtomicBool::new(false),
                 worker: Mutex::new(WorkerSignal::default()),
@@ -971,9 +981,9 @@ impl DomStore {
         DomStore {
             inner: Arc::new(StoreInner {
                 symbols: Mutex::new(SymbolTable::new()),
-                map: ArcSwapCell::new(Arc::new(DocMap::default())),
+                map: RwLock::new(Arc::new(DocMap::default())),
                 map_write: Mutex::new(()),
-                repair: RwLock::new(GrammarRePair::default()),
+                repair: GrammarRePair::default(),
                 scheduler: RwLock::new(SchedulerConfig::default()),
                 worker_attached: AtomicBool::new(false),
                 worker: Mutex::new(WorkerSignal::default()),
@@ -989,17 +999,6 @@ impl DomStore {
         self
     }
 
-    /// Uses a custom recompression configuration for every document.
-    pub fn with_config(self, config: GrammarRePairConfig) -> Self {
-        self.set_config(config);
-        self
-    }
-
-    /// Replaces the recompression configuration in place.
-    pub fn set_config(&self, config: GrammarRePairConfig) {
-        *self.inner.repair.write().expect("repair lock") = GrammarRePair::new(config);
-    }
-
     /// The current scheduler policy.
     pub fn scheduler(&self) -> SchedulerConfig {
         *self.inner.scheduler.read().expect("scheduler lock")
@@ -1013,7 +1012,7 @@ impl DomStore {
     // ----- background maintenance -----
 
     /// Starts the background maintenance thread: it runs [`DomStore::maintain`]
-    /// whenever an update signals debt (under [`SchedulerConfig::auto`]) and
+    /// whenever an update signals debt and
     /// at least every `poll` as a fallback, recompressing aside and swapping
     /// snapshots in atomically — readers never wait on it. With a worker
     /// attached, `apply`/`apply_batch` return empty [`MaintenanceReport`]s;
@@ -1095,8 +1094,7 @@ impl DomStore {
     /// stays outside its commit order.
     pub(crate) fn compress_for_load(&self, xml: &XmlTree) -> Result<Grammar> {
         let mut table = self.inner.intern_labels(xml)?;
-        let repair = self.inner.repair.read().expect("repair lock").clone();
-        Ok(repair.compress_xml_shared(xml, &mut table)?.0)
+        Ok(self.inner.repair.compress_xml_shared(xml, &mut table)?.0)
     }
 
     /// Adds a grammar from [`DomStore::compress_for_load`] to the slab.
@@ -1117,10 +1115,10 @@ impl DomStore {
         for xml in xmls {
             tables.push(self.inner.intern_labels(xml)?);
         }
-        let repair = self.inner.repair.read().expect("repair lock").clone();
         let grammars = fan_out(xmls.len(), |i| {
             let mut table = tables[i].clone();
-            repair
+            self.inner
+                .repair
                 .compress_xml_shared(&xmls[i], &mut table)
                 .map(|(grammar, _)| grammar)
         });
@@ -1160,7 +1158,7 @@ impl DomStore {
         // grammar, and a corrupt payload must surface as the typed decode
         // error here rather than as a bogus `NoSuchDocument`.
         let needs_materialize = {
-            let map = self.inner.map.load();
+            let map = load_cell(&self.inner.map);
             map.slots
                 .get(doc.index())
                 .is_some_and(|slot| {
@@ -1174,7 +1172,7 @@ impl DomStore {
         }
         let shard = {
             let _guard = self.inner.map_write.lock().expect("map lock");
-            let mut map = (*self.inner.map.load()).clone();
+            let mut map = (*load_cell(&self.inner.map)).clone();
             let entry = map
                 .slots
                 .get_mut(doc.index())
@@ -1186,7 +1184,7 @@ impl DomStore {
                 .ok_or(RepairError::NoSuchDocument { id: doc.slot })?;
             map.free.push(doc.slot);
             map.live.retain(|&id| id != doc);
-            self.inner.map.store(Arc::new(map));
+            store_cell(&self.inner.map, Arc::new(map));
             entry
         };
         // Unwrap as far as sharing allows; clone only if snapshots of the
@@ -1205,7 +1203,7 @@ impl DomStore {
     /// Whether `doc` names a live document (including one still in
     /// undecoded, lazily restored form).
     pub fn contains(&self, doc: DocId) -> bool {
-        let map = self.inner.map.load();
+        let map = load_cell(&self.inner.map);
         map.slots.get(doc.index()).is_some_and(|slot| {
             slot.generation == doc.generation
                 && (slot.shard.is_some() || slot.pending.is_some())
@@ -1214,12 +1212,12 @@ impl DomStore {
 
     /// Ids of all live documents, in insertion order.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        self.inner.map.load().live.clone()
+        load_cell(&self.inner.map).live.clone()
     }
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        self.inner.map.load().live.len()
+        load_cell(&self.inner.map).live.len()
     }
 
     /// Whether the store holds no documents.
@@ -1254,7 +1252,7 @@ impl DomStore {
             stats.master_symbols = master.len();
             visit(&master, &mut stats);
         }
-        let map = self.inner.map.load();
+        let map = load_cell(&self.inner.map);
         for &id in &map.live {
             let Some(shard) = map.get(id) else { continue };
             let write = shard.grammar();
@@ -1267,7 +1265,7 @@ impl DomStore {
             // A published snapshot lagging behind the write state holds its
             // own table object: shared segments dedup through `seen`, a
             // diverged local tail is honestly a second resident copy.
-            let published = shard.published.load();
+            let published = load_cell(&shard.published);
             if !Arc::ptr_eq(&published.grammar, &write) {
                 visit(&published.grammar.symbols, &mut stats);
             }
@@ -1275,10 +1273,10 @@ impl DomStore {
         stats
     }
 
-    // ----- per-document read surface (lock-free in steady state) -----
+    // ----- per-document read surface -----
 
     /// The current published [`Snapshot`] of a document — the entry point of
-    /// the lock-free read path; every other read method is sugar over it.
+    /// the read path; every other read method is sugar over it.
     /// The snapshot stays valid (and immutable) for as long as it is held,
     /// across concurrent updates, recompressions, and removal.
     pub fn snapshot(&self, doc: DocId) -> Result<Snapshot> {
@@ -1369,7 +1367,7 @@ impl DomStore {
 
     /// Applies an operation sequence to a document through the batched
     /// isolation pipeline (shared path prefixes isolated once per chunk),
-    /// then (under [`SchedulerConfig::auto`]) runs a maintenance sweep over
+    /// then runs a maintenance sweep over
     /// the *whole store* — inline, or signalled to the background thread
     /// when one is attached (empty report then).
     ///
@@ -1392,11 +1390,10 @@ impl DomStore {
         result.map(|stats| (stats, report))
     }
 
-    /// [`DomStore::apply_batch`] without its maintenance sweep, for holders
-    /// that schedule recompression themselves: also reports whether the
-    /// batch — applied or failed — mutated the grammar. The durable layer
-    /// runs [`DomStore::sweep_after`] once it has released its commit
-    /// order; [`crate::session::CompressedDom`] keeps a policy of its own.
+    /// [`DomStore::apply_batch`] without its maintenance sweep: also reports
+    /// whether the batch — applied or failed — mutated the grammar. The
+    /// durable layer runs [`DomStore::sweep_after`] once it has released its
+    /// commit order.
     pub(crate) fn apply_batch_unswept(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
         self.inner.apply_batch_one(doc, ops)
     }
@@ -1484,7 +1481,7 @@ impl DomStore {
     /// lifecycle events in order) makes [`DocId`] assignment after recovery
     /// identical to the original run.
     pub(crate) fn checkpoint_cut(&self) -> (SlabLayout, Vec<(DocId, CutDoc)>) {
-        let map = self.inner.map.load();
+        let map = load_cell(&self.inner.map);
         let docs = map
             .live
             .iter()
@@ -1520,7 +1517,7 @@ impl DomStore {
         docs: Vec<(DocId, Vec<u8>, u32)>,
     ) -> Result<()> {
         let _guard = self.inner.map_write.lock().expect("map lock never poisoned");
-        if !self.inner.map.load().live.is_empty() {
+        if !load_cell(&self.inner.map).live.is_empty() {
             return Err(RepairError::Storage {
                 detail: "checkpoint restore requires an empty store".to_string(),
             });
@@ -1563,7 +1560,7 @@ impl DomStore {
                 });
             }
         }
-        self.inner.map.store(Arc::new(DocMap {
+        store_cell(&self.inner.map, Arc::new(DocMap {
             slots,
             free: layout.free,
             live: layout.live,
@@ -1586,7 +1583,7 @@ impl DomStore {
 
     /// Number of documents still in undecoded, lazily restored form.
     pub(crate) fn pending_count(&self) -> usize {
-        let map = self.inner.map.load();
+        let map = load_cell(&self.inner.map);
         map.slots.iter().filter(|slot| slot.pending.is_some()).count()
     }
 }
@@ -1725,6 +1722,8 @@ mod tests {
         let snap = store.snapshot(a).unwrap();
         assert_eq!(snap.cursor().label(), "feed");
         assert_eq!(store.label_at(a, 1).unwrap(), "item");
+        let last = store.derived_size(a).unwrap() - 1;
+        assert_eq!(store.label_at(a, last).unwrap(), "#");
         assert_eq!(store.query_str(a, "//item").unwrap().len(), 5);
         let q = PathQuery::parse("//item/title").unwrap();
         assert_eq!(
@@ -1763,12 +1762,77 @@ mod tests {
     }
 
     #[test]
-    fn updates_accrue_debt_and_the_scheduler_drains_the_worst_offender() {
+    fn cached_nav_tables_survive_reads_and_refresh_after_mutations() {
+        let xml = doc("feed", 8);
+        let elements = element_positions(&xml);
+        let store = unswept_store();
+        let a = store.load_xml(&xml).unwrap();
+
+        // Repeated reads share one snapshot.
+        let t1 = store.nav_tables(a).unwrap();
+        assert_eq!(store.snapshot(a).unwrap().cursor().label(), "feed");
+        let q = PathQuery::parse("//item/title").unwrap();
+        assert_eq!(store.query(a, &q).unwrap().len() as u128, store.query_count(a, &q).unwrap());
+        assert_eq!(store.query_str(a, "//item").unwrap().len(), 8);
+        assert!(Arc::ptr_eq(&t1, &store.nav_tables(a).unwrap()), "reads share the tables");
+
+        // A write publishes new tables on the next read…
+        store
+            .apply(a, &UpdateOp::Rename { target: elements[1], label: "entry".into() })
+            .unwrap();
+        let t2 = store.nav_tables(a).unwrap();
+        assert!(!Arc::ptr_eq(&t1, &t2), "a write must replace the tables");
+        assert_eq!(store.query_str(a, "//entry").unwrap().len(), 1);
+
+        // …and so does a recompression.
+        store.recompress(a).unwrap();
+        let t3 = store.nav_tables(a).unwrap();
+        assert!(!Arc::ptr_eq(&t2, &t3), "a recompression must replace the tables");
+        assert_eq!(store.query_str(a, "//entry").unwrap().len(), 1);
+        let snap = store.snapshot(a).unwrap();
+        assert_eq!(snap.preorder_labels().count() as u128, snap.derived_size());
+    }
+
+    #[test]
+    fn batched_and_sequential_paths_produce_the_same_document() {
+        let xml = doc("feed", 12);
+        let elements = element_positions(&xml);
+        let ops: Vec<UpdateOp> = (0..8)
+            .map(|i| UpdateOp::Rename {
+                target: elements[3 * i + 1],
+                label: format!("tag{i}"),
+            })
+            .collect();
+        // A low threshold: inline sweeps fire between the single ops.
         let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 10,
+            debt_threshold: 16,
             drain_budget: 0,
-            auto: false,
         });
+        let sequential = store.load_xml(&xml).unwrap();
+        let batched = store.load_xml(&xml).unwrap();
+        for op in &ops {
+            store.apply(sequential, op).unwrap();
+        }
+        store.apply_batch(batched, &ops).unwrap();
+        assert!(store.recompressions(sequential).unwrap() >= 1);
+        assert_eq!(
+            store.to_xml(batched).unwrap().to_xml(),
+            store.to_xml(sequential).unwrap().to_xml()
+        );
+    }
+
+    /// A store whose writes never sweep: debt builds up until a test lowers
+    /// the threshold and calls `maintain` itself.
+    fn unswept_store() -> DomStore {
+        DomStore::new().with_scheduler(SchedulerConfig {
+            debt_threshold: usize::MAX,
+            ..SchedulerConfig::default()
+        })
+    }
+
+    #[test]
+    fn updates_accrue_debt_and_the_scheduler_drains_the_worst_offender() {
+        let store = unswept_store();
         let hot_xml = doc("feed", 10);
         let elements = element_positions(&hot_xml);
         let hot = store.load_xml(&hot_xml).unwrap();
@@ -1787,6 +1851,11 @@ mod tests {
         }
         assert!(store.debt(hot).unwrap() >= 10, "renames blow the grammar up");
         assert_eq!(store.debt(cold).unwrap(), 0);
+        assert_eq!(store.recompressions(hot).unwrap(), 0, "no sweep at usize::MAX");
+        store.set_scheduler(SchedulerConfig {
+            debt_threshold: 10,
+            drain_budget: 0,
+        });
         let report = store.maintain();
         assert_eq!(report.drained.len(), 1);
         assert_eq!(report.drained[0].0, hot);
@@ -1802,7 +1871,6 @@ mod tests {
         let store = DomStore::new().with_scheduler(SchedulerConfig {
             debt_threshold: 8,
             drain_budget: 0,
-            auto: true,
         });
         let xml = doc("feed", 12);
         let elements = element_positions(&xml);
@@ -1832,11 +1900,7 @@ mod tests {
 
     #[test]
     fn drain_budget_bounds_one_sweep_but_starves_nobody() {
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 1,
-            drain_budget: 1, // absurdly small: every sweep drains exactly one doc
-            auto: false,
-        });
+        let store = unswept_store();
         let xml_a = doc("feed", 8);
         let xml_b = doc("blog", 8);
         let ea = element_positions(&xml_a);
@@ -1854,6 +1918,10 @@ mod tests {
                 )
                 .unwrap();
         }
+        store.set_scheduler(SchedulerConfig {
+            debt_threshold: 1,
+            drain_budget: 1, // absurdly small: every sweep drains exactly one doc
+        });
         let first = store.maintain();
         assert_eq!(first.drained.len(), 1, "budget restricts the sweep");
         let worst = first.drained[0].0;
@@ -1904,11 +1972,11 @@ mod tests {
         assert_eq!(store.doc_ids(), vec![b]);
         assert!(store.maintain().is_empty());
         assert!(
-            self::DomStore::new().inner.map.load().slots.is_empty(),
+            load_cell(&self::DomStore::new().inner.map).slots.is_empty(),
             "sanity: fresh stores start with no slots"
         );
         assert!(
-            store.inner.map.load().slots.len() <= 2,
+            load_cell(&store.inner.map).slots.len() <= 2,
             "freed slots must be reused, not appended"
         );
     }
@@ -1960,10 +2028,7 @@ mod tests {
     #[test]
     fn a_document_pays_one_cold_build_per_recompression_epoch() {
         let builds = || crate::isolate::COLD_BUILDS.with(|c| c.get());
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            auto: false,
-            ..SchedulerConfig::default()
-        });
+        let store = unswept_store();
         let xml = doc("feed", 8);
         let elements = element_positions(&xml);
         let a = store.load_xml(&xml).unwrap();
@@ -2011,7 +2076,6 @@ mod tests {
         let mut store = DomStore::new().with_scheduler(SchedulerConfig {
             debt_threshold: 8,
             drain_budget: 0,
-            auto: true,
         });
         store.start_maintenance(Duration::from_millis(1));
         assert!(store.maintenance_running());

@@ -3,7 +3,8 @@
 //!
 //! The walkthrough loads a fleet of documents (in parallel), starts the
 //! background maintenance thread, then serves a mixed workload: reader
-//! threads stream and query snapshots lock-free while a writer thread pushes
+//! threads stream and query snapshots, never waiting on a writer's work,
+//! while a writer thread pushes
 //! update batches and the maintenance thread recompresses hot documents
 //! aside, atomically swapping the new snapshots in. A snapshot taken before
 //! the churn is kept alive throughout and verified byte-stable at the end —
@@ -29,7 +30,6 @@ fn main() {
     let mut store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 300,
         drain_budget: 0,
-        auto: true,
     });
     let ids = store.load_many(&fleet).expect("dataset labels intern");
     println!(
@@ -66,7 +66,7 @@ fn main() {
             }
             done_ref.store(true, Ordering::Relaxed);
         });
-        // Readers: zero-lock snapshot reads over the whole fleet, running
+        // Readers: snapshot reads over the whole fleet, running
         // at full speed while the writer and the maintenance thread work.
         for t in 0..3usize {
             scope.spawn(move || {

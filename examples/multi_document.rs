@@ -19,7 +19,6 @@ fn main() {
     let store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 400,
         drain_budget: 20_000,
-        auto: true,
     });
     let mut docs = Vec::new();
     for i in 0..6 {

@@ -21,12 +21,9 @@ pub use succinct_xml;
 pub use treerepair;
 pub use xmltree;
 
-/// Convenience re-export of the high-level mutable compressed document handle.
-pub use grammar_repair::session::CompressedDom;
-
-/// Convenience re-export of the multi-document session: many compressed
-/// documents behind one shared symbol table and a debt-based recompression
-/// scheduler.
+/// Convenience re-export of the mutable compressed document handle: many
+/// compressed documents behind one shared symbol table and a debt-based
+/// recompression scheduler.
 pub use grammar_repair::store::{DocId, DomStore, Snapshot};
 
 /// Convenience re-export of the crash-safe store: a [`DomStore`] behind a

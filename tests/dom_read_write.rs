@@ -1,17 +1,19 @@
 //! End-to-end differential test of the full read/write cycle: a mixed update
-//! workload applied through [`CompressedDom`] (with automatic recompression)
-//! must stay byte-for-byte equivalent to the same workload applied to an
-//! uncompressed reference copy — including everything the *read path* reports
-//! (labels, element counts, path-query results) after every batch of updates.
+//! workload applied through a [`DomStore`] (recompressed every 25 calls, the
+//! paper's fixed-interval policy) must stay byte-for-byte equivalent to the
+//! same workload applied to an uncompressed reference copy — including
+//! everything the *read path* reports (labels, element counts, path-query
+//! results) after every batch of updates.
 
 use slt_xml::grammar_repair::navigate::element_count;
 use slt_xml::grammar_repair::query::PathQuery;
+use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::sltgrammar::fingerprint::fingerprint;
 use slt_xml::sltgrammar::SymbolTable;
 use slt_xml::xmltree::binary::{from_binary, to_binary, tree_fingerprint};
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::{updates as reference, UpdateOp, XmlTree};
-use slt_xml::CompressedDom;
+use slt_xml::{DocId, DomStore};
 
 /// Deterministic pseudo-random stream (splitmix64) so the workload is
 /// reproducible without pulling in `rand`.
@@ -44,14 +46,25 @@ fn seed_document() -> XmlTree {
     parse_xml(&doc).unwrap()
 }
 
+/// `xml` in a store that leaves recompression to the test.
+fn unswept(xml: &XmlTree) -> (DomStore, DocId) {
+    let store = DomStore::new().with_scheduler(SchedulerConfig {
+        debt_threshold: usize::MAX,
+        ..SchedulerConfig::default()
+    });
+    let doc = store.load_xml(xml).unwrap();
+    (store, doc)
+}
+
 #[test]
 fn mixed_workload_with_recompression_matches_the_reference() {
     let xml = seed_document();
     let mut symbols = SymbolTable::new();
     let mut reference_bin = to_binary(&xml, &mut symbols).unwrap();
 
-    let mut dom = CompressedDom::from_xml(&xml, 25);
-    assert_eq!(fingerprint(&dom.grammar()), tree_fingerprint(&reference_bin, &symbols));
+    let (store, doc) = unswept(&xml);
+    let grammar = || store.grammar(doc).unwrap();
+    assert_eq!(fingerprint(&grammar()), tree_fingerprint(&reference_bin, &symbols));
 
     let fragment = parse_xml("<erratum><note/></erratum>").unwrap();
     let labels = ["paper", "retracted", "editorial", "report"];
@@ -60,7 +73,11 @@ fn mixed_workload_with_recompression_matches_the_reference() {
     let mut rng = Rng(0x5EED);
     let mut applied = 0usize;
     for step in 0usize..120 {
-        let size = dom.derived_size();
+        // Every 25 calls, counted before the call so skipped steps count.
+        if step > 0 && step.is_multiple_of(25) {
+            store.recompress(doc).unwrap();
+        }
+        let size = store.derived_size(doc).unwrap();
         let target = 1 + rng.below((size - 2) as u64) as usize;
         let op = match rng.below(10) {
             0 => UpdateOp::Delete { target },
@@ -77,7 +94,7 @@ fn mixed_workload_with_recompression_matches_the_reference() {
         // Apply to the compressed document first; if the position happens to be
         // invalid for the operation (e.g. renaming a null node), both sides
         // skip it so they stay in lockstep.
-        match dom.apply(&op) {
+        match store.apply(doc, &op) {
             Ok(_) => {
                 reference::apply_update(&mut reference_bin, &mut symbols, &op)
                     .expect("reference must accept whatever the grammar accepted");
@@ -89,20 +106,17 @@ fn mixed_workload_with_recompression_matches_the_reference() {
         if step % 10 == 0 {
             // Structural equivalence.
             assert_eq!(
-                fingerprint(&dom.grammar()),
+                fingerprint(&grammar()),
                 tree_fingerprint(&reference_bin, &symbols),
                 "divergence after {applied} applied updates"
             );
             // Read path equivalence.
             let reference_xml = from_binary(&reference_bin, &symbols).unwrap();
-            assert_eq!(
-                element_count(&dom.grammar()),
-                reference_xml.node_count() as u128
-            );
+            assert_eq!(element_count(&grammar()), reference_xml.node_count() as u128);
             for text in queries {
                 let q = PathQuery::parse(text).unwrap();
                 assert_eq!(
-                    q.count(&dom.grammar()),
+                    q.count(&grammar()),
                     q.evaluate_uncompressed(&reference_xml).len() as u128,
                     "query {text} diverged after {applied} applied updates"
                 );
@@ -110,48 +124,50 @@ fn mixed_workload_with_recompression_matches_the_reference() {
         }
     }
     assert!(applied >= 60, "expected most of the workload to apply, got {applied}");
-    assert!(dom.recompressions() >= 2, "automatic recompression should have triggered");
+    assert_eq!(store.recompressions(doc).unwrap(), 4);
 
     // Final full materialization equals the reference document.
-    let final_xml = dom.to_xml().unwrap();
+    let final_xml = store.to_xml(doc).unwrap();
     let reference_xml = from_binary(&reference_bin, &symbols).unwrap();
     assert_eq!(final_xml.to_xml(), reference_xml.to_xml());
 }
 
 #[test]
 fn recompression_never_changes_query_results() {
-    // Apply a rename-heavy workload *without* automatic recompression, then
+    // Apply a rename-heavy workload *without* recompression, then
     // recompress manually and check the read path is bit-identical before and
     // after — recompression must be invisible to readers.
     let xml = seed_document();
-    let mut dom = CompressedDom::from_xml(&xml, 0);
+    let (store, doc) = unswept(&xml);
     let mut rng = Rng(0xFEED);
     for i in 0..60 {
-        let size = dom.derived_size();
+        let size = store.derived_size(doc).unwrap();
         let target = 1 + rng.below((size - 2) as u64) as usize;
-        let _ = dom.apply(&UpdateOp::Rename {
-            target,
-            label: format!("tag{}", i % 7),
-        });
+        let _ = store.apply(
+            doc,
+            &UpdateOp::Rename {
+                target,
+                label: format!("tag{}", i % 7),
+            },
+        );
     }
     let queries = ["//paper", "//tag0", "//tag3//a", "//issue/paper/title"];
-    let before: Vec<u128> = queries
-        .iter()
-        .map(|q| PathQuery::parse(q).unwrap().count(&dom.grammar()))
-        .collect();
-    let edges_before = dom.edge_count();
-    dom.recompress_now();
-    let after: Vec<u128> = queries
-        .iter()
-        .map(|q| PathQuery::parse(q).unwrap().count(&dom.grammar()))
-        .collect();
-    assert_eq!(before, after);
+    let counts = || -> Vec<u128> {
+        let grammar = store.grammar(doc).unwrap();
+        queries
+            .iter()
+            .map(|q| PathQuery::parse(q).unwrap().count(&grammar))
+            .collect()
+    };
+    let before = counts();
+    let edges_before = store.edge_count(doc).unwrap();
+    store.recompress(doc).unwrap();
+    assert_eq!(before, counts());
     // Allow a handful of edges of slack: recompression of small grammars can
     // occasionally trade a couple of edges for an extra pattern rule.
+    let edges_after = store.edge_count(doc).unwrap();
     assert!(
-        dom.edge_count() <= edges_before + edges_before / 10 + 6,
-        "recompression grew the grammar substantially ({} -> {})",
-        edges_before,
-        dom.edge_count()
+        edges_after <= edges_before + edges_before / 10 + 6,
+        "recompression grew the grammar substantially ({edges_before} -> {edges_after})"
     );
 }

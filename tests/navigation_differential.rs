@@ -11,10 +11,9 @@
 //! * the previous streaming evaluator (`PathQuery::evaluate_streaming`),
 //!
 //! on the heterogeneous corpus **and across update/recompress cycles driven
-//! through the session layer** — the latter catches stale
-//! [`NavTables`] snapshots: every batch and every recompression bumps rule
-//! versions, and `CompressedDom` must rebuild its cached tables before the
-//! next read.
+//! through a [`DomStore`]** — the latter catches stale [`NavTables`]
+//! snapshots: every batch and every recompression bumps rule versions, and
+//! the store must publish fresh tables before the next read.
 
 use proptest::prelude::*;
 use slt_xml::datasets::catalog::Dataset;
@@ -23,13 +22,14 @@ use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
 use slt_xml::grammar_repair::navigate::{term_counts, Cursor, NavTables, PreorderLabels};
 use slt_xml::grammar_repair::query::{Axis, PathQuery, QueryMatches};
 use slt_xml::grammar_repair::repair::GrammarRePair;
+use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::sltgrammar::{NodeKind, RhsTree, SymbolTable};
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::xmltree::binary::to_binary;
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::{self as reference, UpdateOp};
 use slt_xml::xmltree::XmlTree;
-use slt_xml::CompressedDom;
+use slt_xml::DomStore;
 use std::sync::Arc;
 
 /// Document-order element labels through the cursor's document view.
@@ -314,8 +314,10 @@ fn fast_read_paths_match_oracles_on_the_heterogeneous_corpus() {
     }
 }
 
-/// The stale-tables catcher: reads through the session-cached tables must
-/// stay oracle-identical after every update batch and every recompression.
+/// The stale-tables catcher: reads through the store's cached tables must
+/// stay oracle-identical after every update batch and every recompression —
+/// forced ones on odd batches, and whatever the store's low-threshold debt
+/// sweep runs inline.
 #[test]
 fn session_reads_survive_update_recompress_cycles() {
     let base = Dataset::ExiWeblog.generate(0.02);
@@ -324,7 +326,11 @@ fn session_reads_survive_update_recompress_cycles() {
         (WorkloadMix::clustered(0.9), 11, "clustered-renames"),
     ] {
         let ops = random_update_sequence(&base, 60, seed, mix);
-        let mut dom = CompressedDom::from_xml(&base, 3);
+        let store = DomStore::new().with_scheduler(SchedulerConfig {
+            debt_threshold: 64,
+            ..SchedulerConfig::default()
+        });
+        let doc = store.load_xml(&base).unwrap();
         let mut symbols = SymbolTable::new();
         let mut oracle = to_binary(&base, &mut symbols).expect("valid document");
 
@@ -334,43 +340,51 @@ fn session_reads_survive_update_recompress_cycles() {
                 reference::apply_update(&mut oracle, &mut symbols, op)
                     .expect("workload operations stay valid");
             }
-            dom.apply_batch(batch)
+            store
+                .apply_batch(doc, batch)
                 .unwrap_or_else(|e| panic!("{label}: batch {b} rejected: {e:?}"));
 
             // The cached snapshot must have been invalidated by the batch.
-            let tables = dom.nav_tables();
+            let tables = store.nav_tables(doc).unwrap();
             if let Some(prev) = &last_tables {
                 assert!(
                     !Arc::ptr_eq(prev, &tables),
                     "{label}: batch {b} must invalidate the cached NavTables"
                 );
             }
-            assert!(tables.is_current(&dom.grammar()));
+            let grammar = store.grammar(doc).unwrap();
+            assert!(tables.is_current(&grammar));
             last_tables = Some(tables.clone());
 
             let context = format!("{label}/batch{b}");
-            assert_reads_match_binary(&oracle, &symbols, &dom.grammar(), &tables, &context);
+            assert_reads_match_binary(&oracle, &symbols, &grammar, &tables, &context);
 
-            // Session convenience reads resolve through the same cache.
+            // Store convenience reads resolve through the same cache.
             let q = PathQuery::parse("//entry").unwrap();
             assert_eq!(
-                dom.query(&q),
+                store.query(doc, &q).unwrap(),
                 query_oracle_on_binary(&q, &oracle, &symbols),
-                "{context}: dom.query"
+                "{context}: store.query"
             );
 
             if b % 2 == 1 {
-                dom.recompress_now();
-                let tables = dom.nav_tables();
+                store.recompress(doc).unwrap();
+                let tables = store.nav_tables(doc).unwrap();
                 assert!(
                     !Arc::ptr_eq(last_tables.as_ref().unwrap(), &tables),
                     "{label}: recompression must invalidate the cached NavTables"
                 );
                 last_tables = Some(tables.clone());
                 let context = format!("{label}/batch{b}/recompressed");
-                assert_reads_match_binary(&oracle, &symbols, &dom.grammar(), &tables, &context);
+                let grammar = store.grammar(doc).unwrap();
+                assert_reads_match_binary(&oracle, &symbols, &grammar, &tables, &context);
             }
         }
+        let forced = ops.chunks(10).count() / 2;
+        assert!(
+            store.recompressions(doc).unwrap() > forced,
+            "{label}: the debt sweep must fire beside the {forced} forced recompressions"
+        );
     }
 }
 
@@ -382,20 +396,19 @@ fn session_reads_share_one_snapshot_between_writes() {
         "<db><r><k/><v/></r><r><k/><v/></r><r><k/><v/></r><r><k/><v/></r></db>",
     )
     .unwrap();
-    let mut dom = CompressedDom::from_xml(&xml, 0);
-    let t1 = dom.nav_tables();
-    let _ = dom.query_str("//r/k").unwrap();
-    let _ = dom.cursor();
-    let t2 = dom.nav_tables();
+    let store = DomStore::new();
+    let doc = store.load_xml(&xml).unwrap();
+    let t1 = store.nav_tables(doc).unwrap();
+    let _ = store.query_str(doc, "//r/k").unwrap();
+    let _ = store.snapshot(doc).unwrap().cursor();
+    let t2 = store.nav_tables(doc).unwrap();
     assert!(Arc::ptr_eq(&t1, &t2));
-    dom.apply(&UpdateOp::Rename {
-        target: 1,
-        label: "row".to_string(),
-    })
-    .unwrap();
-    let t3 = dom.nav_tables();
+    store
+        .apply(doc, &UpdateOp::Rename { target: 1, label: "row".to_string() })
+        .unwrap();
+    let t3 = store.nav_tables(doc).unwrap();
     assert!(!Arc::ptr_eq(&t1, &t3));
-    assert_eq!(dom.query_str("//row").unwrap().len(), 1);
+    assert_eq!(store.query_str(doc, "//row").unwrap().len(), 1);
 }
 
 /// Random document strategy shared by the property tests below.
@@ -455,19 +468,27 @@ proptest! {
     #[test]
     fn prop_cursor_matches_document_after_updates(xml in arbitrary_xml(40), seed in 0u64..1000) {
         let ops = random_update_sequence(&xml, 6, seed, WorkloadMix::default());
-        let mut dom = CompressedDom::from_xml(&xml, 2);
+        let store = DomStore::new();
+        let doc = store.load_xml(&xml).unwrap();
         let mut symbols = SymbolTable::new();
         let mut oracle = to_binary(&xml, &mut symbols).expect("valid document");
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
             reference::apply_update(&mut oracle, &mut symbols, op).expect("valid op");
-            dom.apply(op).expect("valid op");
+            store.apply(doc, op).expect("valid op");
+            if i % 2 == 1 {
+                store.recompress(doc).unwrap();
+            }
         }
-        let mut cursor = dom.cursor();
+        let snapshot = store.snapshot(doc).unwrap();
+        let mut cursor = snapshot.cursor();
         prop_assert_eq!(
             doc_labels_via_cursor(&mut cursor),
             binary_doc_labels(&oracle, &symbols)
         );
         let q = PathQuery::parse("//rec//item").unwrap();
-        prop_assert_eq!(dom.query(&q), query_oracle_on_binary(&q, &oracle, &symbols));
+        prop_assert_eq!(
+            store.query(doc, &q).unwrap(),
+            query_oracle_on_binary(&q, &oracle, &symbols)
+        );
     }
 }

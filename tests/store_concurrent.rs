@@ -132,7 +132,6 @@ fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
     let mut store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 40,
         drain_budget: 0,
-        auto: true,
     });
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
     store.start_maintenance(Duration::from_millis(1));

@@ -108,11 +108,10 @@ fn workloads(docs: &[XmlTree], count: usize) -> Vec<Vec<UpdateOp>> {
 fn interleaved_updates_across_documents_stay_byte_identical_to_their_oracles() {
     let docs = corpus();
     let ops = workloads(&docs, 48);
-    // Small threshold + auto: the scheduler recompresses mid-schedule.
+    // Small threshold: the scheduler recompresses mid-schedule.
     let store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 60,
         drain_budget: 0,
-        auto: true,
     });
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
     let mut oracles: Vec<Oracle> = docs.iter().map(Oracle::new).collect();
@@ -266,7 +265,6 @@ fn positional_reads_agree_with_cursor_stepping_across_update_cycles() {
     let mut store = DomStore::new().with_scheduler(SchedulerConfig {
         debt_threshold: 80,
         drain_budget: 0,
-        auto: true,
     });
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
 

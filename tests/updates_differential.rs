@@ -3,21 +3,26 @@
 //! Seeded random update sequences (insert/delete/rename at several locality
 //! settings) are applied simultaneously to
 //!
-//! * a [`CompressedDom`] through the **single-operation** path,
-//! * a [`CompressedDom`] through the **batched** path (`apply_batch`, several
-//!   batch sizes), and
+//! * a [`DomStore`] document through the **single-operation** path
+//!   (`DomStore::apply`),
+//! * a [`DomStore`] document through the **batched** path (`apply_batch`,
+//!   several batch sizes), and
 //! * a plain uncompressed binary tree through `xmltree::updates` — the
 //!   oracle,
 //!
-//! with and without automatic recompression, asserting **byte-identical XML
-//! serialization** after every step (every operation on the single-op path,
-//! every batch on the batched path). The harness also pins the batched
-//! isolation growth bound and the byte-identity of singleton batches with
-//! single-target isolation.
+//! under three recompression modes ([`Recompress`]): none, a forced
+//! recompression every few calls (the paper's fixed-interval policy), and
+//! the store's own inline debt sweep. Every step asserts **byte-identical
+//! XML serialization** (every operation on the single-op path, every batch
+//! on the batched path). The harness also pins the batched isolation growth
+//! bound and the byte-identity of singleton batches with single-target
+//! isolation.
 
 use proptest::prelude::*;
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
 use slt_xml::grammar_repair::isolate::{isolate, isolate_many};
+use slt_xml::grammar_repair::store::SchedulerConfig;
+use slt_xml::grammar_repair::RepairError;
 use slt_xml::sltgrammar::derive::val;
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
 use slt_xml::sltgrammar::{serialize, NodeKind, RhsTree, SymbolTable};
@@ -26,7 +31,7 @@ use slt_xml::xmltree::binary::{from_binary, to_binary, tree_fingerprint};
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::{self as reference, UpdateOp};
 use slt_xml::xmltree::XmlTree;
-use slt_xml::CompressedDom;
+use slt_xml::{DocId, DomStore};
 
 /// The uncompressed ground-truth document, updated via `xmltree::updates`.
 struct Oracle {
@@ -53,22 +58,99 @@ impl Oracle {
     }
 }
 
-fn dom_serialization(dom: &CompressedDom) -> String {
-    dom.to_xml().expect("document stays materializable").to_xml()
+/// How a [`Subject`] restores compression between calls.
+#[derive(Clone, Copy, Debug)]
+enum Recompress {
+    /// Never: the scheduler's threshold is `usize::MAX`.
+    Never,
+    /// A forced `DomStore::recompress` after every `n`-th call — the paper's
+    /// fixed-interval policy, counted by the caller.
+    Every(usize),
+    /// The store's inline debt sweep at this threshold, run after every call
+    /// that changed the grammar.
+    Debt(usize),
+}
+
+/// One document in a store of its own, plus the call counter the
+/// fixed-interval mode needs.
+struct Subject {
+    store: DomStore,
+    doc: DocId,
+    mode: Recompress,
+    calls: usize,
+}
+
+impl Subject {
+    fn new(xml: &XmlTree, mode: Recompress) -> Self {
+        let debt_threshold = match mode {
+            Recompress::Debt(threshold) => threshold,
+            Recompress::Never | Recompress::Every(_) => usize::MAX,
+        };
+        let store = DomStore::new().with_scheduler(SchedulerConfig {
+            debt_threshold,
+            ..SchedulerConfig::default()
+        });
+        let doc = store.load_xml(xml).expect("valid document");
+        Subject {
+            store,
+            doc,
+            mode,
+            calls: 0,
+        }
+    }
+
+    /// One call through the single-op entry point.
+    fn apply(&mut self, op: &UpdateOp) -> Result<(), RepairError> {
+        let result = self.store.apply(self.doc, op).map(drop);
+        self.count_call();
+        result
+    }
+
+    /// One call through the batched entry point.
+    fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<(), RepairError> {
+        let result = self.store.apply_batch(self.doc, ops).map(drop);
+        self.count_call();
+        result
+    }
+
+    fn count_call(&mut self) {
+        self.calls += 1;
+        if let Recompress::Every(n) = self.mode {
+            if self.calls.is_multiple_of(n) {
+                self.store.recompress(self.doc).expect("live document");
+            }
+        }
+    }
+
+    fn grammar(&self) -> std::sync::Arc<slt_xml::sltgrammar::Grammar> {
+        self.store.grammar(self.doc).expect("live document")
+    }
+
+    fn recompressions(&self) -> usize {
+        self.store.recompressions(self.doc).expect("live document")
+    }
+
+    fn serialization(&self) -> String {
+        self.store
+            .to_xml(self.doc)
+            .expect("document stays materializable")
+            .to_xml()
+    }
 }
 
 /// Runs one differential scenario: the same `ops` through the oracle, the
 /// single-op path (checked after every operation) and the batched path with
-/// the given batch size (checked after every batch).
+/// the given batch size (checked after every batch). Returns how many
+/// recompressions the two paths ran together.
 fn run_differential(
     xml: &XmlTree,
     ops: &[UpdateOp],
-    recompress_every: usize,
+    mode: Recompress,
     batch_size: usize,
     context: &str,
-) {
-    let mut single = CompressedDom::from_xml(xml, recompress_every);
-    let mut batched = CompressedDom::from_xml(xml, recompress_every);
+) -> usize {
+    let mut single = Subject::new(xml, mode);
+    let mut batched = Subject::new(xml, mode);
     let mut oracle = Oracle::new(xml);
 
     for (b, batch) in ops.chunks(batch_size).enumerate() {
@@ -78,7 +160,7 @@ fn run_differential(
                 panic!("{context}: single-op path rejected op {i} of batch {b}: {e:?}")
             });
             assert_eq!(
-                dom_serialization(&single),
+                single.serialization(),
                 oracle.serialization(),
                 "{context}: single-op path diverged at op {i} of batch {b}"
             );
@@ -87,13 +169,14 @@ fn run_differential(
             .apply_batch(batch)
             .unwrap_or_else(|e| panic!("{context}: batched path rejected batch {b}: {e:?}"));
         assert_eq!(
-            dom_serialization(&batched),
+            batched.serialization(),
             oracle.serialization(),
             "{context}: batched path diverged after batch {b}"
         );
     }
     single.grammar().validate().unwrap();
     batched.grammar().validate().unwrap();
+    single.recompressions() + batched.recompressions()
 }
 
 /// A small, repetitive document the compressor bites into.
@@ -123,17 +206,15 @@ fn differential_insert_delete_rename_across_locality_settings() {
         };
         let ops = random_update_sequence(&xml, 60, 0xD1FF ^ (locality * 100.0) as u64, mix);
         for &batch_size in &[1usize, 9, 60] {
-            // recompress_every = 0 disables automatic recompression; 4 makes
-            // it fire repeatedly inside the sequence on both paths.
-            for &recompress_every in &[0usize, 4] {
-                run_differential(
-                    &xml,
-                    &ops,
-                    recompress_every,
-                    batch_size,
-                    &format!(
-                        "locality {locality}, batch {batch_size}, recompress {recompress_every}"
-                    ),
+            // Every(4) and Debt(16) both recompress repeatedly inside the
+            // sequence on the single-op path.
+            for mode in [Recompress::Never, Recompress::Every(4), Recompress::Debt(16)] {
+                let context = format!("locality {locality}, batch {batch_size}, {mode:?}");
+                let recompressions = run_differential(&xml, &ops, mode, batch_size, &context);
+                assert_eq!(
+                    recompressions > 0,
+                    !matches!(mode, Recompress::Never),
+                    "{context}: {recompressions} recompressions"
                 );
             }
         }
@@ -147,7 +228,7 @@ fn differential_paper_insert_delete_mix_with_clustering() {
     // removed-region remapping under recompression.
     let xml = feed_doc(10);
     let ops = random_update_sequence(&xml, 80, 0xBADD, WorkloadMix::clustered(0.9));
-    run_differential(&xml, &ops, 6, 16, "paper mix, clustered");
+    run_differential(&xml, &ops, Recompress::Every(6), 16, "paper mix, clustered");
 }
 
 #[test]
@@ -166,13 +247,15 @@ fn differential_delete_heavy_mix_across_locality_and_batch_sizes() {
         };
         let ops = random_update_sequence(&xml, 70, 0xDE1E ^ (locality * 10.0) as u64, mix);
         for &batch_size in &[4usize, 70] {
-            run_differential(
-                &xml,
-                &ops,
-                5,
-                batch_size,
-                &format!("delete-heavy, locality {locality}, batch {batch_size}"),
-            );
+            for mode in [Recompress::Every(5), Recompress::Debt(16)] {
+                run_differential(
+                    &xml,
+                    &ops,
+                    mode,
+                    batch_size,
+                    &format!("delete-heavy, locality {locality}, batch {batch_size}, {mode:?}"),
+                );
+            }
         }
     }
 }
@@ -187,7 +270,7 @@ fn differential_rename_only_figure6_workload() {
         ..WorkloadMix::default()
     };
     let ops = random_update_sequence(&xml, 100, 6, mix);
-    run_differential(&xml, &ops, 10, 25, "figure-6 renames");
+    run_differential(&xml, &ops, Recompress::Every(10), 25, "figure-6 renames");
 }
 
 #[test]
@@ -224,7 +307,7 @@ fn differential_handcrafted_edits_inside_fresh_fragments() {
         probe.apply(op); // validates the handcrafted coordinates
     }
     assert_eq!(probe.serialization(), "<r><a/><bee/><c/></r>");
-    run_differential(&xml, &ops, 0, ops.len(), "handcrafted fresh-fragment edits");
+    run_differential(&xml, &ops, Recompress::Never, ops.len(), "handcrafted fresh-fragment edits");
 }
 
 #[test]
@@ -254,7 +337,8 @@ fn differential_deletes_adjacent_to_and_inside_fresh_fragments() {
     }
     assert_eq!(probe.serialization(), "<r><a/><sea/></r>");
     for &batch_size in &[2usize, ops.len()] {
-        run_differential(&xml, &ops, 0, batch_size, "deletes around fresh fragments");
+        let context = "deletes around fresh fragments";
+        run_differential(&xml, &ops, Recompress::Never, batch_size, context);
     }
 }
 
@@ -271,7 +355,7 @@ fn differential_consecutive_delete_runs() {
         probe.apply(op);
     }
     for &batch_size in &[1usize, 2, same_spot.len()] {
-        run_differential(&xml, &same_spot, 0, batch_size, "same-spot delete run");
+        run_differential(&xml, &same_spot, Recompress::Never, batch_size, "same-spot delete run");
     }
 
     // Backwards run: delete the 3rd, 2nd, then 1st item — later targets lie
@@ -297,7 +381,8 @@ fn differential_consecutive_delete_runs() {
         probe.apply(op);
     }
     for &batch_size in &[2usize, backwards.len()] {
-        run_differential(&xml, &backwards, 3, batch_size, "backwards delete run");
+        let context = "backwards delete run";
+        run_differential(&xml, &backwards, Recompress::Every(3), batch_size, context);
     }
 }
 
@@ -320,7 +405,7 @@ fn differential_delete_at_document_root() {
         oracle.apply(op);
     }
     // Batched path, all in one batch.
-    let mut dom = CompressedDom::from_xml(&xml, 0);
+    let mut dom = Subject::new(&xml, Recompress::Never);
     dom.apply_batch(&ops).unwrap();
     dom.grammar().validate().unwrap();
     assert_eq!(
@@ -329,7 +414,7 @@ fn differential_delete_at_document_root() {
         "root deletion: batched path diverged from the oracle"
     );
     // Single-op path agrees too.
-    let mut single = CompressedDom::from_xml(&xml, 0);
+    let mut single = Subject::new(&xml, Recompress::Never);
     for op in &ops {
         single.apply(op).unwrap();
     }
@@ -353,7 +438,7 @@ fn batched_path_survives_repeated_update_recompress_cycles() {
         ..WorkloadMix::default()
     };
     let ops = random_update_sequence(&xml, 120, 0xC0FFEE, mix);
-    let mut dom = CompressedDom::from_xml(&xml, 3);
+    let mut dom = Subject::new(&xml, Recompress::Every(3));
     let mut oracle = Oracle::new(&xml);
     for batch in ops.chunks(8) {
         for op in batch {
@@ -362,7 +447,7 @@ fn batched_path_survives_repeated_update_recompress_cycles() {
         dom.apply_batch(batch).unwrap();
     }
     assert!(dom.recompressions() >= 4);
-    assert_eq!(dom_serialization(&dom), oracle.serialization());
+    assert_eq!(dom.serialization(), oracle.serialization());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,25 @@
 //! A single op is a batch of one, at every layer.
 //!
 //! One table over {rename, insert, delete} × {ok, out-of-range target, null
-//! target, null label}: `update::apply_update`, `DomStore::apply`,
-//! `DurableStore::apply` and `CompressedDom::apply` must agree with their
-//! own `apply_batch(&[op])` on everything a caller can observe — grammar
-//! bytes, statistics, error value, debt, recompression count, policy charge,
-//! the bytes appended to the WAL — and a request that is rejected before it
-//! mutates the grammar must cost nothing on either entry point: the next
-//! read gets the *same* `Arc<NavTables>` and no maintenance sweep runs.
+//! target, null label}: `update::apply_update`, `DomStore::apply` and
+//! `DurableStore::apply` must agree with their own `apply_batch(&[op])` on
+//! everything a caller can observe — grammar bytes, statistics, error value,
+//! debt, recompression count, the bytes appended to the WAL — and a request
+//! that is rejected before it mutates the grammar must cost nothing on
+//! either entry point: the next read gets the *same* `Arc<NavTables>` and no
+//! maintenance sweep runs.
 
 use std::sync::Arc;
 
 use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::update::{apply_batch, apply_update, BatchStats, UpdateStats};
 use slt_xml::grammar_repair::wal::testing::FailpointFs;
-use slt_xml::grammar_repair::RepairError;
+use slt_xml::grammar_repair::{GrammarRePair, RepairError};
 use slt_xml::sltgrammar::serialize;
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::UpdateOp;
 use slt_xml::xmltree::XmlTree;
-use slt_xml::{CompressedDom, DocId, DomStore, DurableStore};
+use slt_xml::{DocId, DomStore, DurableStore};
 
 /// Ten identical items: every node below the root sits inside compressed
 /// rules, so reaching it takes an isolation that grows the grammar.
@@ -98,16 +98,18 @@ fn check_outcome(row: &str, result: &Result<UpdateStats, RepairError>, expect: O
 
 #[test]
 fn the_landmarks_are_where_the_table_says() {
-    let dom = CompressedDom::from_xml(&doc(), 0);
-    assert_eq!(dom.label_at(FIFTH_ITEM as u128).unwrap(), "item");
-    assert_eq!(dom.label_at(COMPRESSED_NULL as u128).unwrap(), "#");
-    assert_eq!(dom.label_at(EXPLICIT_NULL as u128).unwrap(), "#");
-    assert_eq!(dom.derived_size(), EXPLICIT_NULL as u128 + 1);
+    let store = DomStore::new();
+    let id = store.load_xml(&doc()).unwrap();
+    let snap = store.snapshot(id).unwrap();
+    assert_eq!(snap.label_at(FIFTH_ITEM as u128).unwrap(), "item");
+    assert_eq!(snap.label_at(COMPRESSED_NULL as u128).unwrap(), "#");
+    assert_eq!(snap.label_at(EXPLICIT_NULL as u128).unwrap(), "#");
+    assert_eq!(snap.derived_size(), EXPLICIT_NULL as u128 + 1);
 }
 
 #[test]
 fn update_apply_update_is_apply_batch_of_one() {
-    let base = CompressedDom::from_xml(&doc(), 0).into_grammar();
+    let (base, _) = GrammarRePair::default().compress_xml(&doc());
     let pristine = serialize::encode(&base);
     for (row, op, expect) in table() {
         let (mut single, mut batch) = (base.clone(), base.clone());
@@ -127,8 +129,7 @@ fn update_apply_update_is_apply_batch_of_one() {
 /// recompression count tells whether a request triggered one.
 fn store_with_bystander() -> (DomStore, DocId, DocId) {
     let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 1,
-        auto: false,
+        debt_threshold: usize::MAX,
         ..SchedulerConfig::default()
     });
     let doc_id = store.load_xml(&doc()).unwrap();
@@ -144,7 +145,7 @@ fn store_with_bystander() -> (DomStore, DocId, DocId) {
         .unwrap();
     assert!(store.debt(bystander).unwrap() >= 1);
     store.set_scheduler(SchedulerConfig {
-        auto: true,
+        debt_threshold: 1,
         ..store.scheduler()
     });
     (store, doc_id, bystander)
@@ -193,6 +194,7 @@ fn dom_store_apply_is_apply_batch_of_one() {
         }
         let seen = observe(&single, single_doc, single_by);
         assert_eq!(seen, observe(&batch, batch_doc, batch_by), "{row}: store state");
+        assert_eq!(seen.1[2], usize::from(expect == Outcome::Ok), "{row}: only applied ops count");
         let swept = seen.1[4];
         assert_eq!(
             swept,
@@ -254,43 +256,5 @@ fn durable_store_apply_is_apply_batch_of_one() {
             let (recovered, _) = DurableStore::open_with(fs, "db").unwrap();
             assert_eq!(recovered.to_xml(single_doc).unwrap().to_xml(), want, "{row}: replay");
         }
-    }
-}
-
-#[test]
-fn compressed_dom_apply_is_apply_batch_of_one() {
-    for (row, op, expect) in table() {
-        // `recompress_every = 1`: every policy charge is a recompression.
-        let mut single = CompressedDom::from_xml(&doc(), 1);
-        let mut batch = CompressedDom::from_xml(&doc(), 1);
-        let tables = single.nav_tables();
-
-        let a = single.apply(&op);
-        let b = batch.apply_batch(std::slice::from_ref(&op));
-        let charged = usize::from(expect != Outcome::Rejected);
-        for (recompressed, dom) in [
-            (a.as_ref().map(|(_, repair)| repair.is_some()), &single),
-            (b.as_ref().map(|(_, repair)| repair.is_some()), &batch),
-        ] {
-            assert_eq!(dom.recompressions(), charged, "{row}: policy charge");
-            if let Ok(recompressed) = recompressed {
-                assert!(recompressed, "{row}: an applied op reports its recompression");
-            }
-        }
-        let a = a.map(|(stats, _)| stats);
-        check_outcome(row, &a, expect);
-        assert_eq!(a, b.map(|(stats, _)| narrowed(stats)), "{row}: result");
-        assert_eq!(
-            serialize::encode(&single.grammar()),
-            serialize::encode(&batch.grammar()),
-            "{row}: grammar bytes"
-        );
-        assert_eq!(single.total_updates(), batch.total_updates(), "{row}: updates");
-        assert_eq!(single.total_updates(), usize::from(expect == Outcome::Ok));
-        assert_eq!(
-            Arc::ptr_eq(&tables, &single.nav_tables()),
-            expect == Outcome::Rejected,
-            "{row}: snapshot"
-        );
     }
 }
