@@ -66,7 +66,7 @@ fn bench_updates(c: &mut Criterion) {
 /// the FLUX-style shape batching is built for). Both paths produce
 /// byte-identical documents (see `tests/updates_differential.rs`); only
 /// wall-time differs: the one-at-a-time path recomputes the grammar-wide
-/// size tables per operation, the batched path once per chunk.
+/// size tables per operation, the batched path once per call.
 fn bench_updates_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("updates_batched");
     group.sample_size(10);
@@ -106,11 +106,10 @@ fn bench_updates_batched(c: &mut Criterion) {
 }
 
 /// Batched vs one-at-a-time on the paper's Section V-C **90/10 insert/delete
-/// mix** (uniform targets, no renames). Before the delete-tolerant planner
-/// every delete flushed its isolation chunk, degrading this workload toward
-/// one-at-a-time; with removed-region remapping the mix batches at full
-/// length, so batched is expected to hold a multiple-x advantage here too
-/// (gated ≥3× by the committed baseline discipline).
+/// mix** (uniform targets, no renames). Deletes cost the batched path
+/// nothing extra — its session is patched through every splice — so it is
+/// expected to hold a multiple-x advantage here too (gated ≥3× by the
+/// committed baseline discipline).
 fn bench_updates_mixed(c: &mut Criterion) {
     let mut group = c.benchmark_group("updates_mixed");
     group.sample_size(10);

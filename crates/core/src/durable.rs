@@ -845,7 +845,7 @@ mod tests {
     #[test]
     fn mid_chunk_splice_error_replays_to_the_partial_state() {
         // The WAL logs an ApplyBatch record *before* the apply; a splice-time
-        // error leaves the chunk's already-spliced prefix applied in memory.
+        // error leaves the batch's already-spliced prefix applied in memory.
         // Recovery replays the same record through the same non-fatal
         // apply_batch, so the recovered document must equal the in-memory
         // partial state, byte for byte — not the batch-start state.
@@ -864,7 +864,7 @@ mod tests {
         ];
         assert!(store.apply_batch(a, &ops_a).is_err());
         // Doc b: the rename to the reserved null label errors after a
-        // successful insert in the same chunk.
+        // successful insert in the same batch.
         let ops_b = vec![
             UpdateOp::InsertBefore {
                 target: 1,
@@ -887,6 +887,63 @@ mod tests {
             "replay must reproduce the partial state of the failed batch"
         );
         assert_eq!(recovered.to_xml(b).unwrap().to_xml(), want_b);
+    }
+
+    #[test]
+    fn an_out_of_range_target_replays_to_the_applied_prefix() {
+        // An out-of-range target fails like any other op: the ops before it
+        // stay applied. Doc a takes the batch as one ApplyBatch record, doc b
+        // as two tickets of one coalesced flush (one ApplyMany job), doc c
+        // just the prefix. Replay must rebuild all three byte for byte.
+        let (fs, store) = mem_store();
+        let store = Arc::new(store);
+        let ops = vec![
+            UpdateOp::Rename { target: 1, label: "entry".into() },
+            UpdateOp::InsertBefore { target: 5, fragment: parse_xml("<ad/>").unwrap() },
+            UpdateOp::Delete { target: 1 << 40 },
+        ];
+        let out_of_range =
+            |r: Result<BatchStats>| matches!(r, Err(RepairError::TargetOutOfRange { .. }));
+        let [a, b, c] = [(); 3].map(|()| store.load_xml(&doc("feed", 3)).unwrap());
+
+        assert!(out_of_range(
+            store.apply_batch(a, &ops).map(|(stats, _)| stats)
+        ));
+        let queue = crate::queue::IngestQueue::new(store.clone());
+        let tickets = [
+            queue.submit(b, ops[..2].to_vec()).unwrap(),
+            queue.submit(b, ops[2..].to_vec()).unwrap(),
+        ];
+        assert_eq!(queue.flush().jobs, 1, "one coalesced job");
+        for ticket in tickets {
+            assert!(
+                out_of_range(queue.wait(ticket)),
+                "every ticket gets the error"
+            );
+        }
+        store.apply_batch(c, &ops[..2]).unwrap();
+
+        let prefix = store.to_xml(c).unwrap().to_xml();
+        for id in [a, b] {
+            assert_eq!(
+                store.to_xml(id).unwrap().to_xml(),
+                prefix,
+                "the prefix is applied"
+            );
+        }
+        let bytes = |s: &DurableStore| -> Vec<Vec<u8>> {
+            [a, b, c]
+                .iter()
+                .map(|&id| serialize::encode(&s.dom().grammar(id).unwrap()))
+                .collect()
+        };
+        let want = bytes(&store);
+        drop(queue);
+        drop(store);
+
+        let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
+        assert_eq!(report.replayed, 6);
+        assert_eq!(bytes(&recovered), want, "replay reproduces every grammar");
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //! that produce `u`. Lemma 1 of the paper bounds the growth caused by a single
 //! isolation by a factor of two, because every rule is inlined at most once.
 //!
-//! There is one walk: [`IsolationBatch`]. A session computes the per-rule
-//! size tables ([`RuleSizes`]) and the start rule's subtree sizes once, walks
-//! the start rule with the (sorted) targets distributed down the tree,
+//! There is one walk: [`IsolationBatch::isolate_one`]. A session computes the
+//! per-rule size tables ([`RuleSizes`]) and the start rule's subtree sizes
+//! once, descends from the start rule's root to one target at a time, and
 //! patches subtree sizes incrementally after each inlining instead of
-//! recomputing them, and inlines every nonterminal reference on any target
-//! path at most once — shared path prefixes are isolated once for the whole
-//! session, so the Lemma-1 factor-two growth bound holds per *distinct*
-//! root-to-target path, not per target. [`isolate`] (one target) and
-//! [`isolate_many`] (a list) are sessions of that length.
+//! recomputing them. A reference one isolation inlined is explicit for every
+//! later one, so isolations sharing a path prefix inline it once and the
+//! Lemma-1 factor-two growth bound holds per *distinct* root-to-target path,
+//! not per target. [`isolate`] is a session of one isolation.
 //!
 //! # How long a session lives
 //!
@@ -25,7 +24,7 @@
 //! driven through a fresh session per call — and it stays coherent for as
 //! long as every mutation of the grammar is reported to it:
 //!
-//! * inlinings happen inside the session ([`IsolationBatch::isolate_sorted`]);
+//! * inlinings happen inside the session ([`IsolationBatch::isolate_one`]);
 //! * splices of the start rule are reported by [`crate::update`] through
 //!   [`note_inserted`](IsolationBatch::note_inserted) /
 //!   [`note_removed`](IsolationBatch::note_removed), and a rule-dropping
@@ -44,8 +43,6 @@
 //! document beside its write-state grammar on exactly these rules;
 //! [`IsolationBatch::assert_matches_rebuild`] is the oracle that a kept
 //! session equals a fresh one.
-
-use std::collections::HashMap;
 
 use sltgrammar::derive::RuleSizes;
 use sltgrammar::fingerprint::derived_size;
@@ -76,11 +73,10 @@ pub fn isolate(g: &mut Grammar, target: u128) -> Result<(NodeId, IsolationStats)
 /// subtree sizes **once**; every subsequent isolation through the same session
 /// reuses them, patching the subtree-size table incrementally after each
 /// inlining (arena node ids are never reused, so entries of surviving nodes
-/// stay valid). Callers that splice the start rule (updates) must finish all
-/// isolations of a chunk before splicing, and must report every splice so the
-/// size table, the derived size and the edge total follow the document.
-/// Splices only ever edit the start rule, so the per-rule tables stay valid
-/// across them — one session spans a whole multi-chunk
+/// stay valid). Callers that splice the start rule (updates) must report
+/// every splice so the size table, the derived size and the edge total
+/// follow the document. Splices only ever edit the start rule, so the
+/// per-rule tables stay valid across them — one session spans a whole
 /// [`crate::update::apply_batch`] call, and any number of calls after it,
 /// keeping the Lemma-1 factor-two growth bound per *distinct* isolated path.
 ///
@@ -240,165 +236,82 @@ impl IsolationBatch {
         assert_eq!(fresh.edges, g.edge_count(), "edge total of a fresh session");
     }
 
-    /// Isolates a single target through the session (sizes are reused and
-    /// patched, shared prefixes with earlier isolations are already explicit).
+    /// Makes the node at 0-based preorder index `target` of the derived tree
+    /// explicit in the start rule and returns its node id there: one descent
+    /// from the start rule's root that inlines exactly the references whose
+    /// own content derives the target. A reference an earlier isolation of
+    /// this session inlined is explicit now and is walked, not inlined again.
+    /// An out-of-range target fails before anything is inlined.
     pub fn isolate_one(&mut self, g: &mut Grammar, target: u128) -> Result<NodeId> {
-        Ok(self.isolate_sorted(g, &[target])?[0])
-    }
-
-    /// Isolates every target of the strictly increasing list `targets` in one
-    /// walk of the start rule, returning their start-rule node ids in order.
-    ///
-    /// Each nonterminal reference on any target path is inlined at most once;
-    /// targets sharing a path prefix share its isolation cost.
-    pub fn isolate_sorted(&mut self, g: &mut Grammar, targets: &[u128]) -> Result<Vec<NodeId>> {
-        debug_assert!(
-            targets.windows(2).all(|w| w[0] < w[1]),
-            "targets must be strictly increasing"
-        );
-        for &t in targets {
-            if t >= self.total {
-                return Err(RepairError::TargetOutOfRange {
-                    index: t,
-                    size: self.total,
-                });
-            }
-        }
-        let mut resolved: Vec<Option<NodeId>> = vec![None; targets.len()];
-        if targets.is_empty() {
-            return Ok(Vec::new());
+        if target >= self.total {
+            return Err(RepairError::TargetOutOfRange {
+                index: target,
+                size: self.total,
+            });
         }
         let start = g.start();
-        let root = g.rule(start).rhs.root();
-        // Work items: a start-rule node plus the targets that fall into its
-        // subtree, as (offset within the subtree, output slot), sorted by
-        // offset. LIFO with right-to-left pushes yields a preorder walk.
-        let all: Vec<(u128, usize)> = targets.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let mut stack: Vec<(NodeId, Vec<(u128, usize)>)> = vec![(root, all)];
-
-        while let Some((mut node, mut pending)) = stack.pop() {
-            loop {
-                let kind = g.rule(start).rhs.kind(node);
-                match kind {
-                    NodeKind::Term(_) => {
-                        // Offsets are distinct, so at most one target rests here.
-                        if pending.first().map(|&(rem, _)| rem) == Some(0) {
-                            let (_, slot) = pending.remove(0);
-                            resolved[slot] = Some(node);
-                        }
-                        if pending.is_empty() {
+        let mut node = g.rule(start).rhs.root();
+        // Offset of the target within the subtree derived from `node`.
+        let mut rem = target;
+        loop {
+            debug_assert!(
+                rem < self.sizes[node.index()],
+                "the target lies under `node`"
+            );
+            let rhs = &g.rule(start).rhs;
+            match rhs.kind(node) {
+                NodeKind::Term(_) if rem == 0 => return Ok(node),
+                NodeKind::Term(_) => {
+                    rem -= 1;
+                    for &c in rhs.children(node) {
+                        let s = self.sizes[c.index()];
+                        if rem < s {
+                            node = c;
                             break;
                         }
-                        let children = g.rule(start).rhs.children(node).to_vec();
-                        let mut buckets: Vec<(NodeId, Vec<(u128, usize)>)> = Vec::new();
-                        let mut k = 0;
-                        let mut offset: u128 = 0;
-                        for &c in &children {
-                            let s = self.sizes[c.index()];
-                            let mut bucket = Vec::new();
-                            while k < pending.len() && pending[k].0 - 1 < offset + s {
-                                bucket.push((pending[k].0 - 1 - offset, pending[k].1));
-                                k += 1;
-                            }
-                            offset += s;
-                            if !bucket.is_empty() {
-                                buckets.push((c, bucket));
-                            }
-                        }
-                        if k < pending.len() {
-                            return Err(RepairError::TargetOutOfRange {
-                                index: targets[pending[k].1],
-                                size: self.total,
-                            });
-                        }
-                        match self.schedule(&mut stack, buckets) {
-                            Some((n, p)) => {
-                                node = n;
-                                pending = p;
-                            }
-                            None => break,
-                        }
+                        rem -= s;
                     }
-                    NodeKind::Nt(callee) => {
-                        // Classify each target: produced by the callee's own
-                        // content (some segment) or by an argument subtree.
-                        let segs = self.rules.segments(callee);
-                        let args = g.rule(start).rhs.children(node).to_vec();
-                        let mut any_in_callee = false;
-                        let mut buckets: Vec<(NodeId, Vec<(u128, usize)>)> = Vec::new();
-                        let mut k = 0;
-                        let mut offset: u128 = 0;
-                        for (j, &seg) in segs.iter().enumerate() {
-                            while k < pending.len() && pending[k].0 < offset + seg {
-                                any_in_callee = true;
-                                k += 1;
-                            }
-                            offset += seg;
-                            if j < args.len() {
-                                let s = self.sizes[args[j].index()];
-                                let mut bucket = Vec::new();
-                                while k < pending.len() && pending[k].0 < offset + s {
-                                    bucket.push((pending[k].0 - offset, pending[k].1));
-                                    k += 1;
-                                }
-                                offset += s;
-                                if !bucket.is_empty() {
-                                    buckets.push((args[j], bucket));
-                                }
-                            }
+                }
+                NodeKind::Nt(callee) => {
+                    // The callee's segments and the arguments interleave.
+                    // Scan with a separate offset: `rem` must survive intact
+                    // when the target lies in a segment and the reference is
+                    // inlined and walked again from the same position.
+                    let args = rhs.children(node);
+                    let mut offset = 0;
+                    let mut into_arg = None;
+                    for (j, &seg) in self.rules.segments(callee).iter().enumerate() {
+                        offset += seg;
+                        if rem < offset {
+                            break;
                         }
-                        if k < pending.len() {
-                            return Err(RepairError::TargetOutOfRange {
-                                index: targets[pending[k].1],
-                                size: self.total,
-                            });
+                        let Some(&arg) = args.get(j) else { break };
+                        let s = self.sizes[arg.index()];
+                        if rem < offset + s {
+                            into_arg = Some((arg, rem - offset));
+                            break;
                         }
-                        if any_in_callee {
-                            // Inline once for the whole batch and re-classify
-                            // every pending target inside the copy.
-                            let new_root = g.inline_at(start, node);
-                            self.stats.inlinings += 1;
-                            // The copy holds the callee's nodes minus its
-                            // parameters; the reference node is gone.
-                            self.edges += self.rules.rhs_nodes(callee) - args.len() - 1;
-                            self.fill_sizes(g, new_root);
-                            node = new_root;
-                        } else {
-                            match self.schedule(&mut stack, buckets) {
-                                Some((n, p)) => {
-                                    node = n;
-                                    pending = p;
-                                }
-                                None => break,
-                            }
-                        }
+                        offset += s;
                     }
-                    NodeKind::Param(_) => {
-                        unreachable!("the start rule has rank 0 and contains no parameters")
+                    if let Some((arg, within)) = into_arg {
+                        node = arg;
+                        rem = within;
+                    } else {
+                        let params = args.len();
+                        let copy = g.inline_at(start, node);
+                        self.stats.inlinings += 1;
+                        // The copy holds the callee's nodes minus its
+                        // parameters; the reference node is gone.
+                        self.edges += self.rules.rhs_nodes(callee) - params - 1;
+                        self.fill_sizes(g, copy);
+                        node = copy;
                     }
+                }
+                NodeKind::Param(_) => {
+                    unreachable!("the start rule has rank 0 and contains no parameters")
                 }
             }
         }
-        Ok(resolved
-            .into_iter()
-            .map(|n| n.expect("every validated target resolves to a node"))
-            .collect())
-    }
-
-    /// Continues with the leftmost child bucket and stacks the rest (pushed
-    /// right-to-left so the walk stays preorder).
-    fn schedule(
-        &self,
-        stack: &mut Vec<(NodeId, Vec<(u128, usize)>)>,
-        buckets: Vec<(NodeId, Vec<(u128, usize)>)>,
-    ) -> Option<(NodeId, Vec<(u128, usize)>)> {
-        let mut iter = buckets.into_iter();
-        let first = iter.next()?;
-        let rest: Vec<_> = iter.collect();
-        for item in rest.into_iter().rev() {
-            stack.push(item);
-        }
-        Some(first)
     }
 
     /// Computes subtree sizes for the nodes freshly created by an inlining or
@@ -410,24 +323,6 @@ impl IsolationBatch {
         self.rules
             .fill_subtree_sizes(&g.rule(g.start()).rhs, root, &mut self.sizes);
     }
-}
-
-/// Makes every node of `targets` (0-based preorder indices of the derived
-/// tree, duplicates allowed) explicit in the start rule with **one**
-/// size-table computation and one walk of the start rule.
-/// Returns the node ids in the order of the input targets.
-///
-pub fn isolate_many(g: &mut Grammar, targets: &[u128]) -> Result<(Vec<NodeId>, IsolationStats)> {
-    let mut batch = IsolationBatch::new(g);
-    let mut sorted: Vec<u128> = targets.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let nodes = batch.isolate_sorted(g, &sorted)?;
-    let by_target: HashMap<u128, NodeId> = sorted.into_iter().zip(nodes).collect();
-    Ok((
-        targets.iter().map(|t| by_target[t]).collect(),
-        batch.stats(),
-    ))
 }
 
 /// Reads the terminal label at preorder index `target` of the derived tree.
@@ -545,6 +440,18 @@ mod tests {
         .unwrap()
     }
 
+    /// Isolates `targets` one after another through one session, as a
+    /// batch of updates does.
+    fn isolate_in_turn(g: &mut Grammar, targets: &[u128]) -> (Vec<NodeId>, IsolationStats) {
+        let mut batch = IsolationBatch::new(g);
+        let nodes = targets
+            .iter()
+            .map(|&t| batch.isolate_one(g, t).unwrap())
+            .collect();
+        batch.assert_matches_rebuild(g);
+        (nodes, batch.stats())
+    }
+
     #[test]
     fn batched_isolation_resolves_every_target_like_single_isolation() {
         let g0 = shared_grammar();
@@ -552,10 +459,11 @@ mod tests {
         let targets: Vec<u128> = (0..total).collect();
         let mut g = g0.clone();
         let before = fingerprint(&g);
-        let (nodes, _) = isolate_many(&mut g, &targets).unwrap();
+        let (nodes, _) = isolate_in_turn(&mut g, &targets);
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), before);
-        // Every resolved node carries the label single isolation would find.
+        // Every resolved node carries the label single isolation would find:
+        // later isolations never move a node an earlier one made explicit.
         for (i, &node) in nodes.iter().enumerate() {
             let got = match g.rule(g.start()).rhs.kind(node) {
                 NodeKind::Term(t) => g.symbols.name(t).to_string(),
@@ -564,14 +472,14 @@ mod tests {
             let want = label_at(&g0, i as u128).unwrap();
             assert_eq!(got, want, "label mismatch at preorder index {i}");
         }
-        // Isolating everything at once at worst unfolds the document.
+        // Isolating everything at worst unfolds the document.
         assert!(g.edge_count() as u128 <= 2 * total);
     }
 
     #[test]
     fn batched_isolation_shares_path_prefixes() {
-        // Two targets under the same deep chain: the batch must not inline the
-        // chain twice.
+        // Two targets under the same deep chain: the session must walk the
+        // chain the first isolation made explicit, not inline it again.
         let mut text = String::from("S -> A1(A1(#))\n");
         for i in 1..=9 {
             text.push_str(&format!("A{i} -> A{}(A{}(y1))\n", i + 1, i + 1));
@@ -582,15 +490,15 @@ mod tests {
         let (_, single) = isolate(&mut g, 332).unwrap();
         let mut g = g0.clone();
         let before = fingerprint(&g);
-        let (nodes, batched) = isolate_many(&mut g, &[332, 333]).unwrap();
+        let (nodes, batched) = isolate_in_turn(&mut g, &[332, 333]);
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), before);
         assert_ne!(nodes[0], nodes[1]);
-        // Adjacent positions share almost the whole path: the batch pays at
-        // most one extra inlining over the single-target isolation.
+        // Adjacent positions share almost the whole path: the second
+        // isolation pays at most one inlining.
         assert!(
             batched.inlinings <= single.inlinings + 1,
-            "batch inlined {} vs single {}",
+            "session inlined {} vs single {}",
             batched.inlinings,
             single.inlinings
         );
@@ -599,10 +507,10 @@ mod tests {
     #[test]
     fn batched_isolation_handles_duplicates_and_empty_batches() {
         let mut g = shared_grammar();
-        let (nodes, _) = isolate_many(&mut g, &[4, 4, 2]).unwrap();
+        let (nodes, _) = isolate_in_turn(&mut g, &[4, 4, 2]);
         assert_eq!(nodes[0], nodes[1]);
         assert_ne!(nodes[0], nodes[2]);
-        let (none, stats) = isolate_many(&mut g, &[]).unwrap();
+        let (none, stats) = isolate_in_turn(&mut g, &[]);
         assert!(none.is_empty());
         assert_eq!(stats.inlinings, 0);
     }
@@ -610,11 +518,18 @@ mod tests {
     #[test]
     fn batched_isolation_rejects_out_of_range_targets_before_mutating() {
         let mut g = shared_grammar();
-        let before = g.edge_count();
+        let mut batch = IsolationBatch::new(&g);
+        batch.isolate_one(&mut g, 4).unwrap();
+        let before = (g.edge_count(), g.rule(g.start()).rhs.version());
         assert!(matches!(
-            isolate_many(&mut g, &[0, 10_000]),
+            batch.isolate_one(&mut g, 10_000),
             Err(RepairError::TargetOutOfRange { .. })
         ));
-        assert_eq!(g.edge_count(), before, "failed batch must not touch the grammar");
+        assert_eq!(
+            (g.edge_count(), g.rule(g.start()).rhs.version()),
+            before,
+            "a failed isolation must not touch the grammar"
+        );
+        batch.assert_matches_rebuild(&g);
     }
 }

@@ -200,7 +200,8 @@ impl ErrorCode {
 pub struct WireBatchStats {
     /// Ops applied (including no-ops skipped by non-fatal semantics).
     pub ops: u64,
-    /// Chunks the batch planner split the ops into.
+    /// [`BatchStats::chunks`]: 1 for a non-empty batch, 0 for an empty one.
+    /// Kept so the `Applied` reply's bytes stay what clients decode.
     pub chunks: u64,
     /// Grammar edges before the batch.
     pub edges_before: u64,

@@ -1365,18 +1365,18 @@ impl DomStore {
             .map(|(stats, report)| (stats.into(), report))
     }
 
-    /// Applies an operation sequence to a document through the batched
-    /// isolation pipeline (shared path prefixes isolated once per chunk),
-    /// then runs a maintenance sweep over
-    /// the *whole store* — inline, or signalled to the background thread
-    /// when one is attached (empty report then).
+    /// Applies an operation sequence to a document one op at a time through
+    /// the document's isolation session (see [`crate::update`]), then runs a
+    /// maintenance sweep over the *whole store* — inline, or signalled to
+    /// the background thread when one is attached (empty report then).
     ///
-    /// A batch that leaves the grammar untouched — empty, or rejected before
-    /// anything was isolated (see [`crate::update::apply_batch`]) — costs
-    /// nothing: the published snapshot stays current and no sweep runs. On
-    /// any other error the document reflects every fully applied chunk plus
-    /// the failing chunk's isolation growth, which is tracked as debt, so
-    /// failing updates cannot starve recompression. A sweep triggered by a
+    /// A batch that leaves the grammar untouched — empty, or failing at its
+    /// first op before anything was isolated (see
+    /// [`crate::update::apply_batch`]) — costs nothing: the published
+    /// snapshot stays current and no sweep runs. On any other error the
+    /// document reflects every op before the failing one, plus the failing
+    /// op's isolation growth, which is tracked as debt, so failing updates
+    /// cannot starve recompression. A sweep triggered by a
     /// *failing* batch has no channel back to the caller (`Err` carries no
     /// report); callers tracking drain events exactly should observe
     /// [`DomStore::recompressions`] instead.

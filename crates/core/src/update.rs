@@ -29,40 +29,29 @@
 //! adapter: a fresh session per call, the same grammar byte for byte (the
 //! session caches sizes, it decides nothing).
 //!
-//! # Chunks
+//! # One op at a time
 //!
-//! A call executes a *sequence* of operations (each addressed against the
-//! document state produced by the preceding operations) without paying one
-//! full isolation per operation: the per-rule size tables stay valid across
-//! splices (they only edit the start rule) and the start rule's
-//! subtree-size table is patched through every splice instead of
-//! recomputed. The sequence is cut into **chunks**; per chunk:
+//! A call applies its operations in order, each addressed against the
+//! document the ones before it produced: FLUX's sequential composition of
+//! atomic updates. Each op is the paper's `iso(G, u)` followed by a local
+//! splice on the start rule. [`IsolationBatch::isolate_one`] inlines exactly
+//! the references on the path to the target, the splice edits the start rule,
+//! and the session is told what the splice did. The per-rule size tables stay
+//! valid across splices and the start rule's subtree sizes are patched, so an
+//! op pays only for the references it inlines; a path an earlier op made
+//! explicit is walked, not inlined again. Unreachable rules are garbage
+//! collected once per call that reached a delete, not per delete, and also
+//! when that call fails.
 //!
-//! 1. every target is remapped from its sequential coordinates back to the
-//!    chunk-start document coordinates through a signed-shift **region
-//!    map**: fragments inserted earlier in the chunk shift later
-//!    targets down, subtrees deleted earlier in the chunk shift them up, and
-//!    a delete whose removed base range encloses earlier regions swallows
-//!    them. Resolution is a binary search (`O(log k)` per op in the number
-//!    of regions); a delete's removed base size comes from the session's
-//!    maintained subtree-size table, so no sizes are ever re-derived,
-//! 2. all remapped targets are isolated through the shared session — shared
-//!    path prefixes are inlined once per batch, keeping the Lemma-1
-//!    factor-two growth bound per *distinct* root-to-target path,
-//! 3. the splices run in operation order against the isolated node ids
-//!    (valid across splices because arena ids are never recycled), each
-//!    splice patching the session's size table as it lands.
+//! # Failure
 //!
-//! A chunk ends only when an operation targets a node *inside* a fragment
-//! inserted earlier in the same chunk (its pre-chunk coordinate does not
-//! exist), deletes at a position a null node occupies (the splice is
-//! planned, fails, and nothing past it is), or renames to the reserved null
-//! label (rejected before its target is isolated; the planned prefix is
-//! spliced first); the next chunk then starts from the updated grammar.
-//! Deletes themselves do not flush: mixed insert/delete streams — the
-//! paper's 90/10 workload and FLUX-style functional update programs — batch
-//! at full length. Unreachable rules are garbage collected once per chunk
-//! that deleted, not per delete.
+//! The first op that fails ends the call with its error. The ops before it
+//! stay applied and the ops after it are not, exactly as if each op had been
+//! applied on its own, as `xmltree::updates` applies them. The failing op
+//! itself changes no document, though it may have isolated its target first:
+//! an out-of-range target and a rename to the reserved null label are refused
+//! before anything is isolated, a null target or a label rank conflict only
+//! after.
 
 use sltgrammar::{Grammar, NodeId, NodeKind};
 use xmltree::binary::to_binary;
@@ -96,9 +85,8 @@ fn expect_element(g: &Grammar, node: NodeId) -> Result<()> {
     }
 }
 
-/// A rename may not produce the reserved null label. Checked while an
-/// operation is planned — before its target is isolated — so a rejected
-/// rename costs the grammar nothing.
+/// A rename may not produce the reserved null label. Checked before the
+/// target is isolated, so a rejected rename costs the grammar nothing.
 fn check_label(label: &str) -> Result<()> {
     if label == sltgrammar::NULL_SYMBOL_NAME {
         return Err(RepairError::InvalidUpdate {
@@ -109,7 +97,7 @@ fn check_label(label: &str) -> Result<()> {
 }
 
 /// Splice part of a rename: relabels the already-isolated start-rule node
-/// (the label passed [`check_label`] when the operation was planned).
+/// (the label already passed [`check_label`]).
 fn rename_node(g: &mut Grammar, node: NodeId, label: &str) -> Result<()> {
     expect_element(g, node)?;
     let term = g
@@ -123,20 +111,15 @@ fn rename_node(g: &mut Grammar, node: NodeId, label: &str) -> Result<()> {
     Ok(())
 }
 
-/// Whether the already-isolated start-rule node is the null leaf.
-fn node_is_null(g: &Grammar, node: NodeId) -> bool {
-    match g.rule(g.start()).rhs.kind(node) {
-        NodeKind::Term(t) => g.symbols.is_null(t),
-        _ => unreachable!("isolation returns terminal nodes"),
-    }
-}
-
 /// Splice part of `insert_before`: grafts `fragment` before the
 /// already-isolated start-rule node. Returns the graft root and the number of
 /// derived nodes the document grew by (`2n` for an n-element fragment,
 /// whether the target was an element or a consumed null).
 fn insert_node(g: &mut Grammar, node: NodeId, fragment: &XmlTree) -> Result<(NodeId, u128)> {
-    let target_is_null = node_is_null(g, node);
+    let target_is_null = match g.rule(g.start()).rhs.kind(node) {
+        NodeKind::Term(t) => g.symbols.is_null(t),
+        _ => unreachable!("isolation returns terminal nodes"),
+    };
     let frag_bin = to_binary(fragment, &mut g.symbols)?;
     let start = g.start();
     let rhs = &mut g.rule_mut(start).rhs;
@@ -227,10 +210,12 @@ pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStat
 pub struct BatchStats {
     /// Number of operations applied.
     pub ops: usize,
-    /// Number of chunks the sequence was cut into (each chunk plans and
-    /// isolates its targets before any of its splices run).
+    /// 1 for a non-empty batch, 0 for an empty one. Ops are applied one at
+    /// a time, so there is nothing to count; the field stays because the
+    /// wire reply ([`crate::server::WireBatchStats`]) and the benchmark's
+    /// trace carry it.
     pub chunks: usize,
-    /// Total isolation cost over all chunks.
+    /// Total isolation cost over all ops.
     pub isolation: IsolationStats,
     /// Grammar edges before the batch.
     pub edges_before: usize,
@@ -261,156 +246,24 @@ impl From<BatchStats> for UpdateStats {
     }
 }
 
-/// One splice the current chunk has already planned, in the chunk's evolving
-/// sequential coordinates.
-struct Region {
-    /// Evolving preorder position where the splice takes effect.
-    start: u128,
-    /// Length of the freshly inserted range `start..start + fresh`: fragment
-    /// positions with no chunk-start coordinate (0 for deletes). An insert at
-    /// a null position splices the fragment *over* the null leaf, so the
-    /// whole fragment including the consumed slot is fresh.
-    fresh: u128,
-    /// What this splice adds to the base coordinate of every evolving
-    /// position at or beyond `start + fresh`: `-(fresh - consumed)` for an
-    /// insert, `+removed base size` for a delete.
-    shift: i128,
-    /// Running sum of `shift` over this and every earlier region.
-    cum: i128,
-}
-
-/// The chunk planner's evolving coordinate map: a signed-shift region table
-/// translating targets from the chunk's evolving sequential coordinates back
-/// to the chunk-start document coordinates, across both inserts and deletes.
-///
-/// Regions are kept sorted by `start`. Two invariants carry every proof
-/// below: fresh ranges never contain another region's `start` (a target
-/// inside a fresh range is unresolvable, so no later splice lands there),
-/// and the chunk-start anchors `start + cum-of-earlier-regions` are
-/// non-decreasing along the vector.
-#[derive(Default)]
-struct RegionMap {
-    regions: Vec<Region>,
-}
-
-impl RegionMap {
-    /// Maps the evolving target `t` back to chunk-start coordinates, or
-    /// `None` if it addresses a node inside a fragment inserted earlier in
-    /// the chunk (no chunk-start coordinate exists). `O(log k)` in the
-    /// number of regions.
-    fn resolve(&self, t: u128) -> Option<u128> {
-        let idx = self.regions.partition_point(|r| r.start <= t);
-        let Some(r) = idx.checked_sub(1).map(|i| &self.regions[i]) else {
-            return Some(t);
-        };
-        if t < r.start + r.fresh {
-            return None;
-        }
-        // Every region up to `idx` applies its shift: their fresh ranges all
-        // end at or before `t` (they cannot contain `t` — see the struct
-        // invariants — nor reach past a later region's start).
-        Some((t as i128 + r.cum) as u128)
-    }
-
-    /// Records an insert of `len` evolving positions at `t`, where `consumed`
-    /// (zero or one) of them replace the pre-splice node at `t` (a consumed
-    /// null). Binary-searched insertion; no re-sort.
-    fn note_insert(&mut self, t: u128, len: u128, consumed: u128) {
-        let idx = self.regions.partition_point(|r| r.start <= t);
-        for r in &mut self.regions[idx..] {
-            r.start += len - consumed;
-        }
-        self.regions.insert(
-            idx,
-            Region {
-                start: t,
-                fresh: len,
-                shift: -((len - consumed) as i128),
-                cum: 0,
-            },
-        );
-        self.recum(idx);
-    }
-
-    /// Records a delete at evolving position `t` — which the caller resolved
-    /// to the chunk-start coordinate `base` — removing a subtree whose
-    /// chunk-start size is `base_len`. Regions anchored inside the removed
-    /// base range `base..base + base_len` (fragments inserted into, and
-    /// deletes already taken out of, the now-deleted subtree) are swallowed
-    /// by it: the recorded shift is the full chunk-start size, and the
-    /// swallowed regions' shifts stop applying.
-    fn note_delete(&mut self, t: u128, base: u128, base_len: u128) {
-        let end = (base + base_len) as i128;
-        let lo = self.regions.partition_point(|r| r.start <= t);
-        // Anchors are non-decreasing and regions with `start <= t` anchor
-        // strictly before `base`, so the swallowed regions are exactly the
-        // run starting at `lo` whose anchors lie inside the removed range.
-        let mut hi = lo;
-        let mut evolving_len = base_len as i128;
-        while hi < self.regions.len() {
-            let cum_before = if hi == 0 { 0 } else { self.regions[hi - 1].cum };
-            let r = &self.regions[hi];
-            if r.start as i128 + cum_before >= end {
-                break;
-            }
-            // A swallowed insert takes its net fresh growth with it; a
-            // swallowed delete had already taken its positions out.
-            evolving_len -= r.shift;
-            hi += 1;
-        }
-        self.regions.drain(lo..hi);
-        let evolving_len = evolving_len as u128;
-        for r in &mut self.regions[lo..] {
-            r.start -= evolving_len;
-        }
-        self.regions.insert(
-            lo,
-            Region {
-                start: t,
-                fresh: 0,
-                shift: base_len as i128,
-                cum: 0,
-            },
-        );
-        self.recum(lo);
-    }
-
-    /// Rebuilds the cumulative shifts from `from` to the end.
-    fn recum(&mut self, from: usize) {
-        let mut acc = if from == 0 {
-            0
-        } else {
-            self.regions[from - 1].cum
-        };
-        for r in &mut self.regions[from..] {
-            acc += r.shift;
-            r.cum = acc;
-        }
-    }
-}
-
-/// Applies a sequence of updates with **batched path isolation**: each target
-/// refers to the document produced by the preceding operations, but the size
-/// tables are computed once per call and nonterminal references on shared
-/// path prefixes are inlined once instead of per operation. This is the
-/// sessionless adapter of [`apply_batch_in`]: it builds an [`IsolationBatch`]
-/// (one size-only pass over the grammar) and drops it afterwards.
+/// Applies a sequence of updates, each addressed against the document the
+/// ones before it produced (see the module docs). The size tables are
+/// computed once per call and a path isolated for one op is explicit for
+/// the next. This is the sessionless adapter of [`apply_batch_in`]: it
+/// builds an [`IsolationBatch`] (one size-only pass over the grammar) and
+/// drops it afterwards.
 ///
 /// The resulting document is identical to [`apply_updates`]' and to the
 /// uncompressed `xmltree::updates` oracle's (asserted byte-for-byte by the
-/// differential update-oracle harness); the grammars may differ structurally
-/// because a longer batch isolates eagerly.
+/// differential update-oracle harness). The grammars differ at most by
+/// unreachable rules: a call collects garbage once, not after every delete.
 ///
 /// # Errors
 ///
-/// Targets are validated while a chunk is planned, so an out-of-range target
-/// aborts its **whole chunk** before any of that chunk's splices run
-/// (operations of earlier chunks remain applied). A rename to the null label
-/// is rejected while it is planned, before its target is isolated. Errors
-/// raised by the splices themselves (renaming or deleting a null node, a
-/// label rank conflict) leave the chunk's already-spliced prefix applied. A
-/// batch of one therefore fails without touching the grammar unless its
-/// target had to be isolated to discover the failure.
+/// The first failing op's error. The ops before it stay applied, the ops
+/// after it are not (see the module docs). A batch of one therefore fails
+/// without touching the grammar unless its target had to be isolated to
+/// discover the failure.
 pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
     apply_batch_in(&mut IsolationBatch::new(g), g, ops)
 }
@@ -428,104 +281,52 @@ pub fn apply_batch_in(
 ) -> Result<BatchStats> {
     debug_assert_eq!(batch.edges(), g.edge_count(), "session edge total on entry");
     let inlinings_before = batch.stats().inlinings;
-    let mut stats = BatchStats {
-        ops: ops.len(),
-        edges_before: batch.edges(),
-        ..BatchStats::default()
-    };
-    let mut i = 0;
-    while i < ops.len() {
-        // Plan + isolate one chunk against the current grammar. Isolation
-        // never changes the derived tree, so chunk-start coordinates stay
-        // valid while the chunk's targets are isolated one after another.
-        let mut regions = RegionMap::default();
-        let mut planned: Vec<(usize, NodeId)> = Vec::new();
-        let mut chunk_deletes = false;
-        let mut rejected = None;
-        let mut j = i;
-        while j < ops.len() {
-            if let UpdateOp::Rename { label, .. } = &ops[j] {
-                if let Err(e) = check_label(label) {
-                    // Fails like the sequential API: nothing is isolated for
-                    // it, the planned prefix is spliced, nothing past it is.
-                    rejected = Some(e);
-                    break;
-                }
-            }
-            let t = ops[j].target() as u128;
-            let Some(base) = regions.resolve(t) else {
-                break; // target lives inside a fragment this chunk inserted
-            };
-            let node = batch.isolate_one(g, base)?;
-            planned.push((j, node));
-            j += 1;
-            match &ops[j - 1] {
-                UpdateOp::Rename { .. } => {}
-                UpdateOp::InsertBefore { fragment, .. } => {
-                    // The binary encoding of an n-element fragment has 2n+1
-                    // nodes. Before an element, its trailing null is replaced
-                    // by the old subtree (2n fresh positions); at a null
-                    // position the whole fragment is fresh and the null is
-                    // consumed (2n+1 fresh positions, net shift still 2n).
-                    let consumed = u128::from(node_is_null(g, node));
-                    let len = 2 * fragment.node_count() as u128 + consumed;
-                    regions.note_insert(t, len, consumed);
-                }
-                UpdateOp::Delete { .. } => {
-                    chunk_deletes = true;
-                    if node_is_null(g, node) {
-                        // The splice will fail on the null target exactly
-                        // like the sequential API; plan nothing past it.
-                        break;
-                    }
-                    // The removed preorder range is the element plus its
-                    // first-child content, contiguous in chunk-start
-                    // coordinates.
-                    let content = g.rule(g.start()).rhs.children(node)[0];
-                    regions.note_delete(t, base, 1 + batch.subtree_size(content));
-                }
-            }
-        }
-        stats.chunks += 1;
-
-        // Splice in operation order. Node ids of surviving nodes stay valid
-        // across splices (the arena never recycles ids), and no operation of
-        // this chunk addresses a node an earlier splice removed: consumed
-        // nulls and deleted subtrees are unreachable by construction — a
-        // later target never resolves into a removed base range.
-        for &(k, node) in &planned {
-            match &ops[k] {
-                UpdateOp::Rename { label, .. } => rename_node(g, node, label)?,
-                UpdateOp::InsertBefore { fragment, .. } => {
-                    let (frag_root, grown) = insert_node(g, node, fragment)?;
-                    batch.note_inserted(g, frag_root, grown);
-                }
-                UpdateOp::Delete { .. } => {
-                    expect_element(g, node)?;
-                    let rhs = &g.rule(g.start()).rhs;
-                    let parent = rhs.parent(node);
-                    let content = rhs.children(node)[0];
-                    // Splice-time sizes: earlier splices of this chunk may
-                    // have grown or shrunk the subtree being removed.
-                    let removed = 1 + batch.subtree_size(content);
-                    let removed_edges = 1 + rhs.subtree_size(content);
-                    delete_node(g, node);
-                    batch.note_removed(g, parent, removed, removed_edges);
-                }
-            }
-        }
-        if chunk_deletes && g.gc() > 0 {
-            batch.note_gc(g);
-        }
-        if let Some(e) = rejected {
-            return Err(e);
-        }
-        i = j;
+    let edges_before = batch.edges();
+    let mut deletes = false;
+    let applied = ops.iter().try_for_each(|op| {
+        deletes |= matches!(op, UpdateOp::Delete { .. });
+        apply_op(batch, g, op)
+    });
+    if deletes && g.gc() > 0 {
+        batch.note_gc(g);
     }
-    stats.isolation.inlinings = batch.stats().inlinings - inlinings_before;
-    stats.edges_after = batch.edges();
-    debug_assert_eq!(stats.edges_after, g.edge_count(), "session edge total on exit");
-    Ok(stats)
+    applied?;
+    debug_assert_eq!(batch.edges(), g.edge_count(), "session edge total on exit");
+    Ok(BatchStats {
+        ops: ops.len(),
+        chunks: usize::from(!ops.is_empty()),
+        isolation: IsolationStats {
+            inlinings: batch.stats().inlinings - inlinings_before,
+        },
+        edges_before,
+        edges_after: batch.edges(),
+    })
+}
+
+/// One op: `iso(G, u)`, then the splice, reported to the session.
+fn apply_op(batch: &mut IsolationBatch, g: &mut Grammar, op: &UpdateOp) -> Result<()> {
+    if let UpdateOp::Rename { label, .. } = op {
+        check_label(label)?;
+    }
+    let node = batch.isolate_one(g, op.target() as u128)?;
+    match op {
+        UpdateOp::Rename { label, .. } => rename_node(g, node, label)?,
+        UpdateOp::InsertBefore { fragment, .. } => {
+            let (frag_root, grown) = insert_node(g, node, fragment)?;
+            batch.note_inserted(g, frag_root, grown);
+        }
+        UpdateOp::Delete { .. } => {
+            expect_element(g, node)?;
+            let rhs = &g.rule(g.start()).rhs;
+            let parent = rhs.parent(node);
+            let content = rhs.children(node)[0];
+            let removed = 1 + batch.subtree_size(content);
+            let removed_edges = 1 + rhs.subtree_size(content);
+            delete_node(g, node);
+            batch.note_removed(g, parent, removed, removed_edges);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -700,14 +501,13 @@ mod tests {
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), expected);
         assert_eq!(stats.ops, ops.len());
-        assert_eq!(stats.chunks, 1, "renames never cut the chunk");
     }
 
     #[test]
     fn batched_inserts_remap_later_targets_through_earlier_fragments() {
         let (mut g, bin, symbols) = setup(DOC);
         // Two inserts before the same element: the second op's target is the
-        // element's shifted coordinate, exercising the inserted-region table.
+        // element's coordinate shifted by the first fragment.
         let idx = bin
             .preorder()
             .iter()
@@ -733,15 +533,14 @@ mod tests {
             },
         ];
         let expected = reference_after(&bin, &symbols, &ops);
-        let stats = apply_batch(&mut g, &ops).unwrap();
+        apply_batch(&mut g, &ops).unwrap();
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), expected);
-        assert_eq!(stats.chunks, 1, "mappable inserts stay in one chunk");
     }
 
     #[test]
-    fn targets_in_fresh_fragments_start_a_new_chunk() {
-        let (mut g, bin, symbols) = setup(DOC);
+    fn a_batch_keeps_exactly_the_ops_before_its_first_failure() {
+        let (g0, bin, symbols) = setup(DOC);
         let books: Vec<usize> = bin
             .preorder()
             .iter()
@@ -749,26 +548,64 @@ mod tests {
             .filter(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.name(t) == "book"))
             .map(|(i, _)| i)
             .collect();
-        let frag = parse_xml("<x><y/></x>").unwrap();
-        let ops = vec![
-            UpdateOp::InsertBefore {
-                target: books[0],
-                fragment: frag,
-            },
-            UpdateOp::Delete { target: books[0] + 1 }, // <y/> inside the fresh fragment
-            UpdateOp::Rename {
-                target: books[0],
-                label: "shelf".to_string(),
-            },
+        // <x><y/></x> takes 4 preorder positions: x at books[0], y after it.
+        let insert = UpdateOp::InsertBefore {
+            target: books[0],
+            fragment: parse_xml("<x><y/></x>").unwrap(),
+        };
+        let rename = |target: usize| UpdateOp::Rename {
+            target,
+            label: "shelf".to_string(),
+        };
+        let bad = UpdateOp::Delete { target: 100_000 };
+        // (case, batch, how many of its ops the sequential oracle applies)
+        let cases = [
+            ("empty", vec![], 0),
+            (
+                "rename inside the fragment",
+                vec![insert.clone(), rename(books[0] + 1)],
+                2,
+            ),
+            (
+                "failure after a rename inside the fragment",
+                vec![insert.clone(), rename(books[0] + 1), bad.clone()],
+                2,
+            ),
+            (
+                "failure after a rename elsewhere",
+                vec![insert.clone(), rename(books[2] + 4), bad.clone()],
+                2,
+            ),
+            ("failure first", vec![bad, rename(0)], 0),
         ];
-        let expected = reference_after(&bin, &symbols, &ops);
-        let stats = apply_batch(&mut g, &ops).unwrap();
-        g.validate().unwrap();
-        assert_eq!(fingerprint(&g), expected);
-        // Op 2 targets inside the fragment op 1 inserted, so the first chunk
-        // holds only op 1; the delete and the rename share the second chunk
-        // (deletes no longer flush).
-        assert_eq!(stats.chunks, 2);
+        for (case, ops, applied) in cases {
+            let mut g = g0.clone();
+            let result = apply_batch(&mut g, &ops);
+            g.validate().unwrap();
+            assert_eq!(
+                fingerprint(&g),
+                reference_after(&bin, &symbols, &ops[..applied]),
+                "{case}: the document after the call"
+            );
+            let mut sequential = g0.clone();
+            let one_by_one = apply_updates(&mut sequential, &ops);
+            assert_eq!(
+                fingerprint(&g),
+                fingerprint(&sequential),
+                "{case}: op by op"
+            );
+            match result {
+                Ok(stats) => {
+                    assert_eq!(applied, ops.len(), "{case}: must fail");
+                    assert!(one_by_one.is_ok());
+                    assert_eq!(stats.chunks, usize::from(!ops.is_empty()), "{case}");
+                }
+                Err(e) => {
+                    assert!(applied < ops.len(), "{case}: must succeed, got {e:?}");
+                    assert_eq!(one_by_one.unwrap_err(), e, "{case}: error");
+                }
+            }
+        }
     }
 
     #[test]
@@ -784,7 +621,7 @@ mod tests {
         // A book subtree occupies 6 binary preorder positions (the element
         // plus its 2-chapter content). Delete the second book, rename the
         // third (which slid into its place), then delete the fourth at its
-        // shifted coordinate — all resolvable, so all one chunk.
+        // shifted coordinate.
         assert_eq!(books[2] - books[1], 6);
         let ops = vec![
             UpdateOp::Delete { target: books[1] },
@@ -795,10 +632,9 @@ mod tests {
             UpdateOp::Delete { target: books[3] - 6 },
         ];
         let expected = reference_after(&bin, &symbols, &ops);
-        let stats = apply_batch(&mut g, &ops).unwrap();
+        apply_batch(&mut g, &ops).unwrap();
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), expected);
-        assert_eq!(stats.chunks, 1, "deletes no longer cut the chunk");
     }
 
     #[test]
@@ -819,9 +655,8 @@ mod tests {
             },
             // ...delete a chapter inside it (at its shifted coordinate)...
             UpdateOp::Delete { target: books[1] + 3 },
-            // ...then delete the whole book: the removed range encloses both
-            // earlier regions, and the rename after it must still resolve to
-            // the third book.
+            // ...then delete the whole book, both edits with it: the rename
+            // after it must land on the third book.
             UpdateOp::Delete { target: books[1] },
             UpdateOp::Rename {
                 target: books[1],
@@ -829,10 +664,9 @@ mod tests {
             },
         ];
         let expected = reference_after(&bin, &symbols, &ops);
-        let stats = apply_batch(&mut g, &ops).unwrap();
+        apply_batch(&mut g, &ops).unwrap();
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), expected);
-        assert_eq!(stats.chunks, 1);
     }
 
     #[test]
@@ -845,8 +679,8 @@ mod tests {
             .find(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.is_null(t)))
             .map(|(i, _)| i)
             .unwrap();
-        // The rename before the null delete is spliced (the chunk's prefix
-        // stays applied); the op after it is never planned.
+        // The rename before the null delete stays applied; the op after it
+        // never runs.
         let ops = vec![
             UpdateOp::Rename {
                 target: 0,
@@ -877,7 +711,6 @@ mod tests {
         let (mut g, bin, symbols) = setup(DOC);
         let stats = apply_batch(&mut g, &[]).unwrap();
         assert_eq!(stats.ops, 0);
-        assert_eq!(stats.chunks, 0);
         let op = UpdateOp::Rename {
             target: 0,
             label: "shelf".to_string(),

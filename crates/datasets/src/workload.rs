@@ -47,9 +47,8 @@ pub struct WorkloadMix {
 }
 
 impl WorkloadMix {
-    /// A high-locality mix dominated by renames and inserts. Historically the
-    /// batching sweet spot (deletes used to flush isolation chunks; since the
-    /// delete-tolerant planner they batch at full length too).
+    /// A high-locality mix dominated by renames and inserts: consecutive ops
+    /// share most of their isolated path.
     pub fn clustered(locality: f64) -> Self {
         WorkloadMix {
             insert_probability: 0.95,

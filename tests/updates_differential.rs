@@ -14,18 +14,17 @@
 //! recompression every few calls (the paper's fixed-interval policy), and
 //! the store's own inline debt sweep. Every step asserts **byte-identical
 //! XML serialization** (every operation on the single-op path, every batch
-//! on the batched path). The harness also pins the batched isolation growth
-//! bound and the byte-identity of singleton batches with single-target
-//! isolation.
+//! on the batched path). The harness also pins the isolation growth bound
+//! and the labels isolation resolves when one session isolates many targets.
 
 use proptest::prelude::*;
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
-use slt_xml::grammar_repair::isolate::{isolate, isolate_many};
+use slt_xml::grammar_repair::isolate::IsolationBatch;
 use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::RepairError;
 use slt_xml::sltgrammar::derive::val;
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
-use slt_xml::sltgrammar::{serialize, NodeKind, RhsTree, SymbolTable};
+use slt_xml::sltgrammar::{Grammar, NodeId, NodeKind, RhsTree, SymbolTable};
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::xmltree::binary::{from_binary, to_binary, tree_fingerprint};
 use slt_xml::xmltree::parse::parse_xml;
@@ -478,12 +477,22 @@ fn spread_targets(total: u128, k: usize, seed: u64) -> Vec<u128> {
     targets
 }
 
+/// Isolates `targets` one after another through one session, as a batch of
+/// updates does.
+fn isolate_in_turn(g: &mut Grammar, targets: &[u128]) -> Vec<NodeId> {
+    let mut batch = IsolationBatch::new(g);
+    targets
+        .iter()
+        .map(|&t| batch.isolate_one(g, t).unwrap())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Lemma 1, batched: grammar edge growth stays within a factor two per
-    /// *distinct* root-to-target path — isolating p paths at once never adds
-    /// more than p times the grammar size.
+    /// Lemma 1 through one session: grammar edge growth stays within a
+    /// factor two per *distinct* root-to-target path — isolating p paths in
+    /// turn never adds more than p times the grammar size.
     #[test]
     fn prop_batched_isolation_growth_within_2x_per_distinct_path(
         (records, seed, k) in (2usize..14, any::<u64>(), 1usize..9)
@@ -494,7 +503,7 @@ proptest! {
         let p = targets.len();
         let before_edges = g.edge_count();
         let before_fp = fingerprint(&g);
-        let (nodes, _) = isolate_many(&mut g, &targets).unwrap();
+        let nodes = isolate_in_turn(&mut g, &targets);
         prop_assert!(g.validate().is_ok());
         prop_assert_eq!(fingerprint(&g), before_fp, "isolation must preserve the document");
         prop_assert_eq!(nodes.len(), p);
@@ -508,41 +517,8 @@ proptest! {
         );
     }
 
-    /// A singleton batch is byte-identical to single-target isolation: same
-    /// resolved node, same inlining count, identical serialized grammar and
-    /// identical arena layout of the start rule.
-    #[test]
-    fn prop_singleton_batch_is_byte_identical_to_isolate(
-        (records, seed) in (2usize..14, any::<u64>())
-    ) {
-        let g0 = compressed_feed(records);
-        let total = derived_size(&g0);
-        let target = spread_targets(total, 1, seed)[0];
-
-        let mut g_single = g0.clone();
-        let (node_single, stats_single) = isolate(&mut g_single, target).unwrap();
-        let mut g_batch = g0.clone();
-        let (nodes, stats_batch) = isolate_many(&mut g_batch, &[target]).unwrap();
-
-        prop_assert_eq!(nodes[0], node_single);
-        prop_assert_eq!(stats_batch.inlinings, stats_single.inlinings);
-        prop_assert_eq!(
-            serialize::encode(&g_batch),
-            serialize::encode(&g_single),
-            "serialized grammars must be byte-identical"
-        );
-        // Arena layout, not just structure: the same node ids in the same
-        // preorder with the same labels.
-        let rhs_s = &g_single.rule(g_single.start()).rhs;
-        let rhs_b = &g_batch.rule(g_batch.start()).rhs;
-        let layout = |rhs: &RhsTree| -> Vec<(u32, NodeKind)> {
-            rhs.preorder().into_iter().map(|n| (n.0, rhs.kind(n))).collect()
-        };
-        prop_assert_eq!(layout(rhs_s), layout(rhs_b));
-    }
-
-    /// Batched isolation agrees with `val`: every resolved node carries the
-    /// label of the derived tree at its preorder index.
+    /// Isolation through one session agrees with `val`: every resolved node
+    /// carries the label of the derived tree at its preorder index.
     #[test]
     fn prop_batched_isolation_resolves_correct_labels(
         (records, seed, k) in (2usize..8, any::<u64>(), 1usize..6)
@@ -552,7 +528,7 @@ proptest! {
         let pre = tree.preorder();
         let total = derived_size(&g);
         let targets = spread_targets(total, k, seed);
-        let (nodes, _) = isolate_many(&mut g, &targets).unwrap();
+        let nodes = isolate_in_turn(&mut g, &targets);
         for (&t, &node) in targets.iter().zip(&nodes) {
             let want = tree.kind(pre[t as usize]);
             let got = g.rule(g.start()).rhs.kind(node);

@@ -211,7 +211,8 @@ impl Lockstep {
     }
 
     /// Every way a request can be refused, alone and behind a valid rename
-    /// (which stays applied exactly when the failure is found after planning).
+    /// (which always stays applied: a batch keeps the ops before its first
+    /// failure).
     fn rejected_requests(&mut self, round: usize) {
         let probe = UpdateOp::Rename {
             target: 0,
@@ -222,21 +223,17 @@ impl Lockstep {
             target,
             label: label.to_string(),
         };
-        // (failing op, whether a valid op ahead of it in the batch survives)
         let refusals = [
-            (
-                UpdateOp::Delete {
-                    target: OUT_OF_RANGE,
-                },
-                false,
-            ),
-            (rename(OUT_OF_RANGE, "x"), false),
-            (rename(1, "#"), true),
-            (rename(null, "x"), true),
-            (UpdateOp::Delete { target: null }, true),
-            (rename(1, RANK_CONFLICT_LABEL), true),
+            UpdateOp::Delete {
+                target: OUT_OF_RANGE,
+            },
+            rename(OUT_OF_RANGE, "x"),
+            rename(1, "#"),
+            rename(null, "x"),
+            UpdateOp::Delete { target: null },
+            rename(1, RANK_CONFLICT_LABEL),
         ];
-        for (k, (bad, prefix_survives)) in refusals.into_iter().enumerate() {
+        for (k, bad) in refusals.into_iter().enumerate() {
             let alone = self.call(std::slice::from_ref(&bad), &[]);
             assert!(alone.is_err(), "{}: {bad:?} must be refused", self.context);
             if k % 2 == round % 2 {
@@ -244,12 +241,7 @@ impl Lockstep {
                 // hit both a kept session and a missing one.
                 self.call(&[], &[]).unwrap();
             }
-            let applied: &[UpdateOp] = if prefix_survives {
-                std::slice::from_ref(&probe)
-            } else {
-                &[]
-            };
-            let behind = self.call(&[probe.clone(), bad], applied);
+            let behind = self.call(&[probe.clone(), bad], std::slice::from_ref(&probe));
             assert!(
                 behind.is_err(),
                 "{}: refusal behind a valid op",
