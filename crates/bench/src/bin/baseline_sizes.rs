@@ -7,19 +7,23 @@
 //! binary tree, the minimal DAG, the TreeRePair grammar and the GrammarRePair
 //! grammar, plus the byte footprints of the pointer DOM, the succinct DOM and
 //! the serialized grammars.
+//!
+//! With `.xml` paths as arguments it prints the same row for each file
+//! instead of the generated corpus.
 
-use bench_harness::Options;
-use dag_xml::Dag;
+use bench_harness::{sizes_row, Options};
 use datasets::catalog::Dataset;
-use grammar_repair::repair::GrammarRePair;
-use sltgrammar::{serialize, SymbolTable};
-use succinct_xml::SuccinctDom;
-use treerepair::TreeRePair;
-use xmltree::binary::to_binary;
+use xmltree::parse::parse_xml;
+use xmltree::XmlTree;
 
 fn main() {
     let opts = Options::from_args();
-    println!("Baseline comparison — structural and byte sizes (scale {:.2})\n", opts.scale);
+    let paths: Vec<String> = std::env::args().skip(1).filter(|a| a.ends_with(".xml")).collect();
+    if paths.is_empty() {
+        println!("Baseline comparison — structural and byte sizes (scale {:.2})\n", opts.scale);
+    } else {
+        println!("Baseline comparison — structural and byte sizes\n");
+    }
     println!(
         "{:<14} {:>9} | {:>9} {:>9} {:>9} {:>9} | {:>11} {:>11} {:>11}",
         "dataset",
@@ -32,32 +36,32 @@ fn main() {
         "succinct B",
         "grammar B"
     );
-    for dataset in Dataset::all() {
-        let xml = dataset.generate(opts.scale);
-        let n = xml.node_count();
-        let mut symbols = SymbolTable::new();
-        let bin = to_binary(&xml, &mut symbols).expect("valid document");
-        let dag = Dag::build(&bin, &symbols);
-        let (tree_grammar, _) = TreeRePair::default().compress_binary(symbols.clone(), bin.clone());
-        let (grammar, _) = GrammarRePair::default().compress_xml(&xml);
-        let succinct = SuccinctDom::build(&xml);
-        let pointer_bytes: usize = xml
-            .preorder()
-            .iter()
-            .map(|&v| 8 + 24 + xml.children(v).len() * 4 + xml.label(v).len())
-            .sum();
-        println!(
-            "{:<14} {:>9} | {:>9} {:>9} {:>9} {:>9} | {:>11} {:>11} {:>11}",
-            dataset.name(),
-            n,
-            bin.edge_count(),
-            dag.edge_count(),
-            tree_grammar.edge_count(),
-            grammar.edge_count(),
-            pointer_bytes,
-            succinct.size_bytes(),
-            serialize::encoded_size(&grammar)
-        );
+    if paths.is_empty() {
+        for dataset in Dataset::all() {
+            print_row(dataset.name(), &dataset.generate(opts.scale));
+        }
+    } else {
+        for path in &paths {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+            let xml = parse_xml(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            print_row(path, &xml);
+        }
     }
     println!("\nEvery column derives the same document; smaller is better.");
+}
+
+fn print_row(name: &str, xml: &XmlTree) {
+    let row = sizes_row(xml);
+    println!(
+        "{:<14} {:>9} | {:>9} {:>9} {:>9} {:>9} | {:>11} {:>11} {:>11}",
+        name,
+        row.elements,
+        row.binary_edges,
+        row.dag_edges,
+        row.treerepair_edges,
+        row.grammarrepair_edges,
+        row.pointer_bytes,
+        row.succinct_bytes,
+        row.grammar_bytes
+    );
 }

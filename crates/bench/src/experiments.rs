@@ -2,6 +2,7 @@
 
 use std::time::{Duration, Instant};
 
+use dag_xml::Dag;
 use datasets::catalog::Dataset;
 use datasets::gn::g_n;
 use datasets::workload::{
@@ -10,8 +11,10 @@ use datasets::workload::{
 use grammar_repair::repair::{GrammarRePair, GrammarRePairConfig};
 use grammar_repair::udc::{recompress_from_scratch, update_decompress_compress};
 use grammar_repair::update::apply_update;
-use sltgrammar::Grammar;
+use sltgrammar::{serialize, Grammar, SymbolTable};
+use succinct_xml::SuccinctDom;
 use treerepair::{TreeRePair, TreeRePairConfig};
+use xmltree::binary::to_binary;
 use xmltree::XmlTree;
 
 /// Measures the wall-clock time of a closure.
@@ -335,6 +338,53 @@ pub fn runtime_row(dataset: Dataset, scale: f64, renames: usize, seed: u64) -> R
     }
 }
 
+/// One row of the representation-size comparison (`baseline_sizes`): the
+/// structural size of every in-memory representation of one document, and
+/// the byte footprint of the pointer DOM, the succinct DOM and the grammar.
+#[derive(Debug, Clone)]
+pub struct SizesRow {
+    /// Elements of the document.
+    pub elements: usize,
+    /// Edges of the binary tree.
+    pub binary_edges: usize,
+    /// Edges of the minimal DAG.
+    pub dag_edges: usize,
+    /// Edges of the TreeRePair grammar.
+    pub treerepair_edges: usize,
+    /// Edges of the GrammarRePair grammar.
+    pub grammarrepair_edges: usize,
+    /// Pointer DOM estimate: label pointer, parent and child vector per node.
+    pub pointer_bytes: usize,
+    /// Succinct DOM (balanced parentheses + labels).
+    pub succinct_bytes: usize,
+    /// Serialized GrammarRePair grammar (`.sltg`).
+    pub grammar_bytes: usize,
+}
+
+/// Measures every representation of `xml`. Each one derives the same
+/// document.
+pub fn sizes_row(xml: &XmlTree) -> SizesRow {
+    let mut symbols = SymbolTable::new();
+    let bin = to_binary(xml, &mut symbols).expect("valid document");
+    let dag = Dag::build(&bin, &symbols);
+    let (tree_grammar, _) = TreeRePair::default().compress_binary(symbols.clone(), bin.clone());
+    let (grammar, _) = GrammarRePair::default().compress_xml(xml);
+    SizesRow {
+        elements: xml.node_count(),
+        binary_edges: bin.edge_count(),
+        dag_edges: dag.edge_count(),
+        treerepair_edges: tree_grammar.edge_count(),
+        grammarrepair_edges: grammar.edge_count(),
+        pointer_bytes: xml
+            .preorder()
+            .iter()
+            .map(|&v| 8 + 24 + xml.children(v).len() * 4 + xml.label(v).len())
+            .sum(),
+        succinct_bytes: SuccinctDom::build(xml).size_bytes(),
+        grammar_bytes: serialize::encoded_size(&grammar),
+    }
+}
+
 /// Generates the document for a dataset at a given scale (helper shared by the
 /// Criterion benches).
 pub fn document(dataset: Dataset, scale: f64) -> XmlTree {
@@ -378,6 +428,23 @@ mod tests {
             assert!(cp.grammarrepair_overhead() >= 0.2);
             // GrammarRePair never does worse than naive updates.
             assert!(cp.grammarrepair_edges <= cp.naive_edges);
+        }
+    }
+
+    #[test]
+    fn sizes_lists_all_representations() {
+        let xml = xmltree::parse::parse_xml(
+            "<log><e><t/><m/></e><e><t/><m/></e><e><t/><m/></e><e><t/><m/></e></log>",
+        )
+        .unwrap();
+        let row = sizes_row(&xml);
+        assert_eq!(row.elements, 13);
+        assert_eq!(row.binary_edges, 2 * row.elements);
+        for edges in [row.dag_edges, row.treerepair_edges, row.grammarrepair_edges] {
+            assert!(0 < edges && edges < row.binary_edges, "{row:?}");
+        }
+        for bytes in [row.pointer_bytes, row.succinct_bytes, row.grammar_bytes] {
+            assert!(bytes > 0, "{row:?}");
         }
     }
 

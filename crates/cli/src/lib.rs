@@ -20,7 +20,6 @@
 //! sltxml client     (--tcp <addr> | --sock <path>) [<in.xml>...]
 //!                   [--rename idx=label]... [--delete idx]... [--insert idx=<xml>]...
 //!                   [--query <path>] [--to-xml] [--checkpoint] [--stats]
-//! sltxml sizes      <in.xml>
 //! sltxml generate   <dataset> [--scale f] -o <out.xml>
 //! ```
 //!
@@ -47,7 +46,6 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use dag_xml::Dag;
 use datasets::Dataset;
 use grammar_repair::navigate::{element_count, label_counts, write_xml, NavTables};
 use grammar_repair::query::PathQuery;
@@ -58,9 +56,7 @@ use grammar_repair::{
     RepairError, Server, ServerConfig,
 };
 use sltgrammar::{serialize, Grammar};
-use succinct_xml::SuccinctDom;
 use treerepair::TreeRePair;
-use xmltree::binary::to_binary;
 use xmltree::parse::parse_xml;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
@@ -110,7 +106,6 @@ USAGE:
   sltxml client     (--tcp <addr> | --sock <path>) [<in.xml>...]
                     [--rename idx=label]... [--delete idx]... [--insert idx=<xml>]...
                     [--query <path>] [--to-xml] [--checkpoint] [--stats]
-  sltxml sizes      <in.xml>
   sltxml generate   <dataset> [--scale f] -o <out.xml>
       datasets: exi-weblog, xmark, exi-telecomp, treebank, medline, ncbi";
 
@@ -130,7 +125,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "store" => cmd_store(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
-        "sizes" => cmd_sizes(rest),
         "generate" => cmd_generate(rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::usage(format!("unknown subcommand `{other}`"))),
@@ -920,64 +914,6 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-fn cmd_sizes(args: &[String]) -> Result<String, CliError> {
-    let parsed = parse_args(args)?;
-    let [input] = parsed.positionals.as_slice() else {
-        return Err(CliError::usage("sizes expects exactly one XML input file"));
-    };
-    let Input::Xml(xml) = load_input(input)? else {
-        return Err(CliError::failure("sizes expects an uncompressed XML document"));
-    };
-    let n = xml.node_count();
-
-    // Pointer DOM estimate: label pointer + parent + child vector per node.
-    let pointer_bytes: usize = xml
-        .preorder()
-        .iter()
-        .map(|&v| 8 + 24 + xml.children(v).len() * 4 + xml.label(v).len())
-        .sum();
-
-    let succinct = SuccinctDom::build(&xml);
-
-    let mut symbols = sltgrammar::SymbolTable::new();
-    let bin = to_binary(&xml, &mut symbols)
-        .map_err(|e| CliError::failure(format!("binary encoding failed: {e}")))?;
-    let dag = Dag::build(&bin, &symbols);
-
-    let (tree_grammar, _) = TreeRePair::default().compress_binary(symbols.clone(), bin.clone());
-    let (mut grammar, _) = GrammarRePair::default().compress_xml(&xml);
-    grammar.compact();
-
-    let mut report = String::new();
-    writeln!(report, "document: {n} elements, {} edges", xml.edge_count()).unwrap();
-    writeln!(report, "{:<28}{:>14}{:>12}", "representation", "size", "per node").unwrap();
-    let mut row = |name: &str, bytes: usize| {
-        writeln!(
-            report,
-            "{:<28}{:>12} B{:>10.2} B",
-            name,
-            bytes,
-            bytes as f64 / n as f64
-        )
-        .unwrap();
-    };
-    row("pointer DOM (estimate)", pointer_bytes);
-    row("succinct DOM (BP + labels)", succinct.size_bytes());
-    row("minimal DAG", dag.size_bytes());
-    row("TreeRePair grammar (.sltg)", serialize::encoded_size(&tree_grammar));
-    row("GrammarRePair grammar (.sltg)", serialize::encoded_size(&grammar));
-    writeln!(report).unwrap();
-    writeln!(report, "{:<28}{:>14}", "representation", "edges").unwrap();
-    let mut row = |name: &str, edges: usize| {
-        writeln!(report, "{:<28}{:>14}", name, edges).unwrap();
-    };
-    row("binary tree", 2 * n);
-    row("minimal DAG", dag.edge_count());
-    row("TreeRePair grammar", tree_grammar.edge_count());
-    row("GrammarRePair grammar", grammar.edge_count());
-    Ok(report)
-}
-
 fn cmd_generate(args: &[String]) -> Result<String, CliError> {
     let parsed = parse_args(args)?;
     let [name] = parsed.positionals.as_slice() else {
@@ -1392,21 +1328,6 @@ mod tests {
         assert!(err.message.contains("exactly one of"), "{}", err.message);
         let err = run(&args(&["serve", "--sock", &sock])).unwrap_err();
         assert!(err.message.contains("--wal"), "{}", err.message);
-    }
-
-    #[test]
-    fn sizes_lists_all_representations() {
-        let input = write_doc("sizes.xml");
-        let report = run(&args(&["sizes", &input])).unwrap();
-        for needle in [
-            "pointer DOM",
-            "succinct DOM",
-            "minimal DAG",
-            "TreeRePair grammar",
-            "GrammarRePair grammar",
-        ] {
-            assert!(report.contains(needle), "missing `{needle}` in:\n{report}");
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! * [`DurableStore::remove`] logs the removed id; replay reproduces the
 //!   slab's free-list state (and therefore all later id assignments).
 //! * [`DurableStore::apply_batch`] logs the batch as one `ApplyBatch` record
-//!   ([`DurableStore::apply`] is that call on a batch of one, so a single
-//!   update is logged as a one-op batch); [`DurableStore::apply_batch_many`]
+//!   (a single update is a one-op batch); [`DurableStore::apply_batch_many`]
 //!   logs **one** `ApplyMany` record for the whole fan-out, so the
 //!   multi-document batch pays one fsync. Coalescing many writers' batches
 //!   into such a record is the ingestion queue's job
@@ -101,7 +100,7 @@ use crate::error::{RepairError, Result};
 use crate::frame::{read_doc, read_u32, write_doc};
 use crate::query::QueryMatches;
 use crate::store::{DocId, DomStore, MaintenanceReport, SlabLayout};
-use crate::update::{BatchStats, UpdateStats};
+use crate::update::BatchStats;
 use crate::wal::{read_log, DiskFs, StorageFs, Wal, WalEntry, WalRecord};
 
 /// Magic bytes of the checkpoint file.
@@ -331,13 +330,6 @@ impl DurableStore {
     /// Durable [`DomStore::remove`].
     pub fn remove(&self, doc: DocId) -> Result<Grammar> {
         self.commit_then(&WalRecord::Remove { doc }, || self.store.remove(doc))?
-    }
-
-    /// Durable [`DomStore::apply`]: [`DurableStore::apply_batch`] on a batch
-    /// of one (and logged as one).
-    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        self.apply_batch(doc, std::slice::from_ref(op))
-            .map(|(stats, report)| (stats.into(), report))
     }
 
     /// Durable [`DomStore::apply_batch`]. The maintenance sweep runs after
@@ -825,7 +817,7 @@ mod tests {
         let a = store.load_xml(&doc("feed", 4)).unwrap();
         let b = store.load_xml(&doc("blog", 3)).unwrap();
         store
-            .apply(a, &UpdateOp::Rename { target: 1, label: "entry".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: 1, label: "entry".into() }])
             .unwrap();
         store
             .apply_batch(b, &[UpdateOp::Delete { target: 1 }])
@@ -951,7 +943,7 @@ mod tests {
         let (fs, store) = mem_store();
         let a = store.load_xml(&doc("feed", 4)).unwrap();
         store
-            .apply(a, &UpdateOp::Rename { target: 1, label: "entry".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: 1, label: "entry".into() }])
             .unwrap();
         let report = store.checkpoint().unwrap();
         assert_eq!(report.last_lsn, 2);
@@ -988,7 +980,7 @@ mod tests {
         let a = store.load_xml(&doc("feed", 4)).unwrap();
         store.checkpoint().unwrap();
         store
-            .apply(a, &UpdateOp::Rename { target: 1, label: "x".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: 1, label: "x".into() }])
             .unwrap();
         let b = store.load_xml(&doc("blog", 2)).unwrap();
         let want_a = store.to_xml(a).unwrap().to_xml();
@@ -1254,7 +1246,7 @@ mod tests {
             scope.spawn(|| {
                 for i in 0..16 {
                     let rename = UpdateOp::Rename { target: 1, label: format!("r{i}") };
-                    store.apply(a, &rename).unwrap();
+                    store.apply_batch(a, std::slice::from_ref(&rename)).unwrap();
                 }
             });
         });
@@ -1279,7 +1271,7 @@ mod tests {
         let (fs, store) = mem_store();
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         let insert = UpdateOp::InsertBefore { target: 1, fragment: parse_xml("<ad/>").unwrap() };
-        store.apply(a, &insert).unwrap();
+        store.apply_batch(a, std::slice::from_ref(&insert)).unwrap();
         let (layout, cut) = store.store.checkpoint_cut();
         let docs: Vec<DocExtent> = cut
             .into_iter()
@@ -1290,7 +1282,7 @@ mod tests {
             .collect();
         let image = encode_checkpoint_v3(1, &layout, &store.store.symbol_image(), &docs);
         let rename = UpdateOp::Rename { target: 1, label: "entry".into() };
-        store.apply(a, &rename).unwrap();
+        store.apply_batch(a, std::slice::from_ref(&rename)).unwrap();
         let want = store.to_xml(a).unwrap().to_xml();
         drop(store);
         fs.set_file("db/checkpoint.slck", image);
@@ -1321,7 +1313,7 @@ mod tests {
         let (fs, store) = mem_store();
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         store
-            .apply(a, &UpdateOp::Rename { target: 1, label: "x".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: 1, label: "x".into() }])
             .unwrap();
         drop(store);
         let mut bytes = fs.file("db/wal.log").unwrap();

@@ -14,7 +14,7 @@
 //! recomputing them. A reference one isolation inlined is explicit for every
 //! later one, so isolations sharing a path prefix inline it once and the
 //! Lemma-1 factor-two growth bound holds per *distinct* root-to-target path,
-//! not per target. [`isolate`] is a session of one isolation.
+//! not per target.
 //!
 //! # How long a session lives
 //!
@@ -45,7 +45,6 @@
 //! session equals a fresh one.
 
 use sltgrammar::derive::RuleSizes;
-use sltgrammar::fingerprint::derived_size;
 use sltgrammar::{Grammar, NodeId, NodeKind};
 
 use crate::error::{RepairError, Result};
@@ -55,15 +54,6 @@ use crate::error::{RepairError, Result};
 pub struct IsolationStats {
     /// Number of rules inlined into the start rule.
     pub inlinings: usize,
-}
-
-/// Makes the node with 0-based preorder index `target` of the derived tree
-/// `val(G)` explicit in the start rule and returns its node id there — the
-/// paper's `iso(G, u)`, as a one-target [`IsolationBatch`] session.
-pub fn isolate(g: &mut Grammar, target: u128) -> Result<(NodeId, IsolationStats)> {
-    let mut batch = IsolationBatch::new(g);
-    let node = batch.isolate_one(g, target)?;
-    Ok((node, batch.stats()))
 }
 
 /// A path-isolation session over one grammar (see the module docs for its
@@ -128,14 +118,6 @@ impl IsolationBatch {
     /// Inlinings performed through this session so far.
     pub fn stats(&self) -> IsolationStats {
         self.stats
-    }
-
-    /// Number of nodes of the derived tree (cached at session start and
-    /// maintained across splices reported through
-    /// [`note_inserted`](Self::note_inserted) /
-    /// [`note_removed`](Self::note_removed)).
-    pub fn derived_size(&self) -> u128 {
-        self.total
     }
 
     /// The grammar's edge count ([`Grammar::edge_count`]), carried instead of
@@ -325,30 +307,19 @@ impl IsolationBatch {
     }
 }
 
-/// Reads the terminal label at preorder index `target` of the derived tree.
-///
-/// This is a **read-only** lookup: it resolves through freshly built
-/// [`crate::navigate::NavTables`] and a positional cursor jump
-/// ([`crate::navigate::Cursor::node_at_preorder`]) instead of isolating the
-/// path, so the grammar is never mutated by a read. Holders with a cached
-/// table snapshot ([`crate::store::DomStore`]) answer the same lookup
-/// without the O(grammar) table build this convenience wrapper pays.
-pub fn label_at(g: &Grammar, target: u128) -> Result<String> {
-    let mut cursor = crate::navigate::Cursor::new(g);
-    if !cursor.node_at_preorder(target) {
-        return Err(RepairError::TargetOutOfRange {
-            index: target,
-            size: derived_size(g),
-        });
-    }
-    Ok(cursor.label().to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sltgrammar::fingerprint::fingerprint;
+    use crate::navigate::Cursor;
+    use sltgrammar::fingerprint::{derived_size, fingerprint};
     use sltgrammar::text::parse_grammar;
+
+    /// The label at preorder index `target`, read without isolating.
+    fn label_at(g: &Grammar, target: u128) -> String {
+        let mut cursor = Cursor::new(g);
+        assert!(cursor.node_at_preorder(target), "target {target} in range");
+        cursor.label().to_string()
+    }
 
     #[test]
     fn isolation_preserves_the_derived_tree_and_bounds_growth() {
@@ -360,7 +331,7 @@ mod tests {
         .unwrap();
         let before = fingerprint(&g);
         let size_before = g.edge_count();
-        let (_, stats) = isolate(&mut g, 7).unwrap();
+        let (_, stats) = isolate_in_turn(&mut g, &[7]);
         g.validate().unwrap();
         assert_eq!(fingerprint(&g), before);
         assert!(stats.inlinings >= 1);
@@ -387,7 +358,7 @@ mod tests {
             })
             .collect();
         for (i, want) in expected.iter().enumerate() {
-            let got = label_at(&g0, i as u128).unwrap();
+            let got = label_at(&g0, i as u128);
             assert_eq!(&got, want, "label mismatch at preorder index {i}");
         }
     }
@@ -407,8 +378,8 @@ mod tests {
         // must be inlined.
         let mut g = g0.clone();
         let before = fingerprint(&g);
-        let (node, stats) = isolate(&mut g, 332).unwrap();
-        assert!(g.rule(g.start()).rhs.kind(node).is_term());
+        let (nodes, stats) = isolate_in_turn(&mut g, &[332]);
+        assert!(g.rule(g.start()).rhs.kind(nodes[0]).is_term());
         assert_eq!(fingerprint(&g), before);
         assert!(stats.inlinings <= 11);
         assert!(g.edge_count() <= 2 * g0.edge_count() + 2);
@@ -417,17 +388,18 @@ mod tests {
     #[test]
     fn out_of_range_targets_are_rejected() {
         let mut g = parse_grammar("S -> a(#,#)").unwrap();
+        let mut batch = IsolationBatch::new(&g);
         assert!(matches!(
-            isolate(&mut g, 3),
+            batch.isolate_one(&mut g, 3),
             Err(RepairError::TargetOutOfRange { .. })
         ));
-        assert!(isolate(&mut g, 2).is_ok());
+        assert!(batch.isolate_one(&mut g, 2).is_ok());
     }
 
     #[test]
     fn isolating_an_already_explicit_node_does_not_inline() {
         let mut g = parse_grammar("S -> f(a(#,#),#)").unwrap();
-        let (_, stats) = isolate(&mut g, 1).unwrap();
+        let (_, stats) = isolate_in_turn(&mut g, &[1]);
         assert_eq!(stats.inlinings, 0);
     }
 
@@ -469,7 +441,7 @@ mod tests {
                 NodeKind::Term(t) => g.symbols.name(t).to_string(),
                 other => panic!("expected terminal, got {other:?}"),
             };
-            let want = label_at(&g0, i as u128).unwrap();
+            let want = label_at(&g0, i as u128);
             assert_eq!(got, want, "label mismatch at preorder index {i}");
         }
         // Isolating everything at worst unfolds the document.
@@ -487,7 +459,7 @@ mod tests {
         text.push_str("A10 -> a(y1)");
         let g0 = parse_grammar(&text).unwrap();
         let mut g = g0.clone();
-        let (_, single) = isolate(&mut g, 332).unwrap();
+        let (_, single) = isolate_in_turn(&mut g, &[332]);
         let mut g = g0.clone();
         let before = fingerprint(&g);
         let (nodes, batched) = isolate_in_turn(&mut g, &[332, 333]);

@@ -63,7 +63,7 @@
 //! // Rename the first <e> element (preorder index 1 of the binary tree)
 //! // without decompressing the document; recompress when the caller likes
 //! // (the store's debt scheduler also does so on its own).
-//! store.apply(doc, &UpdateOp::Rename { target: 1, label: "entry".into() }).unwrap();
+//! store.apply_batch(doc, &[UpdateOp::Rename { target: 1, label: "entry".into() }]).unwrap();
 //! store.recompress(doc).unwrap();
 //! assert_eq!(store.label_at(doc, 1).unwrap(), "entry");
 //! ```

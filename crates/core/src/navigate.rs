@@ -1488,7 +1488,8 @@ mod tests {
             assert_eq!(c1.label(), c2.label());
         }
         // Any body mutation flips is_current through the version counters.
-        crate::update::rename(&mut g, 1, "c").unwrap();
+        let rename = xmltree::updates::UpdateOp::Rename { target: 1, label: "c".into() };
+        crate::update::apply_batch(&mut g, &[rename]).unwrap();
         assert!(!tables.is_current(&g));
         let fresh = NavTables::build(&g);
         assert!(fresh.is_current(&g));

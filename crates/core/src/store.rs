@@ -16,20 +16,20 @@
 //!
 //! # Concurrency architecture: shards, snapshots, epochs
 //!
-//! The store is sharded per document. Each live [`DocId`] resolves (through
-//! one load of the document map's `RwLock<Arc<_>>` cell) to a `DocShard`
-//! holding
+//! The store is sharded per document. Each live [`DocId`] resolves (under
+//! the document map's read lock, held only to clone one `Arc`) to a
+//! `DocShard` holding
 //!
 //! * the **write state** — the authoritative grammar behind the shard's own
 //!   `Mutex`, so writers to *different* documents never contend; and
 //! * the **published snapshot** — an `Arc` of (grammar, lazily built
-//!   [`NavTables`]) behind a second `RwLock<Arc<_>>` cell, the version
-//!   readers see.
+//!   [`NavTables`]) behind an `RwLock<Arc<_>>` publication cell, the
+//!   version readers see.
 //!
 //! **Readers never hold a lock across work.** A read resolves the document
 //! map, checks the shard's `clean` flag (atomic load), and loads the
-//! published snapshot: each cell load is one read-lock acquire, held only
-//! to clone the `Arc`. Writers hold a cell's write lock only to swap the
+//! published snapshot: each is one read-lock acquire, held only to clone
+//! an `Arc`. Writers hold the cell's write lock only to swap the
 //! pointer, and drop the old value after releasing it. The read then runs
 //! entirely on immutable `Arc`-shared state: the snapshot grammar, its
 //! `NavTables` (built on first use through a `OnceLock`), and the sealed
@@ -60,12 +60,19 @@
 //! Lock discipline, for auditing: the **master symbol table lock** is taken
 //! only at load/seal time ([`DomStore::load_xml`] / [`DomStore::load_many`] /
 //! [`DomStore::load_grammar`]) and by [`DomStore::symbol_stats`] /
-//! [`DomStore::symbols`]; the **map write lock** serializes document
-//! insertion/removal (readers resolve through the map cell instead);
-//! each **shard lock** serializes writes to one document and the publish of
-//! its snapshot; locks are never nested except shard-after-map-write in
-//! [`DomStore::remove`], and a cell lock is innermost wherever it is taken.
-//! Steady-state reads take only the two cells' read locks.
+//! [`DomStore::symbols`]; the **map lock** is read to resolve an id and
+//! written to insert, remove or materialize a document in place; each
+//! **shard lock** serializes writes to one document and the publish of its
+//! snapshot; a cell lock is innermost wherever it is taken. **No shard lock
+//! is taken while the map lock is held.** std's `RwLock` queues new readers
+//! behind a waiting writer, so a scan parked on a busy shard under the map's
+//! read guard would stall every read in the store behind the next load.
+//! [`DomStore::maintain`] collects its candidates under the read guard (debts
+//! are atomics) and drops it before it resolves or recompresses;
+//! [`DomStore::symbol_stats`], the checkpoint cut and [`DomStore::clone`]
+//! copy the map and walk the copy. Only the checkpoint restore nests two
+//! locks: the master lock under the map's write lock. Steady-state reads
+//! take only two read locks: the map's and the snapshot cell's.
 //!
 //! # The live isolation session
 //!
@@ -176,13 +183,13 @@
 //! );
 //! // Updates address one document and never perturb the others; reads are
 //! // `&self` and can run from any thread.
-//! store.apply(a, &UpdateOp::Rename { target: 1, label: "entry".into() }).unwrap();
+//! store.apply_batch(a, &[UpdateOp::Rename { target: 1, label: "entry".into() }]).unwrap();
 //! assert_eq!(store.label_at(a, 1).unwrap(), "entry");
 //! assert_eq!(store.query_str(b, "//e").unwrap().len(), 3);
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use sltgrammar::crc32::crc32;
@@ -197,7 +204,7 @@ use crate::navigate::{write_xml, xml_tree, Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePair, RepairStats};
 use crate::isolate::IsolationBatch;
-use crate::update::{apply_batch_in, mutation_mark, BatchStats, UpdateStats};
+use crate::update::{apply_batch_in, mutation_mark, BatchStats};
 
 /// The distinct terminals occurring in `g`'s rule bodies — a document's own
 /// alphabet, as opposed to whatever else its symbol table carries.
@@ -575,8 +582,8 @@ struct Slot {
     pending: Option<Arc<PendingDoc>>,
 }
 
-/// The copy-on-write document map readers resolve through. Replaced
-/// wholesale (a cell swap) on insert/remove, never mutated in place.
+/// The document map readers resolve through. Writers mutate it in place
+/// under the map's write lock (see the lock discipline in the module docs).
 #[derive(Debug, Clone, Default)]
 struct DocMap {
     slots: Vec<Slot>,
@@ -608,9 +615,7 @@ struct WorkerSignal {
 #[derive(Debug)]
 struct StoreInner {
     symbols: Mutex<SymbolTable>,
-    map: RwLock<Arc<DocMap>>,
-    /// Serializes insert/remove (which copy-on-write-replace `map`).
-    map_write: Mutex<()>,
+    map: RwLock<DocMap>,
     repair: GrammarRePair,
     scheduler: RwLock<SchedulerConfig>,
     /// Fast check on the update path: is a background thread attached?
@@ -620,31 +625,37 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    /// The document map's read guard. Hold it only to copy out of the map:
+    /// never across a shard lock (see the module docs).
+    fn map(&self) -> RwLockReadGuard<'_, DocMap> {
+        self.map.read().expect("map lock never poisoned")
+    }
+
+    fn map_mut(&self) -> RwLockWriteGuard<'_, DocMap> {
+        self.map.write().expect("map lock never poisoned")
+    }
+
     fn resolve(&self, doc: DocId) -> Result<Arc<DocShard>> {
-        let map = load_cell(&self.map);
-        let slot = map
-            .slots
-            .get(doc.index())
-            .filter(|slot| slot.generation == doc.generation)
-            .ok_or(RepairError::NoSuchDocument { id: doc.slot })?;
-        if let Some(shard) = &slot.shard {
-            return Ok(shard.clone());
-        }
-        match &slot.pending {
-            Some(pending) => {
-                let pending = pending.clone();
-                drop(map);
-                self.materialize(doc, pending)
+        let pending = {
+            let map = self.map();
+            let slot = map
+                .slots
+                .get(doc.index())
+                .filter(|slot| slot.generation == doc.generation)
+                .ok_or(RepairError::NoSuchDocument { id: doc.slot })?;
+            if let Some(shard) = &slot.shard {
+                return Ok(shard.clone());
             }
-            None => Err(RepairError::NoSuchDocument { id: doc.slot }),
-        }
+            slot.pending.clone().ok_or(RepairError::NoSuchDocument { id: doc.slot })?
+        };
+        self.materialize(doc, pending)
     }
 
     /// Decodes a lazily restored document and swaps its shard into the map —
     /// the first-touch half of the O(open) restore. The CRC check and decode
     /// run outside every lock: racing materializers decode the same bytes
-    /// against the same frozen shared prefix and agree; one wins the
-    /// copy-on-write swap, the rest adopt the winner's shard.
+    /// against the same frozen shared prefix and agree; one installs its
+    /// shard, the rest adopt the winner's.
     fn materialize(&self, doc: DocId, pending: Arc<PendingDoc>) -> Result<Arc<DocShard>> {
         let found = crc32(&pending.bytes);
         if found != pending.crc {
@@ -667,8 +678,7 @@ impl StoreInner {
                 }
             })?;
         let shard = Arc::new(DocShard::new(grammar));
-        let _guard = self.map_write.lock().expect("map lock never poisoned");
-        let mut map = (*load_cell(&self.map)).clone();
+        let mut map = self.map_mut();
         let slot = map
             .slots
             .get_mut(doc.index())
@@ -678,9 +688,12 @@ impl StoreInner {
             // Lost the materialization race; the winner's shard is canonical.
             return Ok(existing.clone());
         }
+        if slot.pending.is_none() {
+            // Removed since the pending payload was read: its slot is free.
+            return Err(RepairError::NoSuchDocument { id: doc.slot });
+        }
         slot.pending = None;
         slot.shard = Some(shard.clone());
-        store_cell(&self.map, Arc::new(map));
         Ok(shard)
     }
 
@@ -735,8 +748,7 @@ impl StoreInner {
 
     fn insert_doc(&self, grammar: Grammar) -> DocId {
         let shard = Arc::new(DocShard::new(grammar));
-        let _guard = self.map_write.lock().expect("map lock never poisoned");
-        let mut map = (*load_cell(&self.map)).clone();
+        let mut map = self.map_mut();
         let slot = map.free.pop().unwrap_or_else(|| {
             map.slots.push(Slot::default());
             (map.slots.len() - 1) as u32
@@ -749,7 +761,6 @@ impl StoreInner {
             generation: entry.generation,
         };
         map.live.push(id);
-        store_cell(&self.map, Arc::new(map));
         id
     }
 
@@ -814,16 +825,18 @@ impl StoreInner {
     fn maintain(&self) -> MaintenanceReport {
         let scheduler = *self.scheduler.read().expect("scheduler lock");
         let threshold = scheduler.debt_threshold.max(1);
-        let map = load_cell(&self.map);
-        let mut eligible: Vec<(usize, DocId)> = map
-            .live
-            .iter()
-            .filter_map(|&id| {
-                let shard = map.get(id)?;
-                let debt = shard.debt();
-                (debt >= threshold).then_some((debt, id))
-            })
-            .collect();
+        // Debts are atomics: the scan takes no shard lock, and the guard is
+        // gone before anything below resolves or recompresses.
+        let mut eligible: Vec<(usize, DocId)> = {
+            let map = self.map();
+            map.live
+                .iter()
+                .filter_map(|&id| {
+                    let debt = map.get(id)?.debt();
+                    (debt >= threshold).then_some((debt, id))
+                })
+                .collect()
+        };
         // Worst offender first; ties broken by id for determinism.
         eligible.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
@@ -937,7 +950,8 @@ impl Clone for DomStore {
     /// maintenance thread.
     fn clone(&self) -> Self {
         let master = self.inner.symbols.lock().expect("master lock").clone();
-        let src = load_cell(&self.inner.map);
+        // Duplicating a shard takes its lock: walk a copy of the map.
+        let src = self.inner.map().clone();
         let slots = src
             .slots
             .iter()
@@ -950,14 +964,13 @@ impl Clone for DomStore {
             .collect();
         let map = DocMap {
             slots,
-            free: src.free.clone(),
-            live: src.live.clone(),
+            free: src.free,
+            live: src.live,
         };
         DomStore {
             inner: Arc::new(StoreInner {
                 symbols: Mutex::new(master),
-                map: RwLock::new(Arc::new(map)),
-                map_write: Mutex::new(()),
+                map: RwLock::new(map),
                 repair: self.inner.repair.clone(),
                 scheduler: RwLock::new(*self.inner.scheduler.read().expect("scheduler lock")),
                 worker_attached: AtomicBool::new(false),
@@ -981,8 +994,7 @@ impl DomStore {
         DomStore {
             inner: Arc::new(StoreInner {
                 symbols: Mutex::new(SymbolTable::new()),
-                map: RwLock::new(Arc::new(DocMap::default())),
-                map_write: Mutex::new(()),
+                map: RwLock::new(DocMap::default()),
                 repair: GrammarRePair::default(),
                 scheduler: RwLock::new(SchedulerConfig::default()),
                 worker_attached: AtomicBool::new(false),
@@ -1015,7 +1027,7 @@ impl DomStore {
     /// whenever an update signals debt and
     /// at least every `poll` as a fallback, recompressing aside and swapping
     /// snapshots in atomically — readers never wait on it. With a worker
-    /// attached, `apply`/`apply_batch` return empty [`MaintenanceReport`]s;
+    /// attached, the `apply_batch` calls return empty [`MaintenanceReport`]s;
     /// observe [`DomStore::recompressions`] for drain counts. No-op if a
     /// worker is already running.
     pub fn start_maintenance(&mut self, poll: Duration) {
@@ -1157,22 +1169,9 @@ impl DomStore {
         // A lazily restored document is decoded first: the call returns the
         // grammar, and a corrupt payload must surface as the typed decode
         // error here rather than as a bogus `NoSuchDocument`.
-        let needs_materialize = {
-            let map = load_cell(&self.inner.map);
-            map.slots
-                .get(doc.index())
-                .is_some_and(|slot| {
-                    slot.generation == doc.generation
-                        && slot.shard.is_none()
-                        && slot.pending.is_some()
-                })
-        };
-        if needs_materialize {
-            self.inner.resolve(doc)?;
-        }
+        self.inner.resolve(doc)?;
         let shard = {
-            let _guard = self.inner.map_write.lock().expect("map lock");
-            let mut map = (*load_cell(&self.inner.map)).clone();
+            let mut map = self.inner.map_mut();
             let entry = map
                 .slots
                 .get_mut(doc.index())
@@ -1184,7 +1183,6 @@ impl DomStore {
                 .ok_or(RepairError::NoSuchDocument { id: doc.slot })?;
             map.free.push(doc.slot);
             map.live.retain(|&id| id != doc);
-            store_cell(&self.inner.map, Arc::new(map));
             entry
         };
         // Unwrap as far as sharing allows; clone only if snapshots of the
@@ -1203,8 +1201,7 @@ impl DomStore {
     /// Whether `doc` names a live document (including one still in
     /// undecoded, lazily restored form).
     pub fn contains(&self, doc: DocId) -> bool {
-        let map = load_cell(&self.inner.map);
-        map.slots.get(doc.index()).is_some_and(|slot| {
+        self.inner.map().slots.get(doc.index()).is_some_and(|slot| {
             slot.generation == doc.generation
                 && (slot.shard.is_some() || slot.pending.is_some())
         })
@@ -1212,12 +1209,12 @@ impl DomStore {
 
     /// Ids of all live documents, in insertion order.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        load_cell(&self.inner.map).live.clone()
+        self.inner.map().live.clone()
     }
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        load_cell(&self.inner.map).live.len()
+        self.inner.map().live.len()
     }
 
     /// Whether the store holds no documents.
@@ -1235,7 +1232,8 @@ impl DomStore {
     /// Resident label-table footprint of the store, deduplicating shared
     /// segments across the master, every document's write state, and every
     /// published snapshot (see [`SymbolStats`]) — a segment referenced from
-    /// N snapshots still counts once.
+    /// N snapshots still counts once. It walks a copy of the document map,
+    /// so waiting on a busy shard blocks no other caller.
     pub fn symbol_stats(&self) -> SymbolStats {
         let mut seen = std::collections::HashSet::new();
         let mut stats = SymbolStats::default();
@@ -1252,7 +1250,8 @@ impl DomStore {
             stats.master_symbols = master.len();
             visit(&master, &mut stats);
         }
-        let map = load_cell(&self.inner.map);
+        // Reading a write state takes its shard lock: walk a copy of the map.
+        let map = self.inner.map().clone();
         for &id in &map.live {
             let Some(shard) = map.get(id) else { continue };
             let write = shard.grammar();
@@ -1358,17 +1357,12 @@ impl DomStore {
 
     // ----- updates and scheduling -----
 
-    /// Applies one update to a document: [`DomStore::apply_batch`] on a
-    /// batch of one, same scheduling, same error semantics.
-    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        self.apply_batch(doc, std::slice::from_ref(op))
-            .map(|(stats, report)| (stats.into(), report))
-    }
-
     /// Applies an operation sequence to a document one op at a time through
     /// the document's isolation session (see [`crate::update`]), then runs a
     /// maintenance sweep over the *whole store* — inline, or signalled to
-    /// the background thread when one is attached (empty report then).
+    /// the background thread when one is attached (empty report then). This
+    /// is the store's only write entry point: a single op is the batch
+    /// `std::slice::from_ref(&op)`.
     ///
     /// A batch that leaves the grammar untouched — empty, or failing at its
     /// first op before anything was isolated (see
@@ -1481,7 +1475,8 @@ impl DomStore {
     /// lifecycle events in order) makes [`DocId`] assignment after recovery
     /// identical to the original run.
     pub(crate) fn checkpoint_cut(&self) -> (SlabLayout, Vec<(DocId, CutDoc)>) {
-        let map = load_cell(&self.inner.map);
+        // Reading a write state takes its shard lock: walk a copy of the map.
+        let map = self.inner.map().clone();
         let docs = map
             .live
             .iter()
@@ -1516,8 +1511,8 @@ impl DomStore {
         segments: Vec<(Vec<String>, Vec<usize>)>,
         docs: Vec<(DocId, Vec<u8>, u32)>,
     ) -> Result<()> {
-        let _guard = self.inner.map_write.lock().expect("map lock never poisoned");
-        if !load_cell(&self.inner.map).live.is_empty() {
+        let mut map = self.inner.map_mut();
+        if !map.live.is_empty() {
             return Err(RepairError::Storage {
                 detail: "checkpoint restore requires an empty store".to_string(),
             });
@@ -1560,11 +1555,11 @@ impl DomStore {
                 });
             }
         }
-        store_cell(&self.inner.map, Arc::new(DocMap {
+        *map = DocMap {
             slots,
             free: layout.free,
             live: layout.live,
-        }));
+        };
         Ok(())
     }
 
@@ -1583,8 +1578,7 @@ impl DomStore {
 
     /// Number of documents still in undecoded, lazily restored form.
     pub(crate) fn pending_count(&self) -> usize {
-        let map = load_cell(&self.inner.map);
-        map.slots.iter().filter(|slot| slot.pending.is_some()).count()
+        self.inner.map().slots.iter().filter(|slot| slot.pending.is_some()).count()
     }
 }
 
@@ -1748,7 +1742,7 @@ mod tests {
         let old_tables = old.nav_tables();
 
         store
-            .apply(a, &UpdateOp::Rename { target: elements[1], label: "renamed".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: elements[1], label: "renamed".into() }])
             .unwrap();
         store.recompress(a).unwrap();
 
@@ -1778,7 +1772,7 @@ mod tests {
 
         // A write publishes new tables on the next read…
         store
-            .apply(a, &UpdateOp::Rename { target: elements[1], label: "entry".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: elements[1], label: "entry".into() }])
             .unwrap();
         let t2 = store.nav_tables(a).unwrap();
         assert!(!Arc::ptr_eq(&t1, &t2), "a write must replace the tables");
@@ -1811,7 +1805,7 @@ mod tests {
         let sequential = store.load_xml(&xml).unwrap();
         let batched = store.load_xml(&xml).unwrap();
         for op in &ops {
-            store.apply(sequential, op).unwrap();
+            store.apply_batch(sequential, std::slice::from_ref(op)).unwrap();
         }
         store.apply_batch(batched, &ops).unwrap();
         assert!(store.recompressions(sequential).unwrap() >= 1);
@@ -1840,12 +1834,12 @@ mod tests {
         assert_eq!(store.debt(hot).unwrap(), 0);
         for i in 0..6 {
             store
-                .apply(
+                .apply_batch(
                     hot,
-                    &UpdateOp::Rename {
+                    &[UpdateOp::Rename {
                         target: elements[3 * i + 1],
                         label: format!("hot{i}"),
-                    },
+                    }],
                 )
                 .unwrap();
         }
@@ -1878,12 +1872,12 @@ mod tests {
         let mut drained = 0;
         for i in 0..20 {
             let (_, report) = store
-                .apply(
+                .apply_batch(
                     a,
-                    &UpdateOp::Rename {
+                    &[UpdateOp::Rename {
                         target: elements[2 * (i % 8) + 1],
                         label: format!("x{i}"),
-                    },
+                    }],
                 )
                 .unwrap();
             drained += report.drained.len();
@@ -1909,12 +1903,12 @@ mod tests {
         let b = store.load_xml(&xml_b).unwrap();
         for (i, id, elements) in [(0usize, a, &ea), (1, b, &eb), (2, a, &ea), (3, b, &eb)] {
             store
-                .apply(
+                .apply_batch(
                     id,
-                    &UpdateOp::Rename {
+                    &[UpdateOp::Rename {
                         target: elements[2 * (i % 4) + 1],
                         label: format!("y{i}"),
-                    },
+                    }],
                 )
                 .unwrap();
         }
@@ -1972,11 +1966,11 @@ mod tests {
         assert_eq!(store.doc_ids(), vec![b]);
         assert!(store.maintain().is_empty());
         assert!(
-            load_cell(&self::DomStore::new().inner.map).slots.is_empty(),
+            self::DomStore::new().inner.map().slots.is_empty(),
             "sanity: fresh stores start with no slots"
         );
         assert!(
-            load_cell(&store.inner.map).slots.len() <= 2,
+            store.inner.map().slots.len() <= 2,
             "freed slots must be reused, not appended"
         );
     }
@@ -1997,7 +1991,7 @@ mod tests {
         let snap_a1 = store.snapshot(a).unwrap();
         let snap_b = store.snapshot(b).unwrap();
         store
-            .apply(a, &UpdateOp::Rename { target: elements[1], label: "zzz_private".into() })
+            .apply_batch(a, &[UpdateOp::Rename { target: elements[1], label: "zzz_private".into() }])
             .unwrap();
         let snap_a2 = store.snapshot(a).unwrap();
         let stats = store.symbol_stats();
@@ -2019,10 +2013,50 @@ mod tests {
         let before = store.to_xml(a).unwrap().to_xml();
         let copy = store.clone();
         assert_eq!(copy.to_xml(a).unwrap().to_xml(), before, "ids survive cloning");
-        copy.apply(a, &UpdateOp::Rename { target: elements[1], label: "only_copy".into() })
+        copy.apply_batch(a, &[UpdateOp::Rename { target: elements[1], label: "only_copy".into() }])
             .unwrap();
         assert_eq!(store.to_xml(a).unwrap().to_xml(), before, "copy-on-write isolation");
         assert_ne!(copy.to_xml(a).unwrap().to_xml(), before);
+    }
+
+    #[test]
+    fn a_scan_waiting_on_a_busy_shard_blocks_no_load_and_no_read() {
+        use std::sync::mpsc::channel;
+        let store = DomStore::new();
+        let a = store.load_xml(&doc("feed", 4)).unwrap();
+        let b = store.load_xml(&doc("blog", 4)).unwrap();
+        let store = &store;
+        let (held_tx, held_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                store
+                    .inspect_write_state(a, |_, _| {
+                        held_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    })
+                    .unwrap();
+            });
+            held_rx.recv().unwrap();
+            // A scan that parks on A's shard, then a load that needs the
+            // map's write lock, then reads of B. The sleeps only give each
+            // call time to block; they cannot make a correct store fail.
+            scope.spawn(move || store.symbol_stats());
+            std::thread::sleep(Duration::from_millis(50));
+            let loaded = done_tx.clone();
+            scope.spawn(move || loaded.send(store.load_xml(&doc("log", 3)).is_ok()).unwrap());
+            std::thread::sleep(Duration::from_millis(50));
+            scope.spawn(move || {
+                let read = store.snapshot(b).is_ok() && store.label_at(b, 1).is_ok();
+                done_tx.send(read).unwrap();
+            });
+            let wait = Duration::from_secs(10);
+            let done: Vec<bool> = (0..2).map_while(|_| done_rx.recv_timeout(wait).ok()).collect();
+            // Release A before asserting, so a failure cannot hang the scope.
+            release_tx.send(()).unwrap();
+            assert_eq!(done, [true, true], "the load and the reads finish while A is held");
+        });
     }
 
     #[test]
@@ -2039,7 +2073,7 @@ mod tests {
         };
         let start = builds();
         for k in 0..6 {
-            store.apply(a, &rename(k)).unwrap();
+            store.apply_batch(a, &[rename(k)]).unwrap();
             store.apply_batch(b, &[rename(k), rename(k + 7)]).unwrap();
             // A read publishes the write state: the next write copies the
             // grammar, and the session carries over to the copy.
@@ -2049,25 +2083,25 @@ mod tests {
 
         store.recompress(a).unwrap();
         for k in 6..9 {
-            store.apply(a, &rename(k)).unwrap();
-            store.apply(b, &rename(k)).unwrap();
+            store.apply_batch(a, &[rename(k)]).unwrap();
+            store.apply_batch(b, &[rename(k)]).unwrap();
         }
         assert_eq!(builds() - start, 3, "recompression starts a new epoch for `a` only");
 
         // A failed batch — rejected before isolation or after it — drops the
         // session; the next write builds a fresh one.
         let null_label = UpdateOp::Rename { target: 1, label: "#".into() };
-        assert!(store.apply(b, &null_label).is_err());
+        assert!(store.apply_batch(b, std::slice::from_ref(&null_label)).is_err());
         assert_eq!(builds() - start, 3, "a kept session serves the failing call");
-        store.apply(b, &rename(9)).unwrap();
+        store.apply_batch(b, &[rename(9)]).unwrap();
         assert_eq!(builds() - start, 4, "fresh build after an Err");
-        store.apply(b, &rename(10)).unwrap();
+        store.apply_batch(b, &[rename(10)]).unwrap();
         assert_eq!(builds() - start, 4);
 
         // A cloned store shares grammars, not sessions.
         let copy = store.clone();
-        copy.apply(a, &rename(11)).unwrap();
-        store.apply(a, &rename(11)).unwrap();
+        copy.apply_batch(a, &[rename(11)]).unwrap();
+        store.apply_batch(a, &[rename(11)]).unwrap();
         assert_eq!(builds() - start, 5, "the clone builds its own; the original keeps its");
     }
 
@@ -2084,12 +2118,12 @@ mod tests {
         let a = store.load_xml(&xml).unwrap();
         for i in 0..20 {
             let (_, report) = store
-                .apply(
+                .apply_batch(
                     a,
-                    &UpdateOp::Rename {
+                    &[UpdateOp::Rename {
                         target: elements[2 * (i % 8) + 1],
                         label: format!("x{i}"),
-                    },
+                    }],
                 )
                 .unwrap();
             assert!(

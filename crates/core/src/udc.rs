@@ -15,7 +15,7 @@ use treerepair::{TreeRePair, TreeRePairConfig};
 use xmltree::updates::UpdateOp;
 
 use crate::error::Result;
-use crate::update::apply_updates;
+use crate::update::apply_update;
 
 /// Timing and size breakdown of one udc run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,7 +54,9 @@ pub fn update_decompress_compress(
     let mut updated = g.clone();
 
     let t0 = Instant::now();
-    apply_updates(&mut updated, ops)?;
+    for op in ops {
+        apply_update(&mut updated, op)?;
+    }
     stats.update_time = t0.elapsed();
 
     let t1 = Instant::now();
@@ -110,7 +112,7 @@ mod tests {
         ];
         // Oracle: apply the same updates on the grammar only.
         let mut oracle = g.clone();
-        crate::update::apply_updates(&mut oracle, &ops).unwrap();
+        crate::update::apply_batch(&mut oracle, &ops).unwrap();
 
         let (result, stats) = update_decompress_compress(&g, &ops, TreeRePairConfig::default()).unwrap();
         result.validate().unwrap();

@@ -9,9 +9,10 @@
 //!
 //! # One path: the batch
 //!
-//! [`apply_batch_in`] is the only implementation. A single operation
-//! ([`apply_update`], [`rename`], [`insert_before`], [`delete`]) is a batch
-//! of one and reports the same [`BatchStats`] narrowed to [`UpdateStats`].
+//! [`apply_batch_in`] is the only implementation, and a single operation is
+//! a batch of one. [`apply_update`] is the one adapter that spells it: the
+//! benchmark's trace times sessionless single ops through it, and
+//! [`crate::udc`]'s update phase loops it, one isolation session per op.
 //!
 //! # One session per document, not per call
 //!
@@ -60,17 +61,6 @@ use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
 use crate::isolate::{IsolationBatch, IsolationStats};
-
-/// Statistics of one grammar update.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UpdateStats {
-    /// Path isolation cost.
-    pub isolation: IsolationStats,
-    /// Grammar edges before the update.
-    pub edges_before: usize,
-    /// Grammar edges after the update.
-    pub edges_after: usize,
-}
 
 fn expect_element(g: &Grammar, node: NodeId) -> Result<()> {
     let kind = g.rule(g.start()).rhs.kind(node);
@@ -148,61 +138,10 @@ fn delete_node(g: &mut Grammar, node: NodeId) {
     rhs.replace_subtree(node, next_sibling);
 }
 
-/// `rename(G, u, σ)`: relabels the element at preorder index `target` of the
-/// derived tree with `label`.
-pub fn rename(g: &mut Grammar, target: u128, label: &str) -> Result<UpdateStats> {
-    let target = op_target(g, target)?;
-    apply_update(
-        g,
-        &UpdateOp::Rename {
-            target,
-            label: label.to_string(),
-        },
-    )
-}
-
-/// `insert(G, u, s)`: inserts the element `fragment` as a new previous sibling
-/// of the node at preorder index `target` (or at that empty position when the
-/// target is a null node).
-pub fn insert_before(g: &mut Grammar, target: u128, fragment: &XmlTree) -> Result<UpdateStats> {
-    let target = op_target(g, target)?;
-    apply_update(
-        g,
-        &UpdateOp::InsertBefore {
-            target,
-            fragment: fragment.clone(),
-        },
-    )
-}
-
-/// `delete(G, u)`: deletes the element subtree rooted at preorder index
-/// `target`, splicing its following siblings into its place. Rules that become
-/// unreachable are garbage collected.
-pub fn delete(g: &mut Grammar, target: u128) -> Result<UpdateStats> {
-    let target = op_target(g, target)?;
-    apply_update(g, &UpdateOp::Delete { target })
-}
-
-/// Narrows a `u128` preorder index to an [`UpdateOp`] target. An index that
-/// does not fit cannot address a node of any document this process can hold.
-fn op_target(g: &Grammar, target: u128) -> Result<usize> {
-    usize::try_from(target).map_err(|_| RepairError::TargetOutOfRange {
-        index: target,
-        size: sltgrammar::fingerprint::derived_size(g),
-    })
-}
-
 /// Applies one [`UpdateOp`] (shared with the uncompressed reference semantics)
-/// to the grammar: a batch of one.
-pub fn apply_update(g: &mut Grammar, op: &UpdateOp) -> Result<UpdateStats> {
-    apply_batch(g, std::slice::from_ref(op)).map(UpdateStats::from)
-}
-
-/// Applies a sequence of updates one batch of one at a time, returning
-/// per-update statistics. Unlike [`apply_batch`] over the whole slice, every
-/// operation pays its own isolation session; the documents are identical.
-pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStats>> {
-    ops.iter().map(|op| apply_update(g, op)).collect()
+/// to the grammar: a batch of one, on a fresh isolation session.
+pub fn apply_update(g: &mut Grammar, op: &UpdateOp) -> Result<BatchStats> {
+    apply_batch(g, std::slice::from_ref(op))
 }
 
 /// Statistics of one [`apply_batch`] call.
@@ -236,16 +175,6 @@ pub(crate) fn mutation_mark(g: &Grammar) -> (u64, usize, usize) {
     )
 }
 
-impl From<BatchStats> for UpdateStats {
-    fn from(batch: BatchStats) -> Self {
-        UpdateStats {
-            isolation: batch.isolation,
-            edges_before: batch.edges_before,
-            edges_after: batch.edges_after,
-        }
-    }
-}
-
 /// Applies a sequence of updates, each addressed against the document the
 /// ones before it produced (see the module docs). The size tables are
 /// computed once per call and a path isolated for one op is explicit for
@@ -253,9 +182,10 @@ impl From<BatchStats> for UpdateStats {
 /// builds an [`IsolationBatch`] (one size-only pass over the grammar) and
 /// drops it afterwards.
 ///
-/// The resulting document is identical to [`apply_updates`]' and to the
-/// uncompressed `xmltree::updates` oracle's (asserted byte-for-byte by the
-/// differential update-oracle harness). The grammars differ at most by
+/// The resulting document is identical to [`apply_update`] looped over
+/// `ops` and to the uncompressed `xmltree::updates` oracle's (asserted
+/// byte-for-byte by the differential update-oracle harness). The grammars
+/// differ at most by
 /// unreachable rules: a call collects garbage once, not after every delete.
 ///
 /// # Errors
@@ -368,11 +298,11 @@ mod tests {
             .map(|(i, _)| i)
             .nth(1)
             .unwrap();
-        rename(&mut g, idx as u128, "magazine").unwrap();
         let op = UpdateOp::Rename {
             target: idx,
             label: "magazine".to_string(),
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -391,11 +321,11 @@ mod tests {
             .map(|(i, _)| i)
             .nth(2)
             .unwrap();
-        insert_before(&mut g, idx as u128, &fragment).unwrap();
         let op = UpdateOp::InsertBefore {
             target: idx,
             fragment,
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -413,11 +343,11 @@ mod tests {
             .find(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.is_null(t)))
             .map(|(i, _)| i)
             .unwrap();
-        insert_before(&mut g, idx as u128, &fragment).unwrap();
         let op = UpdateOp::InsertBefore {
             target: idx,
             fragment,
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -434,8 +364,8 @@ mod tests {
             .map(|(i, _)| i)
             .nth(1)
             .unwrap();
-        delete(&mut g, idx as u128).unwrap();
         let op = UpdateOp::Delete { target: idx };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -454,10 +384,14 @@ mod tests {
             .find(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.is_null(t)))
             .map(|(i, _)| i)
             .unwrap();
-        assert!(rename(&mut g, null_idx as u128, "x").is_err());
-        assert!(rename(&mut g, 0, "#").is_err());
+        let rename = |target: usize, label: &str| UpdateOp::Rename {
+            target,
+            label: label.to_string(),
+        };
+        assert!(apply_update(&mut g, &rename(null_idx, "x")).is_err());
+        assert!(apply_update(&mut g, &rename(0, "#")).is_err());
         assert!(matches!(
-            rename(&mut g, 10_000, "x"),
+            apply_update(&mut g, &rename(10_000, "x")),
             Err(RepairError::TargetOutOfRange { .. })
         ));
     }
@@ -588,7 +522,9 @@ mod tests {
                 "{case}: the document after the call"
             );
             let mut sequential = g0.clone();
-            let one_by_one = apply_updates(&mut sequential, &ops);
+            let one_by_one = ops
+                .iter()
+                .try_for_each(|op| apply_update(&mut sequential, op).map(drop));
             assert_eq!(
                 fingerprint(&g),
                 fingerprint(&sequential),
@@ -758,7 +694,11 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         for (k, &pos) in element_positions.iter().step_by(7).enumerate() {
-            rename(&mut g, pos as u128, &format!("fresh{k}")).unwrap();
+            let op = UpdateOp::Rename {
+                target: pos,
+                label: format!("fresh{k}"),
+            };
+            apply_update(&mut g, &op).unwrap();
         }
         g.validate().unwrap();
         assert!(g.edge_count() > compressed);

@@ -45,7 +45,7 @@ fn main() {
     );
     for (i, op) in ops.iter().enumerate() {
         apply_update(&mut naive, op).expect("workload is valid");
-        store.apply(doc, op).expect("workload is valid");
+        store.apply_batch(doc, std::slice::from_ref(op)).expect("workload is valid");
         if (i + 1).is_multiple_of(EVERY) {
             store.recompress(doc).expect("live doc");
             println!(

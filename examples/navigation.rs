@@ -1,5 +1,5 @@
 //! Navigation and point queries on a compressed document without
-//! decompression: label lookups by preorder index via path isolation, plus
+//! decompression: label lookups by preorder index through a cursor, plus
 //! aggregate statistics computed in one pass over the grammar.
 //!
 //! Run with: `cargo run --release --example navigation`
@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use slt_xml::datasets::catalog::Dataset;
-use slt_xml::grammar_repair::isolate::label_at;
+use slt_xml::grammar_repair::navigate::Cursor;
 use slt_xml::sltgrammar::fingerprint::derived_size;
 use slt_xml::sltgrammar::NodeKind;
 use slt_xml::treerepair::TreeRePair;
@@ -50,9 +50,10 @@ fn main() {
     let total = derived_size(&grammar);
     println!("\nthe binary tree has {total} nodes; sampling labels along it:");
     let edges_before = grammar.edge_count();
+    let mut cursor = Cursor::new(&grammar);
     for idx in [0u128, 1, 2, total / 4, total / 2, total - 2] {
-        let label = label_at(&grammar, idx).expect("index in range");
-        println!("  preorder {idx:>8} -> {label}");
+        assert!(cursor.node_at_preorder(idx), "index in range");
+        println!("  preorder {idx:>8} -> {}", cursor.label());
     }
     assert_eq!(grammar.edge_count(), edges_before);
     println!("\nthe 6 point reads left the grammar untouched ({edges_before} edges)");

@@ -57,7 +57,7 @@ fn main() {
             target,
             fragment: fragment.clone(),
         };
-        store.apply(doc, &op).expect("valid insert");
+        store.apply_batch(doc, std::slice::from_ref(&op)).expect("valid insert");
     }
     println!(
         "after 120 inserts: {} edges, {} scheduled recompressions",

@@ -11,6 +11,7 @@ use slt_xml::sltgrammar::{NodeKind, SymbolTable};
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::xmltree::binary::to_binary;
 use slt_xml::xmltree::parse::parse_xml;
+use slt_xml::xmltree::updates::UpdateOp;
 
 fn main() {
     // A small, repetitive document (think of a stripped-down access log).
@@ -44,11 +45,20 @@ fn main() {
         .filter(|(_, &n)| matches!(reference.kind(n), NodeKind::Term(t) if symbols.name(t) == "entry"))
         .map(|(i, _)| i)
         .collect();
-    update::rename(&mut grammar, entry_positions[0] as u128, "first_entry").expect("valid rename");
-    let deleted = update::delete(&mut grammar, entry_positions[1] as u128).expect("valid delete");
+    //    A rename shifts no position, so both targets hold for the batch.
+    let ops = [
+        UpdateOp::Rename {
+            target: entry_positions[0],
+            label: "first_entry".to_string(),
+        },
+        UpdateOp::Delete {
+            target: entry_positions[1],
+        },
+    ];
+    let updated = update::apply_batch(&mut grammar, &ops).expect("valid updates");
     println!(
         "after 2 updates the grammar has {} edges (was {})",
-        deleted.edges_after, stats.output_edges
+        updated.edges_after, stats.output_edges
     );
 
     // 3. Recompress with GrammarRePair — no decompression of the document.

@@ -94,7 +94,7 @@ fn mixed_workload_with_recompression_matches_the_reference() {
         // Apply to the compressed document first; if the position happens to be
         // invalid for the operation (e.g. renaming a null node), both sides
         // skip it so they stay in lockstep.
-        match store.apply(doc, &op) {
+        match store.apply_batch(doc, std::slice::from_ref(&op)) {
             Ok(_) => {
                 reference::apply_update(&mut reference_bin, &mut symbols, &op)
                     .expect("reference must accept whatever the grammar accepted");
@@ -143,12 +143,12 @@ fn recompression_never_changes_query_results() {
     for i in 0..60 {
         let size = store.derived_size(doc).unwrap();
         let target = 1 + rng.below((size - 2) as u64) as usize;
-        let _ = store.apply(
+        let _ = store.apply_batch(
             doc,
-            &UpdateOp::Rename {
+            &[UpdateOp::Rename {
                 target,
                 label: format!("tag{}", i % 7),
-            },
+            }],
         );
     }
     let queries = ["//paper", "//tag0", "//tag3//a", "//issue/paper/title"];

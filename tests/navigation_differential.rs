@@ -404,7 +404,7 @@ fn session_reads_share_one_snapshot_between_writes() {
     let t2 = store.nav_tables(doc).unwrap();
     assert!(Arc::ptr_eq(&t1, &t2));
     store
-        .apply(doc, &UpdateOp::Rename { target: 1, label: "row".to_string() })
+        .apply_batch(doc, &[UpdateOp::Rename { target: 1, label: "row".to_string() }])
         .unwrap();
     let t3 = store.nav_tables(doc).unwrap();
     assert!(!Arc::ptr_eq(&t1, &t3));
@@ -474,7 +474,7 @@ proptest! {
         let mut oracle = to_binary(&xml, &mut symbols).expect("valid document");
         for (i, op) in ops.iter().enumerate() {
             reference::apply_update(&mut oracle, &mut symbols, op).expect("valid op");
-            store.apply(doc, op).expect("valid op");
+            store.apply_batch(doc, std::slice::from_ref(op)).expect("valid op");
             if i % 2 == 1 {
                 store.recompress(doc).unwrap();
             }

@@ -1,10 +1,21 @@
 //! End-to-end checks of the worked examples in the paper's Sections II–IV.
 
 use slt_xml::datasets::gn::{g8, g8_updated, g_exp, g_n};
-use slt_xml::grammar_repair::isolate::{isolate, label_at};
+use slt_xml::grammar_repair::isolate::IsolationBatch;
+use slt_xml::grammar_repair::navigate::Cursor;
 use slt_xml::grammar_repair::repair::{GrammarRePair, GrammarRePairConfig};
+use slt_xml::grammar_repair::update::apply_batch;
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
 use slt_xml::sltgrammar::text::parse_grammar;
+use slt_xml::sltgrammar::Grammar;
+use slt_xml::xmltree::updates::UpdateOp;
+
+/// The label at preorder index `target`, read without isolating.
+fn label_at(g: &Grammar, target: u128) -> String {
+    let mut cursor = Cursor::new(g);
+    assert!(cursor.node_at_preorder(target), "target {target} in range");
+    cursor.label().to_string()
+}
 
 /// Section II: the running grammar derives the binary tree of Figure 1 and has
 /// the sizes used throughout the paper.
@@ -38,15 +49,16 @@ fn path_isolation_on_g8() {
     // at most doubles the grammar (Lemma 1).
     let before_edges = g.edge_count();
     let fp = fingerprint(&g);
-    let (node, stats) = isolate(&mut g, 0).unwrap();
+    let mut session = IsolationBatch::new(&g);
+    let node = session.isolate_one(&mut g, 0).unwrap();
     assert!(g.rule(g.start()).rhs.kind(node).is_term());
     assert_eq!(fingerprint(&g), fp);
-    assert!(stats.inlinings <= 4);
+    assert!(session.stats().inlinings <= 4);
     assert!(g.edge_count() <= 2 * before_edges + 2);
     // After renaming the isolated node the first letter changes.
-    slt_xml::grammar_repair::update::rename(&mut g, 0, "c").unwrap();
-    assert_eq!(label_at(&g, 0).unwrap(), "c");
-    assert_eq!(label_at(&g, 1).unwrap(), "b");
+    apply_batch(&mut g, &[UpdateOp::Rename { target: 0, label: "c".into() }]).unwrap();
+    assert_eq!(label_at(&g, 0), "c");
+    assert_eq!(label_at(&g, 1), "b");
 }
 
 /// Section III-A: in G_exp (a^1024) position 333 is reachable with a
@@ -56,10 +68,12 @@ fn path_isolation_on_g_exp() {
     let mut g = g_exp();
     assert_eq!(derived_size(&g), 1025);
     let before = g.edge_count();
-    let (_, stats) = isolate(&mut g, 332).unwrap();
-    assert!(stats.inlinings <= 11, "inlinings: {}", stats.inlinings);
+    let mut session = IsolationBatch::new(&g);
+    session.isolate_one(&mut g, 332).unwrap();
+    let inlinings = session.stats().inlinings;
+    assert!(inlinings <= 11, "inlinings: {inlinings}");
     assert!(g.edge_count() <= 2 * before + 2);
-    assert_eq!(label_at(&g, 332).unwrap(), "a");
+    assert_eq!(label_at(&g, 332), "a");
 }
 
 /// Sections III-B/C: recompressing the updated grammar for b(ab)^8a directly on

@@ -276,7 +276,7 @@ fn stale_doc_ids_error_under_concurrent_churn() {
                     assert!(!store.contains(id));
                     assert!(store.snapshot(id).is_err());
                     assert!(store.query_str(id, "//title").is_err());
-                    assert!(store.apply(id, &UpdateOp::Delete { target: 1 }).is_err());
+                    assert!(store.apply_batch(id, &[UpdateOp::Delete { target: 1 }]).is_err());
                     assert!(store.remove(id).is_err());
                 }
             });

@@ -126,7 +126,7 @@ fn interleaved_updates_across_documents_stay_byte_identical_to_their_oracles() {
             if (round + d) % 2 == 0 {
                 for op in batch {
                     oracles[d].apply(op);
-                    store.apply(id, op).expect("workload is valid");
+                    store.apply_batch(id, std::slice::from_ref(op)).expect("workload is valid");
                 }
             } else {
                 for op in batch {
@@ -235,12 +235,12 @@ fn update_interned_labels_stay_private_to_their_document() {
     let b = store.load_xml(&docs[1]).unwrap();
     // Rename an element of A to a label no document has seen.
     store
-        .apply(
+        .apply_batch(
             a,
-            &UpdateOp::Rename {
+            &[UpdateOp::Rename {
                 target: 1,
                 label: "only_in_a".to_string(),
-            },
+            }],
         )
         .unwrap();
     let ga = store.grammar(a).unwrap();

@@ -3,8 +3,8 @@
 //! Seeded random update sequences (insert/delete/rename at several locality
 //! settings) are applied simultaneously to
 //!
-//! * a [`DomStore`] document through the **single-operation** path
-//!   (`DomStore::apply`),
+//! * a [`DomStore`] document through **single-operation** batches
+//!   (`apply_batch` of one),
 //! * a [`DomStore`] document through the **batched** path (`apply_batch`,
 //!   several batch sizes), and
 //! * a plain uncompressed binary tree through `xmltree::updates` — the
@@ -98,14 +98,7 @@ impl Subject {
         }
     }
 
-    /// One call through the single-op entry point.
-    fn apply(&mut self, op: &UpdateOp) -> Result<(), RepairError> {
-        let result = self.store.apply(self.doc, op).map(drop);
-        self.count_call();
-        result
-    }
-
-    /// One call through the batched entry point.
+    /// One call through the store's write entry point.
     fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<(), RepairError> {
         let result = self.store.apply_batch(self.doc, ops).map(drop);
         self.count_call();
@@ -155,7 +148,7 @@ fn run_differential(
     for (b, batch) in ops.chunks(batch_size).enumerate() {
         for (i, op) in batch.iter().enumerate() {
             oracle.apply(op);
-            single.apply(op).unwrap_or_else(|e| {
+            single.apply_batch(std::slice::from_ref(op)).unwrap_or_else(|e| {
                 panic!("{context}: single-op path rejected op {i} of batch {b}: {e:?}")
             });
             assert_eq!(
@@ -415,7 +408,7 @@ fn differential_delete_at_document_root() {
     // Single-op path agrees too.
     let mut single = Subject::new(&xml, Recompress::Never);
     for op in &ops {
-        single.apply(op).unwrap();
+        single.apply_batch(std::slice::from_ref(op)).unwrap();
     }
     assert_eq!(
         fingerprint(&single.grammar()),

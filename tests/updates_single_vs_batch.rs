@@ -1,21 +1,23 @@
 //! A single op is a batch of one, at every layer.
 //!
 //! One table over {rename, insert, delete} × {ok, out-of-range target, null
-//! target, null label}: `update::apply_update`, `DomStore::apply` and
-//! `DurableStore::apply` must agree with their own `apply_batch(&[op])` on
-//! everything a caller can observe — grammar bytes, statistics, error value,
-//! debt, recompression count, the bytes appended to the WAL — and a request
-//! that is rejected before it mutates the grammar must cost nothing on
-//! either entry point: the next read gets the *same* `Arc<NavTables>` and no
-//! maintenance sweep runs.
+//! target, null label}. `update::apply_update` must agree with
+//! `update::apply_batch(&[op])`, and `DomStore::apply_batch(&[op])` and
+//! `DurableStore::apply_batch(&[op])` must agree with `update::apply_batch`
+//! on a twin grammar, on everything a caller can observe: grammar bytes,
+//! statistics, error value, edges, debt, update and recompression counts,
+//! the bytes appended to the WAL, the replayed document. A request that is
+//! rejected before it mutates the grammar must cost nothing: the next read
+//! gets the *same* `Arc<NavTables>` and no maintenance sweep runs.
 
 use std::sync::Arc;
 
 use slt_xml::grammar_repair::store::SchedulerConfig;
-use slt_xml::grammar_repair::update::{apply_batch, apply_update, BatchStats, UpdateStats};
+use slt_xml::grammar_repair::update::{apply_batch, apply_update, BatchStats};
 use slt_xml::grammar_repair::wal::testing::FailpointFs;
+use slt_xml::grammar_repair::wal::{encode_frame, WalRecord};
 use slt_xml::grammar_repair::{GrammarRePair, RepairError};
-use slt_xml::sltgrammar::serialize;
+use slt_xml::sltgrammar::{serialize, Grammar};
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::UpdateOp;
 use slt_xml::xmltree::XmlTree;
@@ -86,14 +88,11 @@ fn table() -> Vec<(&'static str, UpdateOp, Outcome)> {
     ]
 }
 
-/// What the single-op entry points report of a one-op batch.
-fn narrowed(stats: BatchStats) -> UpdateStats {
-    assert_eq!((stats.ops, stats.chunks), (1, 1));
-    stats.into()
-}
-
-fn check_outcome(row: &str, result: &Result<UpdateStats, RepairError>, expect: Outcome) {
+fn check_outcome(row: &str, result: &Result<BatchStats, RepairError>, expect: Outcome) {
     assert_eq!(result.is_ok(), expect == Outcome::Ok, "{row}: {result:?}");
+    if let Ok(stats) = result {
+        assert_eq!((stats.ops, stats.chunks), (1, 1), "{row}: a batch of one");
+    }
 }
 
 #[test]
@@ -114,7 +113,7 @@ fn update_apply_update_is_apply_batch_of_one() {
     for (row, op, expect) in table() {
         let (mut single, mut batch) = (base.clone(), base.clone());
         let a = apply_update(&mut single, &op);
-        let b = apply_batch(&mut batch, std::slice::from_ref(&op)).map(narrowed);
+        let b = apply_batch(&mut batch, std::slice::from_ref(&op));
         check_outcome(row, &a, expect);
         assert_eq!(a, b, "{row}: result");
         let bytes = serialize::encode(&single);
@@ -135,12 +134,12 @@ fn store_with_bystander() -> (DomStore, DocId, DocId) {
     let doc_id = store.load_xml(&doc()).unwrap();
     let bystander = store.load_xml(&doc()).unwrap();
     store
-        .apply(
+        .apply_batch(
             bystander,
-            &UpdateOp::Rename {
+            &[UpdateOp::Rename {
                 target: FIFTH_ITEM,
                 label: "debtor".to_string(),
-            },
+            }],
         )
         .unwrap();
     assert!(store.debt(bystander).unwrap() >= 1);
@@ -151,8 +150,12 @@ fn store_with_bystander() -> (DomStore, DocId, DocId) {
     (store, doc_id, bystander)
 }
 
-/// Everything observable about one document of a store after a request.
-fn observe(store: &DomStore, doc: DocId, bystander: DocId) -> (Vec<u8>, [usize; 5]) {
+/// Everything observable about one document of a store after a request:
+/// its grammar bytes, then [edges, debt, updates, its recompressions, the
+/// bystander's recompressions].
+type Observed = (Vec<u8>, [usize; 5]);
+
+fn observe(store: &DomStore, doc: DocId, bystander: DocId) -> Observed {
     (
         serialize::encode(&store.grammar(doc).unwrap()),
         [
@@ -165,39 +168,51 @@ fn observe(store: &DomStore, doc: DocId, bystander: DocId) -> (Vec<u8>, [usize; 
     )
 }
 
+/// What [`observe`] must see after `op` on a store whose document was
+/// `base`: the twin grammar after `update::apply_batch(&[op])`, then the
+/// sweep at debt threshold 1 that runs iff the request mutated the grammar.
+fn twin(base: &Grammar, op: &UpdateOp) -> (Result<BatchStats, RepairError>, Observed) {
+    let mut twin = base.clone();
+    let result = apply_batch(&mut twin, std::slice::from_ref(op));
+    let mutated = serialize::encode(&twin) != serialize::encode(base);
+    let debt = twin.edge_count().saturating_sub(base.edge_count());
+    let drained = mutated && debt >= 1;
+    if drained {
+        GrammarRePair::default().recompress(&mut twin);
+    }
+    let counters = [
+        twin.edge_count(),
+        if drained { 0 } else { debt },
+        usize::from(result.is_ok()),
+        usize::from(drained),
+        usize::from(mutated),
+    ];
+    (result, (serialize::encode(&twin), counters))
+}
+
 #[test]
-fn dom_store_apply_is_apply_batch_of_one() {
+fn dom_store_batch_of_one_matches_its_twin_grammar() {
     for (row, op, expect) in table() {
-        let (single, single_doc, single_by) = store_with_bystander();
-        let (batch, batch_doc, batch_by) = store_with_bystander();
-        let tables = || {
-            [
-                single.nav_tables(single_doc).unwrap(),
-                batch.nav_tables(batch_doc).unwrap(),
-            ]
-        };
-        let before = tables();
+        let (store, doc, bystander) = store_with_bystander();
+        let (want, want_seen) = twin(&store.grammar(doc).unwrap(), &op);
+        let before = store.nav_tables(doc).unwrap();
 
-        let a = single.apply(single_doc, &op).map(|(stats, _)| stats);
-        let b = batch
-            .apply_batch(batch_doc, std::slice::from_ref(&op))
-            .map(|(stats, _)| narrowed(stats));
-        check_outcome(row, &a, expect);
-        assert_eq!(a, b, "{row}: result");
+        let got = store
+            .apply_batch(doc, std::slice::from_ref(&op))
+            .map(|(stats, _)| stats);
+        check_outcome(row, &got, expect);
+        assert_eq!(got, want, "{row}: result");
 
-        for (before, after) in before.iter().zip(&tables()) {
-            assert_eq!(
-                Arc::ptr_eq(before, after),
-                expect == Outcome::Rejected,
-                "{row}: a request republishes the snapshot iff it mutated the grammar"
-            );
-        }
-        let seen = observe(&single, single_doc, single_by);
-        assert_eq!(seen, observe(&batch, batch_doc, batch_by), "{row}: store state");
-        assert_eq!(seen.1[2], usize::from(expect == Outcome::Ok), "{row}: only applied ops count");
-        let swept = seen.1[4];
         assert_eq!(
-            swept,
+            Arc::ptr_eq(&before, &store.nav_tables(doc).unwrap()),
+            expect == Outcome::Rejected,
+            "{row}: a request republishes the snapshot iff it mutated the grammar"
+        );
+        let seen = observe(&store, doc, bystander);
+        assert_eq!(seen, want_seen, "{row}: store state");
+        assert_eq!(seen.1[2], usize::from(expect == Outcome::Ok), "{row}: only applied ops count");
+        assert_eq!(
+            seen.1[4],
             usize::from(expect != Outcome::Rejected),
             "{row}: a sweep runs iff the request mutated the grammar"
         );
@@ -205,56 +220,50 @@ fn dom_store_apply_is_apply_batch_of_one() {
 }
 
 #[test]
-fn durable_store_apply_is_apply_batch_of_one() {
-    let open = || {
+fn durable_store_batch_of_one_matches_its_twin_grammar() {
+    for (row, op, expect) in table() {
         let fs = Arc::new(FailpointFs::new());
         let (store, _) = DurableStore::open_with(fs.clone(), "db").unwrap();
-        let id = store.load_xml(&doc()).unwrap();
+        let doc = store.load_xml(&doc()).unwrap();
         let logged = fs.file("db/wal.log").unwrap().len();
-        (fs, store, id, logged)
-    };
-    for (row, op, expect) in table() {
-        let (single_fs, single, single_doc, single_logged) = open();
-        let (batch_fs, batch, batch_doc, batch_logged) = open();
-        assert_eq!((single_doc, single_logged), (batch_doc, batch_logged));
-        let tables = single.dom().nav_tables(single_doc).unwrap();
+        let base = store.dom().grammar(doc).unwrap();
+        let mut twin = (*base).clone();
+        let want = apply_batch(&mut twin, std::slice::from_ref(&op));
+        let tables = store.dom().nav_tables(doc).unwrap();
 
-        let a = single.apply(single_doc, &op).map(|(stats, _)| stats);
-        let b = batch
-            .apply_batch(batch_doc, std::slice::from_ref(&op))
-            .map(|(stats, _)| narrowed(stats));
-        check_outcome(row, &a, expect);
-        assert_eq!(a, b, "{row}: result");
+        let got = store
+            .apply_batch(doc, std::slice::from_ref(&op))
+            .map(|(stats, _)| stats);
+        check_outcome(row, &got, expect);
+        assert_eq!(got, want, "{row}: result");
 
-        let appended = single_fs.file("db/wal.log").unwrap()[single_logged..].to_vec();
-        assert!(!appended.is_empty(), "{row}: logged before it is applied");
+        // Logged before it is applied, as the load's successor.
+        let record = WalRecord::ApplyBatch { doc, ops: std::slice::from_ref(&op) };
         assert_eq!(
-            appended,
-            batch_fs.file("db/wal.log").unwrap()[batch_logged..],
+            fs.file("db/wal.log").unwrap()[logged..],
+            encode_frame(2, &record),
             "{row}: appended WAL bytes"
         );
         assert_eq!(
-            serialize::encode(&single.dom().grammar(single_doc).unwrap()),
-            serialize::encode(&batch.dom().grammar(batch_doc).unwrap()),
+            serialize::encode(&store.dom().grammar(doc).unwrap()),
+            serialize::encode(&twin),
             "{row}: grammar bytes"
         );
         assert_eq!(
-            single.dom().debt(single_doc).unwrap(),
-            batch.dom().debt(batch_doc).unwrap(),
+            store.dom().debt(doc).unwrap(),
+            twin.edge_count().saturating_sub(base.edge_count()),
             "{row}: debt"
         );
         assert_eq!(
-            Arc::ptr_eq(&tables, &single.dom().nav_tables(single_doc).unwrap()),
+            Arc::ptr_eq(&tables, &store.dom().nav_tables(doc).unwrap()),
             expect == Outcome::Rejected,
             "{row}: snapshot"
         );
 
-        // And the record replays to the same document either way.
-        let want = single.to_xml(single_doc).unwrap().to_xml();
-        drop((single, batch));
-        for fs in [single_fs, batch_fs] {
-            let (recovered, _) = DurableStore::open_with(fs, "db").unwrap();
-            assert_eq!(recovered.to_xml(single_doc).unwrap().to_xml(), want, "{row}: replay");
-        }
+        // And the record replays to the same document.
+        let want_xml = store.to_xml(doc).unwrap().to_xml();
+        drop(store);
+        let (recovered, _) = DurableStore::open_with(fs, "db").unwrap();
+        assert_eq!(recovered.to_xml(doc).unwrap().to_xml(), want_xml, "{row}: replay");
     }
 }
