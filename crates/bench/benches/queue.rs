@@ -6,9 +6,9 @@
 //! It runs on the in-memory fault-injection filesystem for the same reason
 //! as `store_durable`: it gates the *software* cost (checkpoint decoding),
 //! not fsync hardware noise. Write-path throughput through the queue —
-//! coalescing, group commit, acks — is measured end to end through the
+//! group commit and acks — is measured end to end through the
 //! real server process by `BENCHMARK.json` (`benchmark/`), and the
-//! coalescing contract (one record, one fsync per drain) is pinned by
+//! group-commit contract (one record, one fsync per drain) is pinned by
 //! `tests/server_protocol.rs` and the queue's unit suite.
 
 use std::sync::Arc;

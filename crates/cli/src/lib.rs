@@ -5,7 +5,7 @@
 //! surface unit-testable without spawning processes.
 //!
 //! ```text
-//! sltxml compress   <in.xml>  -o <out.sltg> [--compressor grammar|tree] [--no-prune]
+//! sltxml compress   <in.xml>  -o <out.sltg> [--no-prune]
 //! sltxml decompress <in.sltg> -o <out.xml>
 //! sltxml stats      <in.xml | in.sltg>
 //! sltxml query      <in.xml | in.sltg> <path expression> [--positions]
@@ -38,8 +38,8 @@
 //!
 //! Update options given to `store` apply to every loaded document. With
 //! `--queue` (requires `--wal`) they are routed through the ingestion queue:
-//! each document's batch is submitted, a single drain coalesces all of them
-//! into one group-committed WAL record, and the report shows the coalescing.
+//! each document's batch is submitted, and a single drain logs all of them
+//! as one group-committed WAL record, one job per batch.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -56,7 +56,6 @@ use grammar_repair::{
     RepairError, Server, ServerConfig,
 };
 use sltgrammar::{serialize, Grammar};
-use treerepair::TreeRePair;
 use xmltree::parse::parse_xml;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
@@ -91,7 +90,7 @@ pub const USAGE: &str = "\
 sltxml — grammar-compressed XML toolbox (ICDE 2016 reproduction)
 
 USAGE:
-  sltxml compress   <in.xml>  -o <out.sltg> [--compressor grammar|tree] [--no-prune]
+  sltxml compress   <in.xml>  -o <out.sltg> [--no-prune]
   sltxml decompress <in.sltg> -o <out.xml>
   sltxml stats      <in.xml | in.sltg>
   sltxml query      <in.xml | in.sltg> <path> [--positions]
@@ -142,7 +141,6 @@ struct Parsed {
 const VALUE_OPTIONS: &[&str] = &[
     "-o",
     "--output",
-    "--compressor",
     "--scale",
     "--rename",
     "--delete",
@@ -276,27 +274,11 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
         prune: !parsed.flag("--no-prune"),
         ..GrammarRePairConfig::default()
     };
-    let compressor = parsed.option(&["--compressor"]).unwrap_or("grammar");
-    let (grammar, label) = match compressor {
-        "grammar" => {
-            let (g, _) = GrammarRePair::new(config).compress_xml(&xml);
-            (g, "GrammarRePair")
-        }
-        "tree" => {
-            let (g, _) = TreeRePair::default().compress_xml(&xml);
-            (g, "TreeRePair")
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown compressor `{other}` (expected `grammar` or `tree`)"
-            )))
-        }
-    };
+    let (grammar, _) = GrammarRePair::new(config).compress_xml(&xml);
     let bytes = serialize::encode(&grammar);
     write_file(output, &bytes)?;
     let mut report = String::new();
     let input_edges = 2 * xml.node_count();
-    writeln!(report, "compressor        {label}").unwrap();
     writeln!(report, "document edges    {}", xml.edge_count()).unwrap();
     writeln!(report, "binary tree edges {input_edges}").unwrap();
     writeln!(report, "grammar rules     {}", grammar.rule_count()).unwrap();
@@ -634,7 +616,7 @@ fn cmd_store(args: &[String]) -> Result<String, CliError> {
                     .unwrap_or_else(|| "-".to_string()),
             )
             .unwrap();
-            let flush = queue.flush();
+            let drained = queue.flush();
             for ticket in tickets {
                 queue
                     .wait(ticket)
@@ -642,8 +624,7 @@ fn cmd_store(args: &[String]) -> Result<String, CliError> {
             }
             writeln!(
                 report,
-                "ingest queue       {} batches coalesced into {} jobs, one group commit",
-                flush.batches, flush.jobs
+                "ingest queue       {drained} batches, one group commit"
             )
             .unwrap();
         } else {
@@ -900,7 +881,7 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
         .unwrap();
         writeln!(
             report,
-            "queue              {} submitted | {} flushes | {} coalesced jobs | {} ops pending",
+            "queue              {} submitted | {} flushes | {} drained batches | {} ops pending",
             s.submitted, s.flushes, s.coalesced_jobs, s.pending_ops
         )
         .unwrap();
@@ -989,7 +970,6 @@ mod tests {
         let restored = temp_path("restored.xml");
 
         let report = run(&args(&["compress", &input, "-o", &compressed])).unwrap();
-        assert!(report.contains("GrammarRePair"));
         assert!(report.contains("grammar edges"));
 
         let report = run(&args(&["stats", &compressed])).unwrap();
@@ -1003,83 +983,47 @@ mod tests {
     }
 
     /// `decompress` writes the file and reports the element count the
-    /// materializing path (`from_binary(val(g))`) gives, for both backends
-    /// and for a forest left by an insert before the root.
+    /// materializing path (`from_binary(val(g))`) gives, for a compressed
+    /// document and for a forest left by an insert before the root.
     #[test]
     fn decompress_matches_the_materialized_document() {
         let input = write_doc("decompress-oracle.xml");
-        for compressor in ["grammar", "tree"] {
-            let compressed = temp_path(&format!("decompress-{compressor}.sltg"));
-            let forest = temp_path(&format!("decompress-{compressor}-forest.sltg"));
-            run(&args(&[
-                "compress",
-                &input,
-                "-o",
-                &compressed,
-                "--compressor",
-                compressor,
-            ]))
-            .unwrap();
-            run(&args(&[
-                "update",
-                &compressed,
-                "-o",
-                &forest,
-                "--insert",
-                "0=<stray><x/></stray>",
-            ]))
-            .unwrap();
-            for sltg in [&compressed, &forest] {
-                let restored = temp_path(&format!("decompress-{compressor}.xml"));
-                let report = run(&args(&["decompress", sltg, "-o", &restored])).unwrap();
-                let g = serialize::decode(&fs::read(sltg).unwrap()).unwrap();
-                let want = from_binary(&sltgrammar::derive::val(&g).unwrap(), &g.symbols).unwrap();
-                // The insert makes the fragment the first tree and the
-                // 13-element document its next sibling, which is dropped.
-                let dropped = element_count(&g) - want.node_count() as u128;
-                assert_eq!(dropped, if sltg == &forest { 13 } else { 0 }, "{sltg}");
-                assert_eq!(
-                    fs::read_to_string(&restored).unwrap(),
-                    want.to_xml(),
-                    "{sltg}"
-                );
-                assert_eq!(
-                    report,
-                    format!(
-                        "decompressed {} grammar edges into {} elements\nwrote {restored}\n",
-                        g.edge_count(),
-                        want.node_count()
-                    ),
-                    "{sltg}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compress_with_treerepair_backend() {
-        let input = write_doc("tree-backend.xml");
-        let compressed = temp_path("tree-backend.sltg");
-        let report = run(&args(&[
-            "compress",
-            &input,
-            "-o",
+        let compressed = temp_path("decompress.sltg");
+        let forest = temp_path("decompress-forest.sltg");
+        run(&args(&["compress", &input, "-o", &compressed])).unwrap();
+        run(&args(&[
+            "update",
             &compressed,
-            "--compressor",
-            "tree",
+            "-o",
+            &forest,
+            "--insert",
+            "0=<stray><x/></stray>",
         ]))
         .unwrap();
-        assert!(report.contains("TreeRePair"));
-        let err = run(&args(&[
-            "compress",
-            &input,
-            "-o",
-            &compressed,
-            "--compressor",
-            "zip",
-        ]))
-        .unwrap_err();
-        assert!(err.message.contains("unknown compressor"));
+        for sltg in [&compressed, &forest] {
+            let restored = temp_path("decompress.xml");
+            let report = run(&args(&["decompress", sltg, "-o", &restored])).unwrap();
+            let g = serialize::decode(&fs::read(sltg).unwrap()).unwrap();
+            let want = from_binary(&sltgrammar::derive::val(&g).unwrap(), &g.symbols).unwrap();
+            // The insert makes the fragment the first tree and the
+            // 13-element document its next sibling, which is dropped.
+            let dropped = element_count(&g) - want.node_count() as u128;
+            assert_eq!(dropped, if sltg == &forest { 13 } else { 0 }, "{sltg}");
+            assert_eq!(
+                fs::read_to_string(&restored).unwrap(),
+                want.to_xml(),
+                "{sltg}"
+            );
+            assert_eq!(
+                report,
+                format!(
+                    "decompressed {} grammar edges into {} elements\nwrote {restored}\n",
+                    g.edge_count(),
+                    want.node_count()
+                ),
+                "{sltg}"
+            );
+        }
     }
 
     #[test]
@@ -1237,7 +1181,7 @@ mod tests {
         assert!(err.message.contains("--wal"), "{}", err.message);
 
         // Rename the first <item> of both documents through the queue: two
-        // submitted batches drain as one coalesced group commit, and the
+        // submitted batches drain as one group commit, and the
         // query afterwards sees the change.
         let report = run(&args(&[
             "store", &a, &b_path, "--wal", &dir, "--queue", "--rename", "1=offer", "--query",
@@ -1245,7 +1189,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            report.contains("ingest queue       2 batches coalesced into 2 jobs"),
+            report.contains("ingest queue       2 batches, one group commit"),
             "{report}"
         );
         assert!(
@@ -1259,7 +1203,7 @@ mod tests {
         assert!(report.contains("doc #0    1 matches"), "{report}");
         assert!(report.contains("doc #1    1 matches"), "{report}");
 
-        // The whole run logged three records: two loads plus ONE coalesced
+        // The whole run logged three records: two loads plus ONE
         // ApplyMany for both renames — and a fresh recovery replays them.
         let report = run(&args(&["store", "recover", "--wal", &dir])).unwrap();
         assert!(report.contains("records replayed   3"), "{report}");

@@ -10,7 +10,7 @@
 //! queue's flush leadership and is what makes **pipelining** work: N
 //! threads (or one thread using [`Client::begin`]) can have N requests
 //! in flight on one socket, which is how the server's drain policy gets
-//! whole windows of batches to coalesce into one fsync.
+//! whole windows of batches to share one fsync.
 //!
 //! # Reconnection
 //!

@@ -21,9 +21,10 @@
 //! * [`DurableStore::apply_batch`] logs the batch as one `ApplyBatch` record
 //!   (a single update is a one-op batch); [`DurableStore::apply_batch_many`]
 //!   logs **one** `ApplyMany` record for the whole fan-out, so the
-//!   multi-document batch pays one fsync. Coalescing many writers' batches
-//!   into such a record is the ingestion queue's job
-//!   ([`crate::queue::IngestQueue`]).
+//!   multi-document batch pays one fsync. The ingestion queue
+//!   ([`crate::queue::IngestQueue`]) writes each drain as one such record,
+//!   one job per submitted batch; a document's jobs apply in job order,
+//!   live and on replay.
 //!
 //! Maintenance (recompression) is deliberately **not** logged: it never
 //! changes the derived document, so replaying the update log against the
@@ -885,8 +886,9 @@ mod tests {
     fn an_out_of_range_target_replays_to_the_applied_prefix() {
         // An out-of-range target fails like any other op: the ops before it
         // stay applied. Doc a takes the batch as one ApplyBatch record, doc b
-        // as two tickets of one coalesced flush (one ApplyMany job), doc c
-        // just the prefix. Replay must rebuild all three byte for byte.
+        // as two tickets of one flush (two jobs of one ApplyMany record),
+        // doc c just the prefix. Replay must rebuild all three byte for
+        // byte.
         let (fs, store) = mem_store();
         let store = Arc::new(store);
         let ops = vec![
@@ -906,13 +908,9 @@ mod tests {
             queue.submit(b, ops[..2].to_vec()).unwrap(),
             queue.submit(b, ops[2..].to_vec()).unwrap(),
         ];
-        assert_eq!(queue.flush().jobs, 1, "one coalesced job");
-        for ticket in tickets {
-            assert!(
-                out_of_range(queue.wait(ticket)),
-                "every ticket gets the error"
-            );
-        }
+        assert_eq!(queue.flush(), 2, "one job per ticket");
+        assert_eq!(queue.wait(tickets[0]).unwrap().ops, 2, "the prefix ticket succeeds");
+        assert!(out_of_range(queue.wait(tickets[1])), "only the failing ticket errs");
         store.apply_batch(c, &ops[..2]).unwrap();
 
         let prefix = store.to_xml(c).unwrap().to_xml();

@@ -36,8 +36,9 @@
 //!   paged, offset-indexed format whose documents are decoded lazily on
 //!   first touch, and recovers the exact pre-crash state (checkpoint +
 //!   log-tail replay, torn final records truncated, interior corruption
-//!   rejected loudly); and [`queue::IngestQueue`], which coalesces
-//!   submitted per-document batches into single group-committed records.
+//!   rejected loudly); and [`queue::IngestQueue`], which
+//!   group-commits submitted per-document batches, one job each, as
+//!   single records.
 //! * [`navigate`] / [`query`] — the read path: cursor navigation, streaming
 //!   preorder traversal, label statistics and child/descendant path queries,
 //!   all evaluated directly on the grammar without decompression and resolved

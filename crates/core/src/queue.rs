@@ -1,31 +1,24 @@
-//! Store-level ingestion queue: batch coalescing in front of a
+//! Store-level ingestion queue: group commit in front of a
 //! [`DurableStore`].
 //!
 //! High-throughput ingestion workloads submit many small per-document
 //! batches. Pushing each one through [`DurableStore::apply_batch`] pays one
 //! WAL record and one fsync per batch. The [`IngestQueue`] decouples
 //! *submission* from *durability*: writers enqueue batches without
-//! blocking, and a **drain** folds everything pending into a single
-//! [`ApplyMany`](crate::wal::WalEntry) record, so the whole drain costs one
-//! fsync and one scheduler maintenance sweep no matter how many batches it
-//! absorbed.
+//! blocking, and a **drain** hands everything pending to the store as a
+//! single [`ApplyMany`](crate::wal::WalEntry) record, so the whole drain
+//! costs one fsync and one scheduler maintenance sweep no matter how many
+//! batches it absorbed.
 //!
-//! # Coalescing rules
+//! # One job per batch
 //!
-//! A drain takes the entire pending list and merges it into one job per
-//! *distinct document*: the ops of every batch for that document are
-//! concatenated in **submission order**, and jobs are emitted in
-//! first-submission order. This is a superset of adjacent-batch
-//! coalescing and is sound because the store gives no cross-document
-//! ordering guarantees (ops on different documents commute) while
-//! *per-document* order — the one that matters for replay — is exactly
-//! preserved. The coalesced record replays through the same non-fatal
-//! per-op semantics as the original batches, so recovery reproduces the
-//! identical (possibly partial) state.
+//! A drain writes one job per submitted batch, in submission order, and
+//! each ticket gets its own job's result. Ordering a document's jobs is
+//! the store's business ([`DomStore::apply_batch_many`]), so live apply and
+//! replay of the record reach the same state, and one failing batch fails
+//! alone.
 //!
-//! An error applying a document's coalesced job is reported to **every**
-//! ticket that contributed to that job: the submissions were logged as one
-//! record, so they share one outcome, mirroring what replay reconstructs.
+//! [`DomStore::apply_batch_many`]: crate::store::DomStore::apply_batch_many
 //!
 //! # Drain ordering
 //!
@@ -72,15 +65,15 @@
 //!   bounds the durability latency of every acknowledged-after-drain
 //!   write;
 //! * **idle** — no submission arrived for `idle_flush`, so the queue
-//!   stops waiting for more coalescing that is not coming.
+//!   stops waiting for more batches that are not coming.
 //!
 //! Otherwise it parks until the earliest of the age/idle deadlines.
 //! [`stop_drainer`](IngestQueue::stop_drainer) runs one final flush after
 //! the loop exits, so stopping never strands queued work. While a drainer
 //! is installed, [`wait`](IngestQueue::wait) and
 //! [`wait_timeout`](IngestQueue::wait_timeout) park instead of
-//! self-flushing — an inline flush would commit a half-gathered batch and
-//! defeat the policy's coalescing window; without a drainer, `wait` keeps
+//! self-flushing — an inline flush would commit a half-gathered group and
+//! defeat the policy's group-commit window; without a drainer, `wait` keeps
 //! its lone-writer guarantee and flushes inline.
 //!
 //! # Backpressure
@@ -219,9 +212,6 @@ pub struct QueueStats {
     /// Drains that wrote an `ApplyMany` record ([`IngestQueue::flush`]
     /// with a non-empty pending list).
     pub flushes: u64,
-    /// Coalesced per-document jobs written across all flushes; the
-    /// coalescing win is `submitted / coalesced_jobs`.
-    pub coalesced_jobs: u64,
     /// Ops currently queued (submitted but not yet drained) — a snapshot,
     /// not a lifetime counter; the drain policy's size trigger watches it.
     pub pending_ops: u64,
@@ -231,23 +221,12 @@ pub struct QueueStats {
     pub oldest_pending_age: Option<Duration>,
 }
 
-/// What one [`IngestQueue::flush`] drained.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushReport {
-    /// Submitted batches absorbed by this drain.
-    pub batches: usize,
-    /// Distinct documents they coalesced into — the job count of the
-    /// single `ApplyMany` record (0 means the pending list was empty and
-    /// nothing was logged).
-    pub jobs: usize,
-}
-
 struct PendingBatch {
     ticket: u64,
     doc: DocId,
     ops: Vec<UpdateOp>,
     /// When the batch was submitted — feeds `oldest_pending_age` and the
-    /// drain policy's age trigger.
+    /// drain policy's age and idle triggers.
     at: Instant,
 }
 
@@ -267,13 +246,11 @@ struct QueueState {
     drainer_active: bool,
     /// Tells the drainer thread to exit at its next wakeup.
     drainer_stop: bool,
-    /// Last submission time — feeds the drain policy's idle trigger.
-    last_submit: Option<Instant>,
     stats: QueueStats,
 }
 
 /// An ingestion queue in front of a [`DurableStore`] (see the module
-/// docs for the coalescing, ordering, drain-policy and backpressure
+/// docs for the job, ordering, drain-policy and backpressure
 /// contracts).
 pub struct IngestQueue {
     store: Arc<DurableStore>,
@@ -350,7 +327,6 @@ impl IngestQueue {
         st.next_ticket += 1;
         st.stats.submitted += 1;
         st.pending_ops += ops.len();
-        st.last_submit = Some(Instant::now());
         st.pending.push(PendingBatch {
             ticket,
             doc,
@@ -364,55 +340,34 @@ impl IngestQueue {
         Ok(Ticket(ticket))
     }
 
-    /// Drains everything pending as **one** coalesced `ApplyMany` record —
-    /// one fsync, one scheduler sweep — and posts each
-    /// document's outcome to all of its tickets. Waits first if another
-    /// drain is in flight.
-    pub fn flush(&self) -> FlushReport {
+    /// Drains everything pending as **one** `ApplyMany` record — one job
+    /// per batch in submission order, one fsync, one scheduler sweep — and
+    /// posts each job's outcome to its ticket. Waits first if another drain
+    /// is in flight. Returns the number of batches drained.
+    pub fn flush(&self) -> usize {
         let mut st = self.state.lock().expect("queue lock never poisoned");
         while st.draining {
             st = self.cond.wait(st).expect("queue lock never poisoned");
         }
         if st.pending.is_empty() {
-            return FlushReport::default();
+            return 0;
         }
         let batches = std::mem::take(&mut st.pending);
         st.pending_ops = 0;
         st.draining = true;
         drop(st);
 
-        // Coalesce: one job per document, ops concatenated in submission
-        // order, documents in first-submission order.
-        let drained = batches.len();
-        let mut jobs: Vec<(DocId, Vec<UpdateOp>)> = Vec::new();
-        let mut tickets: Vec<Vec<u64>> = Vec::new();
-        let mut index: HashMap<DocId, usize> = HashMap::new();
-        for batch in batches {
-            let at = *index.entry(batch.doc).or_insert_with(|| {
-                jobs.push((batch.doc, Vec::new()));
-                tickets.push(Vec::new());
-                jobs.len() - 1
-            });
-            jobs[at].1.extend(batch.ops);
-            tickets[at].push(batch.ticket);
-        }
+        let (tickets, jobs): (Vec<u64>, Vec<(DocId, Vec<UpdateOp>)>) =
+            batches.into_iter().map(|b| (b.ticket, (b.doc, b.ops))).unzip();
         let (results, _maintenance) = self.store.apply_batch_many(&jobs);
 
         let mut st = self.state.lock().expect("queue lock never poisoned");
         st.stats.flushes += 1;
-        st.stats.coalesced_jobs += jobs.len() as u64;
-        for (at, result) in results.into_iter().enumerate() {
-            for &ticket in &tickets[at] {
-                st.results.insert(ticket, result.clone());
-            }
-        }
+        st.results.extend(tickets.into_iter().zip(results));
         st.draining = false;
         drop(st);
         self.cond.notify_all();
-        FlushReport {
-            batches: drained,
-            jobs: jobs.len(),
-        }
+        jobs.len()
     }
 
     /// Blocks until `ticket`'s batch is durable and applied, then returns
@@ -564,8 +519,9 @@ impl IngestQueue {
                 .map(|b| now.saturating_duration_since(b.at))
                 .unwrap_or_default();
             let idle = st
-                .last_submit
-                .map(|t| now.saturating_duration_since(t))
+                .pending
+                .last()
+                .map(|b| now.saturating_duration_since(b.at))
                 .unwrap_or_default();
             if st.pending_ops >= policy.max_pending_ops
                 || oldest >= policy.max_batch_age
@@ -596,7 +552,7 @@ impl IngestQueue {
             .len()
     }
 
-    /// Lifetime counters (submissions, flushes, coalesced jobs)
+    /// Lifetime counters (submissions, flushes)
     /// plus the point-in-time queue depth (`pending_ops`,
     /// `oldest_pending_age`) the drain policy watches.
     pub fn stats(&self) -> QueueStats {
@@ -639,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn a_flush_coalesces_per_document_and_logs_one_record() {
+    fn a_flush_logs_one_job_per_batch_in_one_record() {
         let (fs, store, queue) = queue();
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         let b = store.load_xml(&doc("blog", 3)).unwrap();
@@ -647,28 +603,21 @@ mod tests {
 
         let t1 = queue.submit(a, vec![rename(1, "entry")]).unwrap();
         let t2 = queue.submit(b, vec![rename(1, "post")]).unwrap();
-        let t3 = queue.submit(a, vec![rename(5, "note")]).unwrap();
+        let t3 = queue.submit(a, vec![rename(5, "note"), rename(2, "head")]).unwrap();
         assert_eq!(queue.pending_batches(), 3);
 
-        let report = queue.flush();
-        assert_eq!(report.batches, 3);
-        assert_eq!(report.jobs, 2, "two distinct documents");
-        assert_eq!(
-            fs.sync_count() - syncs_before,
-            1,
-            "one coalesced record, one fsync"
-        );
+        assert_eq!(queue.flush(), 3);
+        assert_eq!(fs.sync_count() - syncs_before, 1, "one record, one fsync");
 
-        // Doc a's two batches share one coalesced outcome (2 ops); doc b's
-        // lone batch sees its own.
-        for (t, ops) in [(t1, 2), (t2, 1), (t3, 2)] {
+        // Each ticket reports its own batch, not its document's.
+        for (t, ops) in [(t1, 1), (t2, 1), (t3, 2)] {
             assert_eq!(queue.wait(t).unwrap().ops, ops);
         }
         let a_xml = store.to_xml(a).unwrap().to_xml();
-        assert!(a_xml.contains("<entry") && a_xml.contains("<note"));
+        assert!(a_xml.contains("<entry") && a_xml.contains("<note") && a_xml.contains("<head"));
         assert!(store.to_xml(b).unwrap().to_xml().contains("<post"));
         let stats = queue.stats();
-        assert_eq!((stats.submitted, stats.flushes, stats.coalesced_jobs), (3, 1, 2));
+        assert_eq!((stats.submitted, stats.flushes), (3, 1));
     }
 
     #[test]
@@ -713,22 +662,19 @@ mod tests {
     }
 
     #[test]
-    fn a_coalesced_failure_reaches_every_contributing_ticket() {
+    fn a_failing_batch_fails_alone() {
         let (_fs, store, queue) = queue();
         let a = store.load_xml(&doc("feed", 2)).unwrap();
         let good = queue.submit(a, vec![rename(1, "entry")]).unwrap();
-        // The reserved "#" label is rejected mid-batch.
+        // The reserved "#" label is rejected.
         let bad = queue.submit(a, vec![rename(5, "#")]).unwrap();
-        let report = queue.flush();
-        assert_eq!((report.batches, report.jobs), (2, 1));
-        // One coalesced job, one outcome: both tickets see the error, just
-        // as replaying the single logged record would.
-        assert!(queue.wait(good).is_err());
+        let later = queue.submit(a, vec![rename(2, "after")]).unwrap();
+        assert_eq!(queue.flush(), 3);
+        assert_eq!(queue.wait(good).unwrap().ops, 1);
         assert!(queue.wait(bad).is_err());
-        assert!(
-            store.to_xml(a).unwrap().to_xml().contains("<entry>"),
-            "the batch prefix before the failing op stays applied"
-        );
+        assert_eq!(queue.wait(later).unwrap().ops, 1, "a later batch still applies");
+        let xml = store.to_xml(a).unwrap().to_xml();
+        assert!(xml.contains("<entry>") && xml.contains("<after"));
     }
 
     #[test]
@@ -764,7 +710,7 @@ mod tests {
         assert_eq!(flushed_syncs, stats.flushes, "one fsync per drain");
         assert!(
             flushed_syncs < 32,
-            "coalescing must beat one fsync per submitted batch"
+            "group commit must beat one fsync per submitted batch"
         );
     }
 
@@ -800,8 +746,8 @@ mod tests {
         let t1 = queue.submit(a, vec![rename(1, "entry")]).unwrap();
         let t2 = queue.submit(a, vec![rename(5, "note")]).unwrap();
         // No flush() anywhere: the age/idle trigger must land the drain.
-        assert_eq!(queue.wait(t1).unwrap().ops, 2);
-        assert_eq!(queue.wait(t2).unwrap().ops, 2);
+        assert_eq!(queue.wait(t1).unwrap().ops, 1);
+        assert_eq!(queue.wait(t2).unwrap().ops, 1);
         assert!(fs.sync_count() > syncs_before);
         queue.stop_drainer();
         let xml = store.to_xml(a).unwrap().to_xml();

@@ -59,8 +59,11 @@
 //! commits instead of paying one fsync each. A client that has
 //! the `Applied` reply in hand therefore holds a durable write — the
 //! kill-and-recover suite (`tests/server_durable.rs`) pins exactly this.
-//! If no drain lands within the configured reply timeout the client gets
-//! [`ErrorCode::Timeout`] instead of a worker thread parked forever.
+//! Each request is its own job in the drain's record, so each reply is
+//! that request's own outcome: a failing request fails no other, not even
+//! a later one for the same document in the same drain. If no drain lands
+//! within 30 s the client gets [`ErrorCode::Timeout`] instead of a worker
+//! thread parked forever.
 //! [`Request::LoadXml`] commits its own WAL record (loads are not
 //! queued), so its `Loaded` reply carries the same guarantee.
 //!
@@ -81,6 +84,7 @@
 //! [`write_tree`]: xmltree::wire::write_tree
 //! [`write_ops`]: xmltree::wire::write_ops
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -247,7 +251,8 @@ pub struct WireStats {
     pub submitted: u64,
     /// Queue drains that wrote a record.
     pub flushes: u64,
-    /// Coalesced per-document jobs across all drains.
+    /// Batches drained so far (`submitted` minus those still queued): a
+    /// drain writes one job per batch. The name is kept for protocol 1.
     pub coalesced_jobs: u64,
     /// Ops queued right now.
     pub pending_ops: u64,
@@ -736,28 +741,25 @@ pub(crate) fn read_frame(stream: &mut Conn, stop: Option<&AtomicBool>, max_len: 
 // Server
 // ---------------------------------------------------------------------------
 
-/// Tuning of one [`Server`].
+/// How long an `ApplyBatch` ack waits for its drain before answering
+/// [`ErrorCode::Timeout`].
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// What a deployment sets on one [`Server`]. The queue's drainer always
+/// runs [`DrainPolicy::default`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Watermarks of the background drainer the server installs on its
-    /// queue.
-    pub drain: DrainPolicy,
     /// Backpressure bounds of the queue (see the module docs).
     pub queue: QueueConfig,
     /// Reject request frames longer than this before allocating.
     pub max_frame_len: u32,
-    /// How long an `ApplyBatch` handler waits for its drain before
-    /// answering [`ErrorCode::Timeout`].
-    pub reply_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            drain: DrainPolicy::default(),
             queue: QueueConfig::default(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            reply_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -780,8 +782,9 @@ struct Shared {
     connections: AtomicU64,
     requests: AtomicU64,
     protocol_errors: AtomicU64,
-    /// Live connection handler threads, joined at shutdown.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Running connection handler threads by connection number. A handler
+    /// drops its own entry when it exits; shutdown joins the rest.
+    handlers: Mutex<HashMap<u64, JoinHandle<()>>>,
 }
 
 enum Listener {
@@ -834,7 +837,7 @@ impl Server {
         config: ServerConfig,
     ) -> Result<Server> {
         let queue = Arc::new(IngestQueue::with_config(store, config.queue));
-        queue.start_drainer(config.drain);
+        queue.start_drainer(DrainPolicy::default());
         let shared = Arc::new(Shared {
             queue,
             config,
@@ -842,7 +845,7 @@ impl Server {
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
-            handlers: Mutex::new(Vec::new()),
+            handlers: Mutex::new(HashMap::new()),
         });
         match &listener {
             Listener::Tcp(l) => l.set_nonblocking(true),
@@ -903,7 +906,7 @@ impl Server {
                 .lock()
                 .expect("handler list lock never poisoned"),
         );
-        for h in handlers {
+        for h in handlers.into_values() {
             let _ = h.join();
         }
         self.shared.queue.stop_drainer();
@@ -943,17 +946,27 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
                 {
                     continue;
                 }
-                shared.connections.fetch_add(1, Ordering::Relaxed);
+                let number = shared.connections.fetch_add(1, Ordering::Relaxed);
                 let shared_conn = Arc::clone(shared);
+                // Held across the spawn, so the handler's own removal
+                // always finds its entry. A handler that panics keeps its
+                // entry, and shutdown joins it.
+                let mut handlers = shared
+                    .handlers
+                    .lock()
+                    .expect("handler list lock never poisoned");
                 let handle = std::thread::Builder::new()
                     .name("sltxml-conn".into())
-                    .spawn(move || handle_conn(&shared_conn, conn));
+                    .spawn(move || {
+                        handle_conn(&shared_conn, conn);
+                        shared_conn
+                            .handlers
+                            .lock()
+                            .expect("handler list lock never poisoned")
+                            .remove(&number);
+                    });
                 if let Ok(handle) = handle {
-                    shared
-                        .handlers
-                        .lock()
-                        .expect("handler list lock never poisoned")
-                        .push(handle);
+                    handlers.insert(number, handle);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -984,13 +997,12 @@ fn send_reply(writer: &Mutex<Conn>, id: u64, response: &Response) -> bool {
 /// unconsumed in the queue.
 fn ack_loop(
     queue: &IngestQueue,
-    reply_timeout: Duration,
     writer: &Mutex<Conn>,
     acks: &mpsc::Receiver<(u64, crate::queue::Ticket)>,
 ) {
     let mut broken = false;
     while let Ok((id, ticket)) = acks.recv() {
-        let response = match queue.wait_timeout(ticket, reply_timeout) {
+        let response = match queue.wait_timeout(ticket, REPLY_TIMEOUT) {
             Ok(stats) => Response::Applied {
                 stats: stats.into(),
             },
@@ -1017,10 +1029,9 @@ fn handle_conn(shared: &Shared, mut conn: Conn) {
     let acker = {
         let writer = Arc::clone(&writer);
         let queue = Arc::clone(&shared.queue);
-        let reply_timeout = shared.config.reply_timeout;
         std::thread::Builder::new()
             .name("sltxml-ack".into())
-            .spawn(move || ack_loop(&queue, reply_timeout, &writer, &ack_rx))
+            .spawn(move || ack_loop(&queue, &writer, &ack_rx))
     };
     let Ok(acker) = acker else { return };
 
@@ -1067,7 +1078,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn) {
         match request {
             // Submit on the reader thread (so Block-mode backpressure
             // stalls frame intake), ack from the worker (so pipelined
-            // batches coalesce into shared group commits).
+            // batches share group commits).
             Request::ApplyBatch { doc, ops } => match shared.queue.submit(doc, ops) {
                 Ok(ticket) => {
                     if ack_tx.send((id, ticket)).is_err() {
@@ -1155,6 +1166,7 @@ fn dispatch(shared: &Shared, request: Request) -> Response {
             Err(e) => store_error(e),
         },
         Request::Stats => {
+            let queued = shared.queue.pending_batches() as u64;
             let q = shared.queue.stats();
             Response::Stats {
                 stats: WireStats {
@@ -1163,7 +1175,7 @@ fn dispatch(shared: &Shared, request: Request) -> Response {
                     wal_syncs: store.wal_sync_count(),
                     submitted: q.submitted,
                     flushes: q.flushes,
-                    coalesced_jobs: q.coalesced_jobs,
+                    coalesced_jobs: q.submitted.saturating_sub(queued),
                     pending_ops: q.pending_ops,
                     oldest_pending_age_us: q
                         .oldest_pending_age
@@ -1327,5 +1339,25 @@ mod tests {
             decode_response(&p),
             Err(RepairError::Protocol { .. })
         ));
+    }
+
+    #[test]
+    fn a_closed_connection_drops_its_handler_entry() {
+        let fs = Arc::new(crate::wal::testing::FailpointFs::new());
+        let (store, _) = DurableStore::open_with(fs, "db").unwrap();
+        let server =
+            Server::serve_tcp(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        for _ in 0..32 {
+            let client = crate::client::Client::connect_tcp(addr.clone());
+            client.stats().unwrap();
+        }
+        assert_eq!(server.stats().connections, 32);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let running = || server.shared.handlers.lock().unwrap().len();
+        while running() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(running(), 0, "every closed connection's handler is gone");
     }
 }

@@ -188,6 +188,7 @@
 //! assert_eq!(store.query_str(b, "//e").unwrap().len(), 3);
 //! ```
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
@@ -1392,14 +1393,14 @@ impl DomStore {
         self.inner.apply_batch_one(doc, ops)
     }
 
-    /// Applies one batch per document **in parallel** over a small worker
-    /// pool — the fan-out counterpart of [`DomStore::apply_batch`] for
+    /// Applies a list of per-document batches over a small worker pool —
+    /// the fan-out counterpart of [`DomStore::apply_batch`] for
     /// cross-document write workloads. Jobs addressing *distinct* documents
-    /// run concurrently on their own shards; jobs sharing a document
-    /// serialize on its shard lock in unspecified relative order (pass
-    /// distinct ids for deterministic results). One maintenance sweep (or
-    /// background signal) runs after all jobs, not one per job — and none
-    /// when no job mutated its grammar.
+    /// run concurrently on their own shards; a document's jobs apply in
+    /// job order on one worker, each with its own outcome, so the result is
+    /// that of applying the jobs one [`DomStore::apply_batch`] at a time.
+    /// One maintenance sweep (or background signal) runs after all jobs,
+    /// not one per job — and none when no job mutated its grammar.
     ///
     /// Returns per-job results in job order plus the sweep's report.
     pub fn apply_batch_many(
@@ -1417,12 +1418,28 @@ impl DomStore {
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
     ) -> (Vec<Result<BatchStats>>, bool) {
-        let outcomes = fan_out(jobs.len(), |i| {
-            let (doc, ops) = &jobs[i];
-            self.inner.apply_batch_one(*doc, ops)
-        });
-        let mutated = outcomes.iter().any(|(_, mutated)| *mutated);
-        (outcomes.into_iter().map(|(result, _)| result).collect(), mutated)
+        // One group per document, in first-job order.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<DocId, usize> = HashMap::new();
+        for (i, (doc, _)) in jobs.iter().enumerate() {
+            let g = *group_of.entry(*doc).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
+        }
+        let mut outcomes: Vec<_> = fan_out(groups.len(), |g| {
+            groups[g]
+                .iter()
+                .map(|&i| (i, self.inner.apply_batch_one(jobs[i].0, &jobs[i].1)))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        outcomes.sort_unstable_by_key(|&(i, _)| i);
+        let mutated = outcomes.iter().any(|(_, (_, mutated))| *mutated);
+        (outcomes.into_iter().map(|(_, (result, _))| result).collect(), mutated)
     }
 
     /// The post-update scheduling the apply calls end with: nothing when no
@@ -1813,6 +1830,56 @@ mod tests {
             store.to_xml(batched).unwrap().to_xml(),
             store.to_xml(sequential).unwrap().to_xml()
         );
+    }
+
+    #[test]
+    fn apply_batch_many_applies_a_documents_jobs_in_job_order() {
+        let rename = |target, label: &str| UpdateOp::Rename { target, label: label.into() };
+        let out_of_range = UpdateOp::Delete { target: 1 << 40 };
+        let insert = UpdateOp::InsertBefore {
+            target: 5,
+            fragment: parse_xml("<ad/>").unwrap(),
+        };
+        // Three documents, a's jobs interleaved with the others', two
+        // failing jobs (one after an applied prefix), and a later job of
+        // each failing document that must still apply.
+        let jobs_at = |[a, b, c]: [DocId; 3]| -> Vec<(DocId, Vec<UpdateOp>)> {
+            vec![
+                (a, vec![rename(1, "a1")]),
+                (b, vec![rename(1, "b1")]),
+                (a, vec![insert.clone(), rename(2, "a2")]),
+                (c, vec![rename(1, "c1")]),
+                (a, vec![out_of_range.clone()]),
+                (b, vec![rename(2, "b2"), out_of_range.clone()]),
+                (a, vec![rename(2, "a3")]),
+                (b, vec![rename(5, "b3")]),
+            ]
+        };
+        let loaded = || {
+            let store = unswept_store();
+            let ids = [doc("feed", 3), doc("blog", 3), doc("log", 2)]
+                .map(|x| store.load_xml(&x).unwrap());
+            (store, ids)
+        };
+        let bytes = |store: &DomStore, ids: [DocId; 3]| {
+            ids.map(|id| serialize::encode(&store.grammar(id).unwrap()))
+        };
+
+        let (twin, twin_ids) = loaded();
+        let want: Vec<Result<BatchStats>> = jobs_at(twin_ids)
+            .iter()
+            .map(|(doc, ops)| twin.apply_batch(*doc, ops).map(|(stats, _)| stats))
+            .collect();
+        assert_eq!(want.iter().filter(|r| r.is_err()).count(), 2);
+        let want_bytes = bytes(&twin, twin_ids);
+
+        // Repeat to shake the fan-out schedule.
+        for round in 0..20 {
+            let (store, ids) = loaded();
+            let (results, _) = store.apply_batch_many(&jobs_at(ids));
+            assert_eq!(results, want, "round {round}: per-job results");
+            assert_eq!(bytes(&store, ids), want_bytes, "round {round}: grammars");
+        }
     }
 
     /// A store whose writes never sweep: debt builds up until a test lowers

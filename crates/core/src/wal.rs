@@ -17,8 +17,8 @@
 //! fsyncs under the writer's own mutex, so one commit is one fsync
 //! ([`Wal::sync_count`]). The durable store already serializes its commits
 //! through one commit order, so there is never a second committer to wait
-//! for; coalescing happens one layer up, where the ingestion queue's drain
-//! folds many submitted batches into one record. The durable LSN and the
+//! for; group commit happens one layer up, where the ingestion queue's
+//! drain writes many submitted batches as one record. The durable LSN and the
 //! fsync count are published as atomics after each fsync, so a stats reader
 //! never waits behind one in flight. A failed append or fsync poisons the
 //! log (the record cannot be half-trusted); every later commit fails with
@@ -259,7 +259,8 @@ pub enum WalRecord<'a> {
     /// One multi-document batch (`apply_batch_many`): one record — and
     /// therefore at most one fsync — for the whole fan-out.
     ApplyMany {
-        /// The per-document jobs, in job order.
+        /// The per-document jobs, in job order; a document may have
+        /// several, which apply in job order.
         jobs: &'a [(DocId, Vec<UpdateOp>)],
     },
 }
@@ -614,7 +615,7 @@ pub mod testing {
 
         /// Makes every subsequent `sync` sleep for `delay` first — a slow
         /// fsync, so writes pile up in the ingestion queue behind the
-        /// in-flight drain and tests can pin how they coalesce.
+        /// in-flight drain and tests can pin how they group.
         pub fn set_sync_delay(&self, delay: std::time::Duration) {
             self.state.lock().expect("failpoint lock").sync_delay = Some(delay);
         }

@@ -30,9 +30,9 @@ pub use grammar_repair::store::{DocId, DomStore, Snapshot};
 /// write-ahead log with checkpointing and recovery.
 pub use grammar_repair::durable::{CheckpointReport, DurableStore, RecoveryReport};
 
-/// Convenience re-export of the ingestion queue that coalesces submitted
-/// batches into single group-committed WAL records in front of a
-/// [`DurableStore`].
+/// Convenience re-export of the ingestion queue that group-commits
+/// submitted batches as single WAL records, one job per batch, in front of
+/// a [`DurableStore`].
 pub use grammar_repair::queue::IngestQueue;
 
 /// Convenience re-export of the network service edge: a wire-protocol

@@ -18,9 +18,7 @@
 //! release.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use slt_xml::grammar_repair::queue::DrainPolicy;
 use slt_xml::grammar_repair::server::ServerConfig;
 use slt_xml::grammar_repair::wal::testing::FailpointFs;
 use slt_xml::xmltree::parse::parse_xml;
@@ -35,19 +33,6 @@ fn doc(tag: &str) -> XmlTree {
     }
     s.push_str(&format!("</{tag}>"));
     parse_xml(&s).unwrap()
-}
-
-/// A snappy drain policy: tests should not sit in coalescing windows.
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        drain: DrainPolicy {
-            max_pending_ops: 64,
-            max_batch_age: Duration::from_millis(2),
-            idle_flush: Duration::from_millis(1),
-        },
-        reply_timeout: Duration::from_secs(30),
-        ..ServerConfig::default()
-    }
 }
 
 /// The scripted session: two loads, six single-rename batches with
@@ -99,7 +84,8 @@ fn run_session(client: &Client) -> Vec<Acked> {
 
 fn start_server(fs: &Arc<FailpointFs>) -> (Server, Client) {
     let (store, _) = DurableStore::open_with(fs.clone(), "db").unwrap();
-    let server = Server::serve_tcp(Arc::new(store), "127.0.0.1:0", test_config()).unwrap();
+    let server =
+        Server::serve_tcp(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let client = Client::connect_tcp(server.local_addr().unwrap().to_string());
     (server, client)
 }

@@ -3,8 +3,8 @@
 //!
 //! The first half drives a live server end to end over TCP and unix
 //! sockets (load → apply → query → serialize → checkpoint → stats) and
-//! pins the coalescing contract: pipelined acknowledged batches share
-//! group-committed fsyncs. The second half mirrors the v3-image
+//! pins the group-commit contract: pipelined acknowledged batches share
+//! fsyncs, and each gets its own outcome. The second half mirrors the v3-image
 //! corruption suite at the network edge: arbitrary bytes, bit-flipped
 //! valid frames and truncated frames must produce a typed protocol error
 //! reply and a closed connection — never a panic, a hang, or an
@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grammar_repair::durable::DurableStore;
-use grammar_repair::queue::DrainPolicy;
 use grammar_repair::server::{
     encode_request, ErrorCode, Request, Response, Server, ServerConfig, FRAME_HEADER_LEN,
 };
@@ -44,23 +43,11 @@ fn rename(target: u32, label: &str) -> UpdateOp {
     }
 }
 
-/// A snappy drain policy so tests don't sit in coalescing windows.
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        drain: DrainPolicy {
-            max_pending_ops: 64,
-            max_batch_age: Duration::from_millis(2),
-            idle_flush: Duration::from_millis(1),
-        },
-        reply_timeout: Duration::from_secs(30),
-        ..ServerConfig::default()
-    }
-}
-
 fn tcp_server() -> (Arc<FailpointFs>, Server, Client) {
     let fs = Arc::new(FailpointFs::new());
     let (store, _) = DurableStore::open_with(fs.clone(), "db").unwrap();
-    let server = Server::serve_tcp(Arc::new(store), "127.0.0.1:0", test_config()).unwrap();
+    let server =
+        Server::serve_tcp(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let client = Client::connect_tcp(addr.to_string());
     (fs, server, client)
@@ -115,7 +102,7 @@ fn full_session_roundtrips_over_unix_socket() {
     let path = temp_sock("roundtrip");
     let fs = Arc::new(FailpointFs::new());
     let (store, _) = DurableStore::open_with(fs.clone(), "db").unwrap();
-    let server = Server::serve_unix(Arc::new(store), &path, test_config()).unwrap();
+    let server = Server::serve_unix(Arc::new(store), &path, ServerConfig::default()).unwrap();
     let client = Client::connect_unix(&path);
 
     let a = client.load_xml(&doc("feed", 2)).unwrap();
@@ -150,6 +137,29 @@ fn pipelined_acks_share_group_commits() {
         (syncs as usize) < BATCHES,
         "{BATCHES} acknowledged batches must share fsyncs, got {syncs}"
     );
+    drop(server);
+}
+
+/// Two batches for one document, pipelined on one connection, land in one
+/// drain; the failing first one fails alone.
+#[test]
+fn pipelined_batches_get_their_own_outcomes() {
+    let (_fs, server, client) = tcp_server();
+    let a = client.load_xml(&doc("feed", 3)).unwrap();
+    let failing = client
+        .begin_apply_batch(
+            a,
+            vec![rename(1, "first"), UpdateOp::Delete { target: 1 << 40 }],
+        )
+        .unwrap();
+    let renaming = client.begin_apply_batch(a, vec![rename(5, "second")]).unwrap();
+    let err = failing.wait_applied().unwrap_err();
+    assert!(
+        matches!(&err, RepairError::Storage { detail } if detail.contains("out of range")),
+        "got {err}"
+    );
+    assert_eq!(renaming.wait_applied().unwrap().ops, 1);
+    assert_eq!(client.query(a, "//second").unwrap().labels, vec!["second".to_string()]);
     drop(server);
 }
 
@@ -235,7 +245,7 @@ fn oversized_to_xml_replies_fail_alone() {
     let (store, _) = DurableStore::open_with(fs, "db").unwrap();
     let config = ServerConfig {
         max_frame_len: CAP,
-        ..test_config()
+        ..ServerConfig::default()
     };
     let server = Server::serve_tcp(Arc::new(store), "127.0.0.1:0", config).unwrap();
     let client = Client::with_config(

@@ -404,7 +404,7 @@ fn torn_tails_truncate_silently_but_interior_corruption_is_loud() {
 
 /// One step of the scripted *queued* workload. Submits enqueue without
 /// logging anything; only drains (`Flush`) reach the WAL, as a single
-/// coalesced record each.
+/// record each with one job per submission.
 #[derive(Clone)]
 enum QueueAction {
     Load(usize),
@@ -414,7 +414,7 @@ enum QueueAction {
 }
 
 /// A deterministic queued workload over three documents: bursts of
-/// per-document submissions coalesced by flushes, and a mid-script
+/// per-document submissions drained by flushes, and a mid-script
 /// checkpoint taken while a batch is still queued.
 fn queue_script() -> (Vec<XmlTree>, Vec<QueueAction>) {
     let docs = corpus();
@@ -428,7 +428,7 @@ fn queue_script() -> (Vec<XmlTree>, Vec<QueueAction>) {
         QueueAction::Load(1),
         QueueAction::Load(2),
         // A mixed burst: two chunks of doc 0 and one each of docs 1 and 2
-        // coalesce into one three-job ApplyMany record.
+        // drain as one four-job ApplyMany record.
         QueueAction::Submit(0, chunk(&s0, 0)),
         QueueAction::Submit(1, chunk(&s1, 0)),
         QueueAction::Submit(0, chunk(&s0, 1)),
@@ -483,8 +483,8 @@ fn run_queue_script(store: &Arc<DurableStore>, corpus: &[XmlTree], actions: &[Qu
     }
 }
 
-/// The queue oracle: replays the *same coalescing* the queue performs on a
-/// plain in-memory store, counting one LSN per drained record (loads count
+/// The queue oracle: applies each submission as its own batch on a plain
+/// in-memory store, counting one LSN per drained record (loads count
 /// one each; checkpoints and submits none), stopping at the committed
 /// prefix.
 fn queue_oracle(corpus: &[XmlTree], actions: &[QueueAction], committed: u64) -> DomStore {
@@ -510,18 +510,8 @@ fn queue_oracle(corpus: &[XmlTree], actions: &[QueueAction], committed: u64) -> 
                     return store;
                 }
                 lsn += 1;
-                // Coalesce exactly like the queue: one job per document,
-                // ops in submission order, documents in first-submission
-                // order.
-                let mut jobs: Vec<(usize, Vec<UpdateOp>)> = Vec::new();
+                // One job per submission, in submission order.
                 for (d, ops) in pending.drain(..) {
-                    if let Some(job) = jobs.iter_mut().find(|(jd, _)| *jd == d) {
-                        job.1.extend(ops);
-                    } else {
-                        jobs.push((d, ops));
-                    }
-                }
-                for (d, ops) in jobs {
                     store.apply_batch(ids[d], &ops).unwrap();
                 }
             }
@@ -533,7 +523,7 @@ fn queue_oracle(corpus: &[XmlTree], actions: &[QueueAction], committed: u64) -> 
 }
 
 /// The queued analogue of the main kill matrix: a crash at **every** fault
-/// point of a workload whose writes reach the log only as coalesced
+/// point of a workload whose writes reach the log only as queued
 /// `ApplyMany` drains (plus one v3 checkpoint with a batch queued
 /// across it) recovers exactly the committed prefix — a mid-flush kill loses the
 /// whole drain, never half of one.

@@ -19,12 +19,13 @@
 
 use proptest::prelude::*;
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
+use slt_xml::datasets::Dataset;
 use slt_xml::grammar_repair::isolate::IsolationBatch;
 use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::RepairError;
 use slt_xml::sltgrammar::derive::val;
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
-use slt_xml::sltgrammar::{Grammar, NodeId, NodeKind, RhsTree, SymbolTable};
+use slt_xml::sltgrammar::{serialize, Grammar, NodeId, NodeKind, RhsTree, SymbolTable};
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::xmltree::binary::{from_binary, to_binary, tree_fingerprint};
 use slt_xml::xmltree::parse::parse_xml;
@@ -208,6 +209,57 @@ fn differential_insert_delete_rename_across_locality_settings() {
                     !matches!(mode, Recompress::Never),
                     "{context}: {recompressions} recompressions"
                 );
+            }
+        }
+    }
+}
+
+/// One batch and the same ops as consecutive batches leave the same
+/// grammar. An ingest drain applies each request as its own job, so this is
+/// what splitting a merged document job per request does to successful
+/// writes.
+///
+/// "The same" is exact up to unreachable rules. An isolation that inlines a
+/// rule's last reference leaves the rule unreachable, and only a batch with
+/// a delete collects such rules, so the batch boundaries decide how many of
+/// them a grammar still carries. Before recompression the reachable rules
+/// are byte-identical. A recompression numbers its new rules after the
+/// leftovers, so afterwards the grammars agree in size, not in bytes.
+#[test]
+fn one_batch_and_the_same_ops_as_consecutive_batches_agree() {
+    let reachable = |subject: &Subject| {
+        let mut g = Grammar::clone(&subject.grammar());
+        g.gc();
+        g
+    };
+    let size = |g: &Grammar| (g.edge_count(), g.rule_count());
+    for dataset in Dataset::all() {
+        let xml = dataset.generate(0.01);
+        for (name, mix) in [
+            ("paper_mix(0.5)", WorkloadMix::paper_mix(0.5)),
+            ("clustered(0.9)", WorkloadMix::clustered(0.9)),
+            ("default", WorkloadMix::default()),
+        ] {
+            let ops = random_update_sequence(&xml, 64, 0x5911, mix);
+            for chunk in [1usize, 4, 16] {
+                let context = format!("{}, {name}, chunks of {chunk}", dataset.name());
+                let mut merged = Subject::new(&xml, Recompress::Never);
+                let mut split = Subject::new(&xml, Recompress::Never);
+                merged.apply_batch(&ops).unwrap();
+                for batch in ops.chunks(chunk) {
+                    split.apply_batch(batch).unwrap();
+                }
+                assert_eq!(
+                    serialize::encode(&reachable(&merged)),
+                    serialize::encode(&reachable(&split)),
+                    "{context}"
+                );
+                for subject in [&merged, &split] {
+                    subject.store.recompress(subject.doc).unwrap();
+                }
+                let context = format!("{context}, recompressed");
+                assert_eq!(size(&reachable(&merged)), size(&reachable(&split)), "{context}");
+                assert_eq!(merged.serialization(), split.serialization(), "{context}");
             }
         }
     }
