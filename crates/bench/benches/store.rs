@@ -1,7 +1,7 @@
 //! Criterion benches for the multi-document session (`DomStore`): loading a
 //! fleet of similar documents against the shared symbol table, and serving a
 //! mixed read/update workload interleaved across the fleet — store with its
-//! debt scheduler vs six bare grammars under the paper's fixed-interval
+//! per-batch debt trigger vs six bare grammars under the paper's fixed-interval
 //! policy (`GrammarRePair::recompress` every few batches).
 //!
 //! `store_point_writes` is the point-write fast path: one-op batches
@@ -21,7 +21,7 @@ use datasets::workload::{random_update_sequence, WorkloadMix};
 use grammar_repair::isolate::IsolationBatch;
 use grammar_repair::query::PathQuery;
 use grammar_repair::repair::GrammarRePair;
-use grammar_repair::store::{DomStore, SchedulerConfig};
+use grammar_repair::store::DomStore;
 use grammar_repair::update;
 use sltgrammar::Grammar;
 use xmltree::updates::UpdateOp;
@@ -50,10 +50,7 @@ fn fleet_workloads(docs: &[XmlTree]) -> Vec<Vec<UpdateOp>> {
 }
 
 fn loaded_store(docs: &[XmlTree]) -> DomStore {
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 300,
-        drain_budget: 30_000,
-    });
+    let store = DomStore::new().with_debt_threshold(300);
     for xml in docs {
         store.load_xml(xml).expect("dataset labels intern");
     }
@@ -113,7 +110,7 @@ fn bench_store_multidoc(c: &mut Criterion) {
     // The same workload on six bare grammars under the paper's fixed-interval
     // policy, as the Figure 4/5 experiments run it: one batch counter per
     // document, a `recompress` every 3 batches (about as often as the
-    // store's scheduler drains).
+    // store's debt trigger fires).
     let repair = GrammarRePair::default();
     let grammars: Vec<Grammar> = docs.iter().map(|xml| repair.compress_xml(xml).0).collect();
     let query = PathQuery::parse("//message").expect("valid query");
@@ -147,7 +144,7 @@ const POINT_OPS_PER_DOC: usize = 50;
 
 /// The end-to-end benchmark's `point_writes` shape: 64 small XMark documents
 /// (grammars of ~550 edges), 70 % renames to fresh labels and 30 % inserts,
-/// one op per call, round-robin — debt stays under the scheduler's threshold,
+/// one op per call, round-robin — debt stays under the store's threshold,
 /// so a call is isolation + splice and nothing else. Per-op cost is the
 /// entry's time over `64 × 50` ops.
 fn bench_store_point_writes(c: &mut Criterion) {

@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::catalog::Dataset;
 use datasets::workload::{random_update_sequence, WorkloadMix};
 use grammar_repair::query::PathQuery;
-use grammar_repair::store::{DocId, DomStore, SchedulerConfig};
+use grammar_repair::store::{DocId, DomStore};
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
@@ -43,10 +43,7 @@ fn fleet_workloads(docs: &[XmlTree], ops: usize) -> Vec<Vec<UpdateOp>> {
 }
 
 fn loaded_store(docs: &[XmlTree]) -> DomStore {
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 300,
-        drain_budget: 30_000,
-    });
+    let store = DomStore::new().with_debt_threshold(300);
     for xml in docs {
         store.load_xml(xml).expect("dataset labels intern");
     }

@@ -46,8 +46,16 @@
 //! other. A load compresses before it takes the order; loads are ordered
 //! among themselves by a second lock that only they take, because
 //! compression interns into the shared alphabet and replay must intern in
-//! log order. An update's maintenance sweep runs after the order is
-//! released: a sweep never changes a derived document.
+//! log order.
+//!
+//! An update's own recompression (see the store's module docs) runs
+//! inside the order, as part of its apply. It never changes a derived
+//! document, but it changes the bytes every later job of that document
+//! starts from: run after the order is released, it could land after the
+//! document's next job, and the bytes would depend on how jobs were
+//! grouped into drains. Inside the order, a checkpoint cut also sees every
+//! document at a job boundary with its trigger already run. The cost: a
+//! load's slab insert and the next drain wait while it runs.
 //!
 //! # Checkpoints and recovery
 //!
@@ -333,22 +341,18 @@ impl DurableStore {
         self.commit_then(&WalRecord::Remove { doc }, || self.store.remove(doc))?
     }
 
-    /// Durable [`DomStore::apply_batch`]. The maintenance sweep runs after
-    /// the commit order is released.
+    /// Durable [`DomStore::apply_batch`], the job's recompression included.
     pub fn apply_batch(
         &self,
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let record = WalRecord::ApplyBatch { doc, ops };
-        let (result, mutated) = self.commit_then(&record, || self.store.apply_batch_unswept(doc, ops))?;
-        let report = self.store.sweep_after(mutated);
-        result.map(|stats| (stats, report))
+        self.commit_then(&WalRecord::ApplyBatch { doc, ops }, || self.store.apply_batch(doc, ops))?
     }
 
     /// Durable [`DomStore::apply_batch_many`]: **one** log record (one
-    /// fsync) covers the whole multi-document fan-out. The maintenance
-    /// sweep runs after the commit order is released.
+    /// fsync) covers the whole multi-document fan-out, the jobs'
+    /// recompressions included.
     pub fn apply_batch_many(
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
@@ -356,8 +360,8 @@ impl DurableStore {
         if jobs.is_empty() {
             return (Vec::new(), MaintenanceReport::default());
         }
-        match self.commit_then(&WalRecord::ApplyMany { jobs }, || self.store.apply_batch_many_unswept(jobs)) {
-            Ok((results, mutated)) => (results, self.store.sweep_after(mutated)),
+        match self.commit_then(&WalRecord::ApplyMany { jobs }, || self.store.apply_batch_many(jobs)) {
+            Ok(applied) => applied,
             Err(e) => (jobs.iter().map(|_| Err(e.clone())).collect(), MaintenanceReport::default()),
         }
     }

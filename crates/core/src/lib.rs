@@ -24,9 +24,8 @@
 //! * [`store`] — the application-facing document handle:
 //!   [`store::DomStore`], mutable always-compressed documents behind one
 //!   shared [`sltgrammar::SymbolTable`] (similar documents share one
-//!   resident alphabet) and a store-level scheduler that recompresses by
-//!   *update debt* (edge growth since the last recompression), draining the
-//!   worst offenders on a budget.
+//!   resident alphabet), each recompressed by the job whose *update debt*
+//!   (edge growth since the last recompression) reaches the threshold.
 //! * [`wal`] / [`durable`] / [`queue`] — crash safety and ingestion: a
 //!   write-ahead op log, framed by the one length-prefixed, CRC-checked
 //!   envelope ([`frame`]) the wire protocol shares;
@@ -63,7 +62,7 @@
 //!
 //! // Rename the first <e> element (preorder index 1 of the binary tree)
 //! // without decompressing the document; recompress when the caller likes
-//! // (the store's debt scheduler also does so on its own).
+//! // (a job whose debt reaches the store's threshold also does so).
 //! store.apply_batch(doc, &[UpdateOp::Rename { target: 1, label: "entry".into() }]).unwrap();
 //! store.recompress(doc).unwrap();
 //! assert_eq!(store.label_at(doc, 1).unwrap(), "entry");
@@ -99,5 +98,5 @@ pub use queue::{
 };
 pub use server::{Server, ServerConfig, ServerStats};
 pub use repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
-pub use store::{DocId, DomStore, MaintenanceReport, SchedulerConfig, Snapshot};
+pub use store::{DocId, DomStore, MaintenanceReport, Snapshot};
 pub use udc::{update_decompress_compress, UdcStats};

@@ -7,8 +7,7 @@
 //! *submission* from *durability*: writers enqueue batches without
 //! blocking, and a **drain** hands everything pending to the store as a
 //! single [`ApplyMany`](crate::wal::WalEntry) record, so the whole drain
-//! costs one fsync and one scheduler maintenance sweep no matter how many
-//! batches it absorbed.
+//! costs one fsync no matter how many batches it absorbed.
 //!
 //! # One job per batch
 //!
@@ -30,9 +29,10 @@
 //! in-flight drain simply lands in the next one; per-document submission
 //! order is never reordered across drains. Every drain takes the whole
 //! pending list, so the queued tickets are always one contiguous range.
-//! Submissions themselves never wait on a drain. The store's background
-//! recompression scheduler runs once per drain (inside the store's apply
-//! path), i.e. *between* flushes, never in the middle of one.
+//! Submissions themselves never wait on a drain. A job that leaves its
+//! document due recompresses it inside the store's apply path, before that
+//! document's next job, so a drain's grouping never decides a document's
+//! bytes.
 //!
 //! A writer that needs its batch durable **now** waits on its ticket (which
 //! flushes inline when no drainer is installed). Mixing queued submissions
@@ -341,7 +341,7 @@ impl IngestQueue {
     }
 
     /// Drains everything pending as **one** `ApplyMany` record — one job
-    /// per batch in submission order, one fsync, one scheduler sweep — and
+    /// per batch in submission order, one fsync — and
     /// posts each job's outcome to its ticket. Waits first if another drain
     /// is in flight. Returns the number of batches drained.
     pub fn flush(&self) -> usize {

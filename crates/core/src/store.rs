@@ -1,6 +1,6 @@
 //! `DomStore` — the document handle: a concurrent multi-document session
-//! with a shared symbol table, snapshot reads, and cross-document
-//! recompression scheduling.
+//! with a shared symbol table, snapshot reads, and per-document,
+//! debt-triggered recompression.
 //!
 //! The paper's motivating scenario is a long-lived service that keeps XML
 //! documents in memory in compressed form while serving interleaved reads
@@ -11,8 +11,8 @@
 //! The store is `Send + Sync`: many threads share one `DomStore` (or clones
 //! of an `Arc<DomStore>`), reads wait on a writer at most for a pointer
 //! swap, writes to distinct
-//! documents proceed in parallel, and a background thread can drain the
-//! recompression scheduler off the request path.
+//! documents proceed in parallel, and a background thread can take
+//! recompression off the request path.
 //!
 //! # Concurrency architecture: shards, snapshots, epochs
 //!
@@ -47,8 +47,9 @@
 //! A thread that writes and then reads with no concurrent writer always sees
 //! its own write (the publish path catches up through the uncontended lock).
 //!
-//! **Recompression swaps atomically.** [`DomStore::recompress`] (forced, or
-//! scheduled via [`DomStore::maintain`], or run by the background thread)
+//! **Recompression swaps atomically.** A recompression (triggered by a job's
+//! debt, forced by [`DomStore::recompress`], or run by [`DomStore::maintain`]
+//! and the background thread)
 //! recompresses **aside** — on a copy-on-write clone under the shard lock,
 //! never touching the published snapshot — and then publishes the result
 //! with one atomic swap. In-flight readers finish on the old snapshot `Arc`
@@ -140,28 +141,29 @@
 //! a prerequisite for handing ids to concurrent holders). Maintenance sweeps
 //! iterate the live list only, so heavy churn does not grow them.
 //!
-//! # Debt-based recompression scheduling
+//! # Debt-based recompression, decided per job
 //!
-//! The store schedules recompression by **update debt**: per document, the
-//! edge-count growth since its last recompression
+//! The store recompresses by **update debt**: per document, the edge-count
+//! growth since its last recompression
 //! (`debt = edges_now − edges_at_last_recompress`), i.e. exactly the blow-up
-//! GrammarRePair exists to undo. The scheduler
-//! ([`DomStore::maintain`]) drains the *worst offenders first* under a
-//! configurable budget:
+//! GrammarRePair exists to undo. The decision belongs to the job that
+//! caused it: after a job (one [`DomStore::apply_batch`], or one job of
+//! [`DomStore::apply_batch_many`]) that mutated its document — applied ops,
+//! or the isolation growth a failing op leaves behind — the document is
+//! recompressed, still under its shard lock, iff its own debt reached
+//! [`DomStore::debt_threshold`] (`usize::MAX`: never). A request that
+//! mutates nothing recompresses nothing, and no request ever recompresses
+//! another document.
 //!
-//! * a document becomes **eligible** when its debt reaches
-//!   [`SchedulerConfig::debt_threshold`] (`usize::MAX`: never);
-//! * one maintenance sweep recompresses eligible documents in decreasing debt
-//!   order until [`SchedulerConfig::drain_budget`] (measured in grammar edges
-//!   processed, a proxy for recompression work) is exhausted — at least one
-//!   eligible document is always drained, so a single oversized document
-//!   cannot starve maintenance forever;
-//! * a sweep runs after every batch that changed a grammar (a single update
-//!   is a batch of one; a request rejected before it mutates anything
-//!   schedules nothing) — inline when no background thread is attached, or
-//!   signalled to the background thread started by
-//!   [`DomStore::start_maintenance`], which drains debt off the request path
-//!   and atomically swaps the recompressed snapshots in.
+//! The recompression finishes before the document's next job, so a
+//! document's bytes are a function of its own job sequence: not of how its
+//! jobs were grouped into calls, nor of other documents' debt. Replaying
+//! the same jobs reproduces the same bytes.
+//!
+//! With a background thread attached ([`DomStore::start_maintenance`]), a
+//! due job signals it instead, and the thread's [`DomStore::maintain`]
+//! recompresses every document at or over the threshold off the request
+//! path. Its recompression points then depend on timing again.
 //!
 //! The paper's fixed-interval policy ("recompress every 100 updates") is a
 //! caller's loop: count calls and run [`DomStore::recompress`].
@@ -276,38 +278,20 @@ impl DocId {
     }
 }
 
-/// Policy of the store-level recompression scheduler (see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// A document becomes eligible for recompression once its update debt
-    /// (edge growth since the last recompression) reaches this many edges.
-    /// Treated as at least 1 — zero-debt documents are never recompressed;
-    /// `usize::MAX` leaves every document to [`DomStore::recompress`].
-    pub debt_threshold: usize,
-    /// Maximum total work (sum of the drained documents' current edge
-    /// counts) per maintenance sweep; `0` means unbounded. At least one
-    /// eligible document is drained per sweep regardless of the budget.
-    pub drain_budget: usize,
-}
+/// The debt threshold a new store starts with (see the module docs).
+const DEFAULT_DEBT_THRESHOLD: usize = 512;
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            debt_threshold: 512,
-            drain_budget: 1 << 16,
-        }
-    }
-}
-
-/// Outcome of one maintenance sweep: which documents were recompressed.
+/// Which documents a call recompressed.
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceReport {
-    /// `(document, recompression stats)` in drain order (worst debt first).
+    /// `(document, recompression stats)`. For the apply calls: the jobs' own
+    /// recompressions, in job order (empty with a background thread
+    /// attached). For [`DomStore::maintain`]: in live order.
     pub drained: Vec<(DocId, RepairStats)>,
 }
 
 impl MaintenanceReport {
-    /// Whether the sweep recompressed anything.
+    /// Whether the call recompressed anything.
     pub fn is_empty(&self) -> bool {
         self.drained.is_empty()
     }
@@ -618,7 +602,8 @@ struct StoreInner {
     symbols: Mutex<SymbolTable>,
     map: RwLock<DocMap>,
     repair: GrammarRePair,
-    scheduler: RwLock<SchedulerConfig>,
+    /// A document is due for recompression once its debt reaches this.
+    debt_threshold: AtomicUsize,
     /// Fast check on the update path: is a background thread attached?
     worker_attached: AtomicBool,
     worker: Mutex<WorkerSignal>,
@@ -765,18 +750,23 @@ impl StoreInner {
         id
     }
 
-    /// Applies one batch under the shard lock and does the shard's whole
-    /// post-update bookkeeping. What a call costs follows from what it did to
-    /// the grammar, not from how it ended: a batch that left the grammar
-    /// untouched (empty, stale id, rejected before anything was isolated)
-    /// keeps the published snapshot clean and reports `false`, so the caller
-    /// schedules no sweep; any mutation — applied ops, or the isolation
-    /// growth a splice-time failure leaves behind — dirties the snapshot and
-    /// is tracked as debt.
-    fn apply_batch_one(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
+    /// Applies one job under the shard lock and does the shard's whole
+    /// post-update bookkeeping, ending with the job's own recompression (see
+    /// the module docs). What a call costs follows from what it did to the
+    /// grammar, not from how it ended: a job that left the grammar untouched
+    /// (empty, stale id, rejected before anything was isolated) keeps the
+    /// published snapshot clean and recompresses nothing; any mutation —
+    /// applied ops, or the isolation growth a splice-time failure leaves
+    /// behind — dirties the snapshot and is tracked as debt. Returns the
+    /// recompression's stats if the job ran one.
+    fn apply_batch_one(
+        &self,
+        doc: DocId,
+        ops: &[UpdateOp],
+    ) -> (Result<BatchStats>, Option<RepairStats>) {
         let shard = match self.resolve(doc) {
             Ok(shard) => shard,
-            Err(e) => return (Err(e), false),
+            Err(e) => return (Err(e), None),
         };
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
         let state = &mut *guard;
@@ -804,58 +794,43 @@ impl StoreInner {
         if result.is_ok() {
             shard.total_updates.fetch_add(ops.len(), Ordering::Relaxed);
         }
-        (result, mutated)
-    }
-
-    /// Post-update scheduling: nothing when no grammar changed, else an
-    /// inline sweep, or a signal to the background thread when one is
-    /// attached (whose drains then happen off this path).
-    fn after_update(&self, mutated: bool) -> MaintenanceReport {
-        if !mutated {
-            return MaintenanceReport::default();
+        if !mutated || !self.due(&shard) {
+            return (result, None);
         }
         if self.worker_attached.load(Ordering::Acquire) {
-            let mut signal = self.worker.lock().expect("worker lock never poisoned");
-            signal.pending = true;
+            self.worker.lock().expect("worker lock never poisoned").pending = true;
             self.wake.notify_one();
-            return MaintenanceReport::default();
+            return (result, None);
         }
-        self.maintain()
+        (result, Some(self.recompress_locked(&shard, state)))
     }
 
+    /// Whether `shard`'s debt has reached the threshold (taken as at least
+    /// 1: a document without debt is never due).
+    fn due(&self, shard: &DocShard) -> bool {
+        shard.debt() >= self.debt_threshold.load(Ordering::Relaxed).max(1)
+    }
+
+    /// Recompresses every due document, in live order.
     fn maintain(&self) -> MaintenanceReport {
-        let scheduler = *self.scheduler.read().expect("scheduler lock");
-        let threshold = scheduler.debt_threshold.max(1);
         // Debts are atomics: the scan takes no shard lock, and the guard is
         // gone before anything below resolves or recompresses.
-        let mut eligible: Vec<(usize, DocId)> = {
+        let due: Vec<DocId> = {
             let map = self.map();
             map.live
                 .iter()
-                .filter_map(|&id| {
-                    let debt = map.get(id)?.debt();
-                    (debt >= threshold).then_some((debt, id))
-                })
+                .copied()
+                .filter(|&id| map.get(id).is_some_and(|shard| self.due(shard)))
                 .collect()
         };
-        // Worst offender first; ties broken by id for determinism.
-        eligible.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let budget = scheduler.drain_budget;
-        let mut spent = 0usize;
         let mut report = MaintenanceReport::default();
-        for (_, id) in eligible {
-            // Re-resolve: the document may have been removed since the scan.
+        for id in due {
+            // Re-resolve and re-check under the lock: the document may have
+            // been removed, or recompressed by its own job, since the scan.
             let Ok(shard) = self.resolve(id) else { continue };
-            let cost = shard.current_edges.load(Ordering::Relaxed);
-            if !report.drained.is_empty() && budget > 0 && spent.saturating_add(cost) > budget {
-                break;
-            }
-            let Ok(stats) = self.recompress(id) else { continue };
-            spent = spent.saturating_add(cost);
-            report.drained.push((id, stats));
-            if budget > 0 && spent >= budget {
-                break;
+            let mut guard = shard.write.lock().expect("shard lock never poisoned");
+            if self.due(&shard) {
+                report.drained.push((id, self.recompress_locked(&shard, &mut guard)));
             }
         }
         report
@@ -864,19 +839,25 @@ impl StoreInner {
     fn recompress(&self, doc: DocId) -> Result<RepairStats> {
         let shard = self.resolve(doc)?;
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
+        Ok(self.recompress_locked(&shard, &mut guard))
+    }
+
+    /// Recompresses `shard`'s write state, whose lock the caller holds, and
+    /// publishes the result.
+    fn recompress_locked(&self, shard: &DocShard, state: &mut WriteState) -> RepairStats {
         // Recompress aside: `make_mut` clones iff a published snapshot (or
         // other reader) still shares this grammar, so in-flight readers keep
         // their version while the recompressor works on the copy.
         // New rules, compacted arenas: nothing the session knew survives.
-        guard.session = None;
-        let stats = self.repair.recompress(Arc::make_mut(&mut guard.grammar));
+        state.session = None;
+        let stats = self.repair.recompress(Arc::make_mut(&mut state.grammar));
         shard.current_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.baseline_edges.store(stats.output_edges, Ordering::Relaxed);
         shard.recompressions.fetch_add(1, Ordering::Relaxed);
         // The atomic swap: publish the recompressed grammar; readers holding
         // the old snapshot finish on it undisturbed.
-        shard.publish_locked(&guard.grammar);
-        Ok(stats)
+        shard.publish_locked(&state.grammar);
+        stats
     }
 }
 
@@ -918,7 +899,8 @@ fn fan_out<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
 }
 
 /// A concurrent multi-document session: many compressed documents behind one
-/// shared symbol table and one recompression scheduler (see the module docs).
+/// shared symbol table, each recompressed when its own debt calls for it (see
+/// the module docs).
 ///
 /// `DomStore` is `Send + Sync`; share it across threads directly or behind an
 /// `Arc`. Reads ([`DomStore::snapshot`] and everything built on it) are
@@ -946,8 +928,8 @@ impl Default for DomStore {
 impl Clone for DomStore {
     /// Clones the store's *contents*: the copy shares grammar data
     /// structurally (copy-on-write, so writes to either side never show in
-    /// the other) but has its own locks, scheduler, and document map, with
-    /// every [`DocId`] preserved. The clone starts without a background
+    /// the other) but has its own locks, debt threshold, and document map,
+    /// with every [`DocId`] preserved. The clone starts without a background
     /// maintenance thread.
     fn clone(&self) -> Self {
         let master = self.inner.symbols.lock().expect("master lock").clone();
@@ -973,7 +955,7 @@ impl Clone for DomStore {
                 symbols: Mutex::new(master),
                 map: RwLock::new(map),
                 repair: self.inner.repair.clone(),
-                scheduler: RwLock::new(*self.inner.scheduler.read().expect("scheduler lock")),
+                debt_threshold: AtomicUsize::new(self.debt_threshold()),
                 worker_attached: AtomicBool::new(false),
                 worker: Mutex::new(WorkerSignal::default()),
                 wake: Condvar::new(),
@@ -990,14 +972,14 @@ impl Drop for DomStore {
 }
 
 impl DomStore {
-    /// Creates an empty store with the default scheduler.
+    /// Creates an empty store with the default debt threshold (512 edges).
     pub fn new() -> Self {
         DomStore {
             inner: Arc::new(StoreInner {
                 symbols: Mutex::new(SymbolTable::new()),
                 map: RwLock::new(DocMap::default()),
                 repair: GrammarRePair::default(),
-                scheduler: RwLock::new(SchedulerConfig::default()),
+                debt_threshold: AtomicUsize::new(DEFAULT_DEBT_THRESHOLD),
                 worker_attached: AtomicBool::new(false),
                 worker: Mutex::new(WorkerSignal::default()),
                 wake: Condvar::new(),
@@ -1006,31 +988,33 @@ impl DomStore {
         }
     }
 
-    /// Uses a custom scheduler policy.
-    pub fn with_scheduler(self, scheduler: SchedulerConfig) -> Self {
-        self.set_scheduler(scheduler);
+    /// Uses a custom debt threshold (see [`DomStore::set_debt_threshold`]).
+    pub fn with_debt_threshold(self, edges: usize) -> Self {
+        self.set_debt_threshold(edges);
         self
     }
 
-    /// The current scheduler policy.
-    pub fn scheduler(&self) -> SchedulerConfig {
-        *self.inner.scheduler.read().expect("scheduler lock")
+    /// The debt (edges) at which a job's document is due for recompression.
+    pub fn debt_threshold(&self) -> usize {
+        self.inner.debt_threshold.load(Ordering::Relaxed)
     }
 
-    /// Replaces the scheduler policy.
-    pub fn set_scheduler(&self, scheduler: SchedulerConfig) {
-        *self.inner.scheduler.write().expect("scheduler lock") = scheduler;
+    /// Sets the debt threshold. It is taken as at least 1, since a document
+    /// without debt is never due; `usize::MAX` leaves every document to
+    /// [`DomStore::recompress`].
+    pub fn set_debt_threshold(&self, edges: usize) {
+        self.inner.debt_threshold.store(edges, Ordering::Relaxed);
     }
 
     // ----- background maintenance -----
 
     /// Starts the background maintenance thread: it runs [`DomStore::maintain`]
-    /// whenever an update signals debt and
-    /// at least every `poll` as a fallback, recompressing aside and swapping
-    /// snapshots in atomically — readers never wait on it. With a worker
-    /// attached, the `apply_batch` calls return empty [`MaintenanceReport`]s;
-    /// observe [`DomStore::recompressions`] for drain counts. No-op if a
-    /// worker is already running.
+    /// whenever a job leaves its document due and at least every `poll` as
+    /// a fallback, recompressing aside and swapping snapshots in atomically —
+    /// readers never wait on it. With a worker attached, jobs recompress
+    /// nothing themselves and the `apply_batch` calls return empty
+    /// [`MaintenanceReport`]s; observe [`DomStore::recompressions`] for
+    /// counts. No-op if a worker is already running.
     pub fn start_maintenance(&mut self, poll: Duration) {
         if self.worker.is_some() {
             return;
@@ -1067,8 +1051,8 @@ impl DomStore {
     }
 
     /// Stops and joins the background maintenance thread (no-op without
-    /// one). Pending debt stays until the next sweep — inline sweeps resume
-    /// on the request path once no worker is attached.
+    /// one). Pending debt stays until the document's next mutating job, or
+    /// the next [`DomStore::maintain`], recompresses it.
     pub fn stop_maintenance(&mut self) {
         self.inner.worker_attached.store(false, Ordering::Release);
         if let Some(handle) = self.worker.take() {
@@ -1356,68 +1340,49 @@ impl DomStore {
         self.snapshot(doc)?.xml_text(budget)
     }
 
-    // ----- updates and scheduling -----
+    // ----- updates and recompression -----
 
     /// Applies an operation sequence to a document one op at a time through
-    /// the document's isolation session (see [`crate::update`]), then runs a
-    /// maintenance sweep over the *whole store* — inline, or signalled to
-    /// the background thread when one is attached (empty report then). This
-    /// is the store's only write entry point: a single op is the batch
-    /// `std::slice::from_ref(&op)`.
+    /// the document's isolation session (see [`crate::update`]), then
+    /// recompresses the document if this job left it due (see the module
+    /// docs) — inline, or signalled to the background thread when one is
+    /// attached (empty report then). This is the store's only write entry
+    /// point: a single op is the batch `std::slice::from_ref(&op)`.
     ///
     /// A batch that leaves the grammar untouched — empty, or failing at its
     /// first op before anything was isolated (see
     /// [`crate::update::apply_batch`]) — costs nothing: the published
-    /// snapshot stays current and no sweep runs. On any other error the
-    /// document reflects every op before the failing one, plus the failing
-    /// op's isolation growth, which is tracked as debt, so failing updates
-    /// cannot starve recompression. A sweep triggered by a
+    /// snapshot stays current and nothing is recompressed. On any other
+    /// error the document reflects every op before the failing one, plus the
+    /// failing op's isolation growth, which is tracked as debt, so failing
+    /// updates cannot starve recompression. A recompression triggered by a
     /// *failing* batch has no channel back to the caller (`Err` carries no
-    /// report); callers tracking drain events exactly should observe
+    /// report); callers counting recompressions exactly should observe
     /// [`DomStore::recompressions`] instead.
     pub fn apply_batch(
         &self,
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let (result, mutated) = self.apply_batch_unswept(doc, ops);
-        let report = self.sweep_after(mutated);
-        result.map(|stats| (stats, report))
-    }
-
-    /// [`DomStore::apply_batch`] without its maintenance sweep: also reports
-    /// whether the batch — applied or failed — mutated the grammar. The
-    /// durable layer runs [`DomStore::sweep_after`] once it has released its
-    /// commit order.
-    pub(crate) fn apply_batch_unswept(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
-        self.inner.apply_batch_one(doc, ops)
+        let (result, recompressed) = self.inner.apply_batch_one(doc, ops);
+        let drained = recompressed.map(|stats| (doc, stats)).into_iter().collect();
+        result.map(|stats| (stats, MaintenanceReport { drained }))
     }
 
     /// Applies a list of per-document batches over a small worker pool —
     /// the fan-out counterpart of [`DomStore::apply_batch`] for
     /// cross-document write workloads. Jobs addressing *distinct* documents
     /// run concurrently on their own shards; a document's jobs apply in
-    /// job order on one worker, each with its own outcome, so the result is
-    /// that of applying the jobs one [`DomStore::apply_batch`] at a time.
-    /// One maintenance sweep (or background signal) runs after all jobs,
-    /// not one per job — and none when no job mutated its grammar.
+    /// job order on one worker, each with its own outcome and its own
+    /// recompression trigger, so the result is that of applying the jobs
+    /// one [`DomStore::apply_batch`] at a time.
     ///
-    /// Returns per-job results in job order plus the sweep's report.
+    /// Returns per-job results in job order, plus the jobs' recompressions
+    /// (failed jobs' included) in job order.
     pub fn apply_batch_many(
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
     ) -> (Vec<Result<BatchStats>>, MaintenanceReport) {
-        let (results, mutated) = self.apply_batch_many_unswept(jobs);
-        (results, self.sweep_after(mutated))
-    }
-
-    /// [`DomStore::apply_batch_many`] without its maintenance sweep (see
-    /// [`DomStore::apply_batch_unswept`]); also reports whether any job
-    /// mutated its grammar.
-    pub(crate) fn apply_batch_many_unswept(
-        &self,
-        jobs: &[(DocId, Vec<UpdateOp>)],
-    ) -> (Vec<Result<BatchStats>>, bool) {
         // One group per document, in first-job order.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: HashMap<DocId, usize> = HashMap::new();
@@ -1438,22 +1403,24 @@ impl DomStore {
         .flatten()
         .collect();
         outcomes.sort_unstable_by_key(|&(i, _)| i);
-        let mutated = outcomes.iter().any(|(_, (_, mutated))| *mutated);
-        (outcomes.into_iter().map(|(_, (result, _))| result).collect(), mutated)
+        let mut report = MaintenanceReport::default();
+        let results = outcomes
+            .into_iter()
+            .map(|(i, (result, recompressed))| {
+                report.drained.extend(recompressed.map(|stats| (jobs[i].0, stats)));
+                result
+            })
+            .collect();
+        (results, report)
     }
 
-    /// The post-update scheduling the apply calls end with: nothing when no
-    /// grammar changed, else an inline sweep or a signal to the background
-    /// thread.
-    pub(crate) fn sweep_after(&self, mutated: bool) -> MaintenanceReport {
-        self.inner.after_update(mutated)
-    }
-
-    /// Runs one maintenance sweep: recompresses eligible documents (debt ≥
-    /// threshold) in decreasing debt order until the drain budget is spent.
-    /// At least one eligible document is drained per sweep. Returns what was
-    /// drained (possibly nothing). Safe to call from any thread; each drain
-    /// recompresses aside and swaps the document's snapshot atomically.
+    /// Recompresses every document whose debt is at or over the threshold,
+    /// in live order, and returns what it recompressed (possibly nothing).
+    /// Without a background thread, jobs leave no document due, so this
+    /// matters after [`DomStore::set_debt_threshold`] lowers the threshold
+    /// or the thread stops, and as the thread's loop body. Safe to call
+    /// from any thread; each recompression runs aside and swaps the
+    /// document's snapshot atomically.
     pub fn maintain(&self) -> MaintenanceReport {
         self.inner.maintain()
     }
@@ -1814,11 +1781,8 @@ mod tests {
                 label: format!("tag{i}"),
             })
             .collect();
-        // A low threshold: inline sweeps fire between the single ops.
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 16,
-            drain_budget: 0,
-        });
+        // A low threshold: recompressions fire between the single ops.
+        let store = DomStore::new().with_debt_threshold(16);
         let sequential = store.load_xml(&xml).unwrap();
         let batched = store.load_xml(&xml).unwrap();
         for op in &ops {
@@ -1882,17 +1846,14 @@ mod tests {
         }
     }
 
-    /// A store whose writes never sweep: debt builds up until a test lowers
-    /// the threshold and calls `maintain` itself.
+    /// A store whose writes never recompress: debt builds up until a test
+    /// lowers the threshold and calls `maintain` itself.
     fn unswept_store() -> DomStore {
-        DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: usize::MAX,
-            ..SchedulerConfig::default()
-        })
+        DomStore::new().with_debt_threshold(usize::MAX)
     }
 
     #[test]
-    fn updates_accrue_debt_and_the_scheduler_drains_the_worst_offender() {
+    fn updates_accrue_debt_and_maintain_drains_the_due_documents() {
         let store = unswept_store();
         let hot_xml = doc("feed", 10);
         let elements = element_positions(&hot_xml);
@@ -1912,27 +1873,21 @@ mod tests {
         }
         assert!(store.debt(hot).unwrap() >= 10, "renames blow the grammar up");
         assert_eq!(store.debt(cold).unwrap(), 0);
-        assert_eq!(store.recompressions(hot).unwrap(), 0, "no sweep at usize::MAX");
-        store.set_scheduler(SchedulerConfig {
-            debt_threshold: 10,
-            drain_budget: 0,
-        });
+        assert_eq!(store.recompressions(hot).unwrap(), 0, "no recompression at usize::MAX");
+        store.set_debt_threshold(10);
         let report = store.maintain();
         assert_eq!(report.drained.len(), 1);
         assert_eq!(report.drained[0].0, hot);
         assert_eq!(store.debt(hot).unwrap(), 0);
         assert_eq!(store.recompressions(hot).unwrap(), 1);
         assert_eq!(store.recompressions(cold).unwrap(), 0, "cold docs are left alone");
-        // Nothing eligible → empty sweep.
+        // Nothing due → nothing recompressed.
         assert!(store.maintain().is_empty());
     }
 
     #[test]
     fn auto_maintenance_runs_after_updates_and_batches() {
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 8,
-            drain_budget: 0,
-        });
+        let store = DomStore::new().with_debt_threshold(8);
         let xml = doc("feed", 12);
         let elements = element_positions(&xml);
         let a = store.load_xml(&xml).unwrap();
@@ -1949,7 +1904,7 @@ mod tests {
                 .unwrap();
             drained += report.drained.len();
         }
-        assert!(drained >= 1, "auto sweeps must fire once debt builds");
+        assert!(drained >= 1, "jobs must recompress once debt builds");
         assert_eq!(store.recompressions(a).unwrap(), drained);
         store.grammar(a).unwrap().validate().unwrap();
         // The cached edge count the debt policy runs on stays exact.
@@ -1957,39 +1912,6 @@ mod tests {
             store.edge_count(a).unwrap(),
             store.grammar(a).unwrap().edge_count()
         );
-    }
-
-    #[test]
-    fn drain_budget_bounds_one_sweep_but_starves_nobody() {
-        let store = unswept_store();
-        let xml_a = doc("feed", 8);
-        let xml_b = doc("blog", 8);
-        let ea = element_positions(&xml_a);
-        let eb = element_positions(&xml_b);
-        let a = store.load_xml(&xml_a).unwrap();
-        let b = store.load_xml(&xml_b).unwrap();
-        for (i, id, elements) in [(0usize, a, &ea), (1, b, &eb), (2, a, &ea), (3, b, &eb)] {
-            store
-                .apply_batch(
-                    id,
-                    &[UpdateOp::Rename {
-                        target: elements[2 * (i % 4) + 1],
-                        label: format!("y{i}"),
-                    }],
-                )
-                .unwrap();
-        }
-        store.set_scheduler(SchedulerConfig {
-            debt_threshold: 1,
-            drain_budget: 1, // absurdly small: every sweep drains exactly one doc
-        });
-        let first = store.maintain();
-        assert_eq!(first.drained.len(), 1, "budget restricts the sweep");
-        let worst = first.drained[0].0;
-        let second = store.maintain();
-        assert_eq!(second.drained.len(), 1);
-        assert_ne!(second.drained[0].0, worst, "the other doc drains next sweep");
-        assert!(store.maintain().is_empty());
     }
 
     #[test]
@@ -2024,7 +1946,7 @@ mod tests {
         ));
         assert_eq!(store.label_at(b, 0).unwrap(), "blog");
         // Churn: repeated remove/load cycles keep the slot vector bounded
-        // and maintenance sweeps only visit live documents.
+        // and `maintain` only visits live documents.
         for i in 0..10 {
             let id = store.load_xml(&doc("churn", 2 + i % 3)).unwrap();
             store.remove(id).unwrap();
@@ -2174,10 +2096,7 @@ mod tests {
 
     #[test]
     fn background_maintenance_drains_debt_off_the_request_path() {
-        let mut store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 8,
-            drain_budget: 0,
-        });
+        let mut store = DomStore::new().with_debt_threshold(8);
         store.start_maintenance(Duration::from_millis(1));
         assert!(store.maintenance_running());
         let xml = doc("feed", 12);

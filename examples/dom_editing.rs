@@ -10,7 +10,6 @@
 
 use slt_xml::datasets::catalog::Dataset;
 use slt_xml::datasets::workload::{random_insert_delete_sequence, WorkloadMix};
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::update::apply_update;
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::DomStore;
@@ -32,11 +31,8 @@ fn main() {
     // Variant A: naive — apply updates, never recompress.
     let mut naive = initial.clone();
     // Variant B: a store recompressing every 100 updates. Its own debt
-    // scheduler is switched off, so the interval alone decides.
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: usize::MAX,
-        ..SchedulerConfig::default()
-    });
+    // trigger is switched off, so the interval alone decides.
+    let store = DomStore::new().with_debt_threshold(usize::MAX);
     let doc = store.load_grammar(initial).expect("a fresh store takes any alphabet");
 
     println!(

@@ -3,23 +3,20 @@
 //!
 //! The example loads a small fleet of similar weblog-like documents, shows
 //! that they share one resident label alphabet (vs one table per document),
-//! then serves an interleaved read/update workload and lets the store's
-//! scheduler decide which documents to recompress — the hot document drains
-//! when its grammar actually grew, the cold ones are left alone.
+//! then serves an interleaved read/update workload. Each update batch
+//! recompresses its own document once that document's grammar has grown by
+//! the debt threshold, so the hot document is recompressed and the cold ones
+//! are left alone.
 //!
 //! Run with: `cargo run --release --example multi_document`
 
 use slt_xml::datasets::catalog::Dataset;
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::DomStore;
 
 fn main() {
     // 1. Load six similar documents into one store.
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 400,
-        drain_budget: 20_000,
-    });
+    let store = DomStore::new().with_debt_threshold(400);
     let mut docs = Vec::new();
     for i in 0..6 {
         let xml = Dataset::ExiWeblog.generate(0.03 + 0.005 * i as f64);
@@ -52,11 +49,11 @@ fn main() {
             store.edge_count(hot).unwrap(),
             store.debt(hot).unwrap(),
             store.recompressions(hot).unwrap(),
-            if report.is_empty() { "" } else { "  <- scheduler drained" },
+            if report.is_empty() { "" } else { "  <- this batch recompressed it" },
         );
     }
 
-    // 3. The cold documents were never touched by the scheduler.
+    // 3. No batch recompresses another document: the cold ones never were.
     let cold_recompressions: usize = docs[1..]
         .iter()
         .map(|&(id, _)| store.recompressions(id).unwrap())

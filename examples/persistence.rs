@@ -38,8 +38,8 @@ fn main() {
     assert_eq!(fingerprint(&reloaded), original_fingerprint);
     println!("reloaded grammar matches the original (fingerprints agree)");
 
-    // 3. Keep editing the reloaded document in a fresh store; its debt
-    //    scheduler recompresses whenever the grammar has grown enough.
+    // 3. Keep editing the reloaded document in a fresh store; an update
+    //    recompresses it whenever the grammar has grown enough.
     let store = DomStore::new();
     let doc = store.load_grammar(reloaded).expect("a fresh store takes any alphabet");
     let citations = PathQuery::parse("//citation").unwrap();

@@ -22,8 +22,8 @@ pub use treerepair;
 pub use xmltree;
 
 /// Convenience re-export of the mutable compressed document handle: many
-/// compressed documents behind one shared symbol table and a debt-based
-/// recompression scheduler.
+/// compressed documents behind one shared symbol table, each recompressed
+/// when its own update debt reaches a threshold.
 pub use grammar_repair::store::{DocId, DomStore, Snapshot};
 
 /// Convenience re-export of the crash-safe store: a [`DomStore`] behind a

@@ -7,7 +7,6 @@
 
 use slt_xml::grammar_repair::navigate::element_count;
 use slt_xml::grammar_repair::query::PathQuery;
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::sltgrammar::fingerprint::fingerprint;
 use slt_xml::sltgrammar::SymbolTable;
 use slt_xml::xmltree::binary::{from_binary, to_binary, tree_fingerprint};
@@ -48,10 +47,7 @@ fn seed_document() -> XmlTree {
 
 /// `xml` in a store that leaves recompression to the test.
 fn unswept(xml: &XmlTree) -> (DomStore, DocId) {
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: usize::MAX,
-        ..SchedulerConfig::default()
-    });
+    let store = DomStore::new().with_debt_threshold(usize::MAX);
     let doc = store.load_xml(xml).unwrap();
     (store, doc)
 }

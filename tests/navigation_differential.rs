@@ -22,7 +22,6 @@ use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
 use slt_xml::grammar_repair::navigate::{term_counts, Cursor, NavTables, PreorderLabels};
 use slt_xml::grammar_repair::query::{Axis, PathQuery, QueryMatches};
 use slt_xml::grammar_repair::repair::GrammarRePair;
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::sltgrammar::{NodeKind, RhsTree, SymbolTable};
 use slt_xml::treerepair::TreeRePair;
 use slt_xml::xmltree::binary::to_binary;
@@ -317,7 +316,7 @@ fn fast_read_paths_match_oracles_on_the_heterogeneous_corpus() {
 /// The stale-tables catcher: reads through the store's cached tables must
 /// stay oracle-identical after every update batch and every recompression —
 /// forced ones on odd batches, and whatever the store's low-threshold debt
-/// sweep runs inline.
+/// trigger runs inline.
 #[test]
 fn session_reads_survive_update_recompress_cycles() {
     let base = Dataset::ExiWeblog.generate(0.02);
@@ -326,10 +325,7 @@ fn session_reads_survive_update_recompress_cycles() {
         (WorkloadMix::clustered(0.9), 11, "clustered-renames"),
     ] {
         let ops = random_update_sequence(&base, 60, seed, mix);
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold: 64,
-            ..SchedulerConfig::default()
-        });
+        let store = DomStore::new().with_debt_threshold(64);
         let doc = store.load_xml(&base).unwrap();
         let mut symbols = SymbolTable::new();
         let mut oracle = to_binary(&base, &mut symbols).expect("valid document");
@@ -383,7 +379,7 @@ fn session_reads_survive_update_recompress_cycles() {
         let forced = ops.chunks(10).count() / 2;
         assert!(
             store.recompressions(doc).unwrap() > forced,
-            "{label}: the debt sweep must fire beside the {forced} forced recompressions"
+            "{label}: the debt trigger must fire beside the {forced} forced recompressions"
         );
     }
 }

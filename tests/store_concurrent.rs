@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::sltgrammar::{RhsTree, SymbolTable};
 use slt_xml::xmltree::binary::{from_binary, to_binary};
 use slt_xml::xmltree::parse::parse_xml;
@@ -129,10 +128,7 @@ fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
         .map(|(i, xml)| workload(xml, 36, 0xC0DE + i as u64))
         .collect();
 
-    let mut store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 40,
-        drain_budget: 0,
-    });
+    let mut store = DomStore::new().with_debt_threshold(40);
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
     store.start_maintenance(Duration::from_millis(1));
 
@@ -209,7 +205,7 @@ fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
         .sum();
     assert!(
         recompressions >= 1,
-        "the schedule must trigger the background scheduler"
+        "the schedule must trigger background recompression"
     );
 }
 

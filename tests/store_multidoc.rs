@@ -2,15 +2,15 @@
 //! under interleaved update schedules must keep **every** document
 //! byte-identical to its own uncompressed `xmltree::updates` oracle — and
 //! updating one document must never perturb another (cross-document
-//! isolation), even while the store's debt scheduler recompresses documents
-//! between batches. Also pins the shared-symbol-table round-trip (shared ids
+//! isolation), even while each document's own jobs recompress it between
+//! batches, and a document's bytes depend only on its own jobs. Also pins the shared-symbol-table round-trip (shared ids
 //! agree across documents, serialization survives rebasing) and the
 //! positional read surface (`node_at_preorder` / `nth_element` /
 //! `subtree_size`) against cursor stepping across update/recompress cycles.
 
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
-use slt_xml::grammar_repair::store::SchedulerConfig;
-use slt_xml::sltgrammar::{RhsTree, SymbolTable};
+use slt_xml::datasets::Dataset;
+use slt_xml::sltgrammar::{serialize, RhsTree, SymbolTable};
 use slt_xml::xmltree::binary::{from_binary, to_binary};
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::{self as reference, UpdateOp};
@@ -109,10 +109,7 @@ fn interleaved_updates_across_documents_stay_byte_identical_to_their_oracles() {
     let docs = corpus();
     let ops = workloads(&docs, 48);
     // Small threshold: the scheduler recompresses mid-schedule.
-    let store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 60,
-        drain_budget: 0,
-    });
+    let store = DomStore::new().with_debt_threshold(60);
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
     let mut oracles: Vec<Oracle> = docs.iter().map(Oracle::new).collect();
 
@@ -262,10 +259,7 @@ fn update_interned_labels_stay_private_to_their_document() {
 fn positional_reads_agree_with_cursor_stepping_across_update_cycles() {
     let docs = corpus();
     let ops = workloads(&docs, 24);
-    let mut store = DomStore::new().with_scheduler(SchedulerConfig {
-        debt_threshold: 80,
-        drain_budget: 0,
-    });
+    let mut store = DomStore::new().with_debt_threshold(80);
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
 
     let check_doc = |store: &mut DomStore, id: DocId, context: &str| {
@@ -329,4 +323,69 @@ fn positional_reads_agree_with_cursor_stepping_across_update_cycles() {
     // And once more after a forced recompression.
     store.recompress(ids[0]).unwrap();
     check_doc(&mut store, ids[0], "doc 0 after forced recompression");
+}
+
+/// A document's bytes depend only on its own jobs, not on how they were
+/// grouped into calls or on what other documents owe. The live store drains
+/// two documents' 4-op batches together, `[A, A, B]` per
+/// `apply_batch_many`; the twin applies each document's batches alone, one
+/// `apply_batch` at a time, document by document. Every document must end
+/// with the same bytes and the same number of recompressions.
+#[test]
+fn a_documents_bytes_depend_only_on_its_own_jobs() {
+    const THRESHOLD: usize = 48;
+    let docs = [Dataset::ExiWeblog.generate(0.02), Dataset::XMark.generate(0.02)];
+    let loaded = |store: &DomStore| -> Vec<DocId> {
+        docs.iter().map(|x| store.load_xml(x).unwrap()).collect()
+    };
+    for seed in 1..=6u64 {
+        let batches: Vec<Vec<Vec<UpdateOp>>> = docs
+            .iter()
+            .map(|xml| {
+                random_update_sequence(xml, 64, seed, WorkloadMix::clustered(0.8))
+                    .chunks(4)
+                    .map(<[UpdateOp]>::to_vec)
+                    .collect()
+            })
+            .collect();
+
+        let live = DomStore::new().with_debt_threshold(THRESHOLD);
+        let ids = loaded(&live);
+        let (mut a, mut b) = (batches[0].iter(), batches[1].iter());
+        loop {
+            let jobs: Vec<(DocId, Vec<UpdateOp>)> = a
+                .by_ref()
+                .take(2)
+                .map(|ops| (ids[0], ops.clone()))
+                .chain(b.next().map(|ops| (ids[1], ops.clone())))
+                .collect();
+            if jobs.is_empty() {
+                break;
+            }
+            let (results, _) = live.apply_batch_many(&jobs);
+            assert!(results.iter().all(Result::is_ok), "seed {seed}: workload is valid");
+        }
+
+        let twin = DomStore::new().with_debt_threshold(THRESHOLD);
+        let twin_ids = loaded(&twin);
+        for (&id, doc_batches) in twin_ids.iter().zip(&batches) {
+            for ops in doc_batches {
+                twin.apply_batch(id, ops).expect("workload is valid");
+            }
+        }
+
+        for (d, (&id, &twin_id)) in ids.iter().zip(&twin_ids).enumerate() {
+            let context = format!("seed {seed}, document {d}");
+            let (got, want) = (
+                serialize::encode(&live.grammar(id).unwrap()),
+                serialize::encode(&twin.grammar(twin_id).unwrap()),
+            );
+            assert!(got == want, "{context}: grammar bytes differ ({} vs {} B)", got.len(), want.len());
+            assert_eq!(
+                live.recompressions(id).unwrap(),
+                twin.recompressions(twin_id).unwrap(),
+                "{context}: recompressions"
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@
 //!
 //! under three recompression modes ([`Recompress`]): none, a forced
 //! recompression every few calls (the paper's fixed-interval policy), and
-//! the store's own inline debt sweep. Every step asserts **byte-identical
+//! the store's own per-call debt trigger. Every step asserts **byte-identical
 //! XML serialization** (every operation on the single-op path, every batch
 //! on the batched path). The harness also pins the isolation growth bound
 //! and the labels isolation resolves when one session isolates many targets.
@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
 use slt_xml::datasets::Dataset;
 use slt_xml::grammar_repair::isolate::IsolationBatch;
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::RepairError;
 use slt_xml::sltgrammar::derive::val;
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
@@ -61,13 +60,13 @@ impl Oracle {
 /// How a [`Subject`] restores compression between calls.
 #[derive(Clone, Copy, Debug)]
 enum Recompress {
-    /// Never: the scheduler's threshold is `usize::MAX`.
+    /// Never: the store's debt threshold is `usize::MAX`.
     Never,
     /// A forced `DomStore::recompress` after every `n`-th call — the paper's
     /// fixed-interval policy, counted by the caller.
     Every(usize),
-    /// The store's inline debt sweep at this threshold, run after every call
-    /// that changed the grammar.
+    /// The store's debt trigger at this threshold: a call that changed the
+    /// grammar recompresses it once its debt reaches the threshold.
     Debt(usize),
 }
 
@@ -86,10 +85,7 @@ impl Subject {
             Recompress::Debt(threshold) => threshold,
             Recompress::Never | Recompress::Every(_) => usize::MAX,
         };
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            debt_threshold,
-            ..SchedulerConfig::default()
-        });
+        let store = DomStore::new().with_debt_threshold(debt_threshold);
         let doc = store.load_xml(xml).expect("valid document");
         Subject {
             store,

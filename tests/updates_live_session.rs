@@ -6,7 +6,7 @@
 //! and rename-heavy mixes, one op and a few ops at a time — through a store
 //! document and through a **twin grammar** on the sessionless path,
 //! interleaving everything that could make a kept session stale: snapshot
-//! reads (the next write copies the grammar), forced and scheduler-driven
+//! reads (the next write copies the grammar), forced and debt-triggered
 //! recompressions, deletes that `gc` rules away, and requests that fail
 //! before, during and after isolation. After **every** call
 //!
@@ -20,7 +20,6 @@
 use slt_xml::datasets::random::{medline_like, treebank_like, xmark_like};
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
 use slt_xml::grammar_repair::repair::GrammarRePair;
-use slt_xml::grammar_repair::store::SchedulerConfig;
 use slt_xml::grammar_repair::update;
 use slt_xml::grammar_repair::RepairError;
 use slt_xml::sltgrammar::derive::val;
@@ -92,7 +91,7 @@ struct Lockstep {
     oracle: Oracle,
     repair: GrammarRePair,
     recompressions: usize,
-    /// How many of them the scheduler's inline sweeps ran.
+    /// How many of them the calls' own debt triggers ran.
     swept: usize,
     context: String,
     calls: usize,
@@ -100,11 +99,8 @@ struct Lockstep {
 
 impl Lockstep {
     fn new(xml: &XmlTree, context: String) -> Self {
-        let store = DomStore::new().with_scheduler(SchedulerConfig {
-            // Low enough that inline sweeps fire several times per scenario.
-            debt_threshold: 96,
-            ..SchedulerConfig::default()
-        });
+        // Low enough that debt triggers fire several times per scenario.
+        let store = DomStore::new().with_debt_threshold(96);
         // Seeds the shared alphabet with a rank-1 label (see the constant).
         store
             .load_grammar(parse_grammar(&format!("S -> {RANK_CONFLICT_LABEL}(#)")).unwrap())
@@ -139,13 +135,13 @@ impl Lockstep {
         for op in oracle_ops {
             self.oracle.apply(op);
         }
-        // A sweep (inline, whole-store) may have recompressed the document,
-        // after an `Err` too; mirror it on the twin.
+        // The call's debt trigger may have recompressed the document, after
+        // an `Err` too; mirror it on the twin.
         let recompressions = self.store.recompressions(self.doc).unwrap();
         let swept = recompressions > self.recompressions;
         assert!(
             recompressions <= self.recompressions + 1,
-            "{context}: one sweep per call"
+            "{context}: at most one recompression per call"
         );
         if swept {
             self.repair.recompress(&mut self.twin);
@@ -158,7 +154,7 @@ impl Lockstep {
                 assert_eq!(
                     report.drained.iter().any(|(id, _)| *id == self.doc),
                     swept,
-                    "{context}: the report names the sweep"
+                    "{context}: the report names the recompression"
                 );
             }
             (Err(e), Err(twin_e)) => assert_eq!(e, twin_e, "{context}: error value"),
@@ -315,7 +311,7 @@ fn live_session_is_indistinguishable_from_a_session_per_call() {
     }
     assert!(
         swept >= 9,
-        "inline sweeps must interleave too (saw {swept})"
+        "debt-triggered recompressions must interleave too (saw {swept})"
     );
 }
 
