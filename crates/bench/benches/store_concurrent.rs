@@ -1,7 +1,7 @@
 //! Criterion benches for the concurrent `DomStore`: snapshot-read throughput
 //! across thread counts, cross-document write throughput (serial batches vs
-//! the parallel `apply_batch_many` fan-out), and reader latency while the
-//! background maintenance thread recompresses under write churn.
+//! the parallel `apply_batch_many` fan-out), and reader latency while a
+//! writer's own jobs recompress the document under write churn.
 //!
 //! The `store_concurrent` group is part of the committed
 //! `BENCH_compression.json` baseline and gated in CI (`bench_gate`). Thread
@@ -144,9 +144,9 @@ fn bench_store_concurrent(c: &mut Criterion) {
     );
 
     // Reader latency: one snapshot query against the hot document, first on
-    // a quiescent store, then while a churn thread batches updates and the
-    // background maintenance thread recompresses aside. The MVCC swap
-    // keeps the two within a small factor — readers never wait for
+    // a quiescent store, then while a churn thread batches updates whose own
+    // jobs recompress the document inline, aside, once it is due. The MVCC
+    // swap keeps the two within a small factor — readers never wait for
     // recompression.
     let hot = ids[0];
     let query = PathQuery::parse("//message").expect("valid query");
@@ -158,8 +158,7 @@ fn bench_store_concurrent(c: &mut Criterion) {
         },
     );
 
-    let mut churn_store = loaded_store(&docs);
-    churn_store.start_maintenance(Duration::from_millis(1));
+    let churn_store = loaded_store(&docs);
     let churn_ops = random_update_sequence(&docs[0], 4000, 0xFEED, WorkloadMix::clustered(0.85));
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -168,7 +167,8 @@ fn bench_store_concurrent(c: &mut Criterion) {
         let ops_ref = &churn_ops;
         scope.spawn(move || {
             // Endless write churn: cycle the schedule in small batches with
-            // short pauses, keeping the maintenance thread busy draining.
+            // short pauses; every batch that leaves the document due
+            // recompresses it before the next one.
             // Only the first pass targets the document the schedule was
             // generated against; a replayed batch may address nodes that
             // have moved since, and is then allowed to fail.
@@ -193,7 +193,6 @@ fn bench_store_concurrent(c: &mut Criterion) {
         );
         stop.store(true, Ordering::Relaxed);
     });
-    churn_store.stop_maintenance();
 
     group.finish();
 }

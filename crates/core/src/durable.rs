@@ -78,11 +78,10 @@
 //! Recovery reads the checkpoint (if any), adopts the symbol-table image
 //! wholesale and installs every document as an undecoded lazy payload
 //! (decoded on first touch — cold start is O(open) + O(touched docs), not
-//! O(fleet)), then replays log records with `lsn > checkpoint_lsn`,
-//! skipping per-document updates with `lsn <= doc_lsn`. This writer sets
-//! every `doc_lsn` to `base_lsn`; images from older writers, which
-//! serialized documents one at a time while updates flowed, can carry a
-//! later one, and the filter keeps those readable. A torn final record is
+//! O(fleet)), then replays log records with `lsn > checkpoint_lsn`: one
+//! horizon for every document, since each is cut at `base_lsn`. An image
+//! whose extent records any other `doc_lsn` is refused as corrupt, a
+//! typed [`RepairError::Storage`] error. A torn final record is
 //! truncated silently; genuinely corrupt records surface as
 //! [`RepairError::WalCorrupt`]. Replayed operations that failed originally
 //! (stale ids, out-of-range targets) fail identically on replay — per-op
@@ -95,7 +94,6 @@
 //! error rather than ignored: silently starting empty would replay the log
 //! tail onto the wrong state.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -251,19 +249,12 @@ impl DurableStore {
         let ckpt = checkpoint_path(dir);
         let store = DomStore::new();
         let mut report = RecoveryReport::default();
-        // Per-document fold horizons of a v3 checkpoint: replay skips a
-        // document's updates at or below its recorded `doc_lsn`.
-        let mut doc_lsns: HashMap<DocId, u64> = HashMap::new();
 
         if let Some(bytes) = fs.read(&ckpt)? {
             let image = decode_checkpoint(&bytes)?;
             report.checkpoint_lsn = image.base_lsn;
             report.checkpoint_docs = image.docs.len();
-            let mut lazy = Vec::with_capacity(image.docs.len());
-            for doc in image.docs {
-                doc_lsns.insert(doc.id, doc.doc_lsn);
-                lazy.push((doc.id, doc.payload, doc.crc));
-            }
+            let lazy = image.docs.into_iter().map(|doc| (doc.id, doc.payload, doc.crc)).collect();
             store.restore_slab_lazy(image.layout, image.segments, lazy)?;
         }
         report.checkpoint_elapsed = open_start.elapsed();
@@ -277,15 +268,11 @@ impl DurableStore {
             fs.set_len(&log, replay.valid_len)?;
             fs.sync(&log)?;
         }
-        let horizon = report.checkpoint_lsn.max(replay.last_lsn());
-        report.last_lsn = doc_lsns.values().fold(horizon, |last, &doc_lsn| last.max(doc_lsn));
+        report.last_lsn = report.checkpoint_lsn.max(replay.last_lsn());
         for (lsn, offset, entry) in replay.records {
             if lsn <= report.checkpoint_lsn {
-                continue; // already folded into the checkpoint for every doc
+                continue; // already folded into the checkpoint
             }
-            let Some(entry) = filter_folded(entry, lsn, &doc_lsns) else {
-                continue; // folded into every targeted document's extent
-            };
             apply_entry(&store, lsn, offset, entry)?;
             report.replayed += 1;
         }
@@ -390,7 +377,7 @@ impl DurableStore {
             .into_iter()
             .map(|(id, doc)| {
                 let (payload, crc) = doc.encode();
-                DocExtent { id, doc_lsn: base_lsn, payload, crc }
+                DocExtent { id, payload, crc }
             })
             .collect();
         let bytes = encode_checkpoint_v3(base_lsn, &layout, &segments, &docs);
@@ -511,11 +498,10 @@ fn ckpt_err(detail: impl Into<String>) -> RepairError {
 // ----- checkpoint v3 (paged, offset-indexed; layout in `crate::wal`) -----
 
 /// One document's extent in a v3 checkpoint: the serialized grammar bytes,
-/// the LSN horizon folded into them, and the CRC the lazy materialization
-/// path verifies on first touch.
+/// cut at the image's `base_lsn`, and the CRC the lazy materialization path
+/// verifies on first touch.
 struct DocExtent {
     id: DocId,
-    doc_lsn: u64,
     payload: Vec<u8>,
     crc: u32,
 }
@@ -569,7 +555,7 @@ fn encode_checkpoint_v3(
     let mut payload_off = 0u64;
     for doc in docs {
         write_doc(&mut extents, doc.id);
-        wire::write_varint(&mut extents, doc.doc_lsn);
+        wire::write_varint(&mut extents, base_lsn); // the extent's `doc_lsn`
         wire::write_varint(&mut extents, payload_off);
         wire::write_varint(&mut extents, doc.payload.len() as u64);
         extents.extend_from_slice(&doc.crc.to_le_bytes());
@@ -736,6 +722,14 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
     for _ in 0..doc_count {
         let id = read_doc(&mut r).map_err(ckpt_err)?;
         let doc_lsn = r.varint().map_err(fail)?;
+        if doc_lsn != base_lsn {
+            return Err(ckpt_err(format!(
+                "v3 document (slot {}, generation {}) is cut at lsn {doc_lsn}, not at the \
+                 image's base lsn {base_lsn}",
+                id.slot(),
+                id.generation()
+            )));
+        }
         let payload_off = r.varint().map_err(fail)?;
         let payload_len = r.varint().map_err(fail)?;
         let crc = u32::from_le_bytes(r.bytes(4).map_err(fail)?.try_into().expect("4 bytes"));
@@ -750,12 +744,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
             })?;
         let start = (docs_off + payload_off) as usize;
         let payload = bytes[start..start + payload_len as usize].to_vec();
-        docs.push(DocExtent {
-            id,
-            doc_lsn,
-            payload,
-            crc,
-        });
+        docs.push(DocExtent { id, payload, crc });
     }
     if !r.finished() {
         return Err(ckpt_err("v3 extents section has trailing bytes"));
@@ -766,23 +755,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
         segments,
         docs,
     })
-}
-
-/// Drops (or trims) a replayed record whose effects the checkpoint already
-/// folded into a document extent. A record counts as replayed only when
-/// some part of it survives this filter. Only images from older writers
-/// carry a `doc_lsn` above `base_lsn`; those writers let loads and removes
-/// wait out the checkpoint, so lifecycle records are never filtered.
-fn filter_folded(entry: WalEntry, lsn: u64, doc_lsns: &HashMap<DocId, u64>) -> Option<WalEntry> {
-    let folded = |doc: &DocId| doc_lsns.get(doc).is_some_and(|&d| lsn <= d);
-    match entry {
-        WalEntry::ApplyBatch { doc, .. } if folded(&doc) => None,
-        WalEntry::ApplyMany { mut jobs } => {
-            jobs.retain(|(doc, _)| !folded(doc));
-            (!jobs.is_empty()).then_some(WalEntry::ApplyMany { jobs })
-        }
-        other => Some(other),
-    }
 }
 
 #[cfg(test)]
@@ -1215,7 +1187,7 @@ mod tests {
         assert_eq!((report.last_lsn, report.documents), (3, 3));
         assert!(!report.log_truncated, "writes landed after the cut");
         let image = decode_checkpoint(&fs.inner.file("db/checkpoint.slck").unwrap()).unwrap();
-        assert!(image.base_lsn == 3 && image.docs.iter().all(|extent| extent.doc_lsn == 3));
+        assert_eq!((image.base_lsn, image.docs.len()), (3, 3));
 
         let documents = |store: &DurableStore| -> Vec<(DocId, String)> {
             let xml = |id| store.to_xml(id).unwrap().to_xml();
@@ -1265,33 +1237,33 @@ mod tests {
     }
 
     #[test]
-    fn images_with_a_doc_lsn_past_base_skip_exactly_the_folded_records() {
-        // Older writers serialized documents one at a time while updates
-        // flowed, so an extent could fold records past `base_lsn`. Build
-        // such an image by hand: base 1 (the load), doc extent at lsn 2 (an
-        // insert, which must not apply twice), and a log holding lsn 3 too.
+    fn images_with_a_doc_lsn_past_base_are_refused() {
+        // Every extent is cut at `base_lsn`, so replay keeps one horizon.
+        // An image whose header says base 1 while its extent records lsn 2
+        // (the load, then an insert that must not apply twice) is refused,
+        // at decode and at open.
         let (fs, store) = mem_store();
         let a = store.load_xml(&doc("feed", 3)).unwrap();
         let insert = UpdateOp::InsertBefore { target: 1, fragment: parse_xml("<ad/>").unwrap() };
         store.apply_batch(a, std::slice::from_ref(&insert)).unwrap();
-        let (layout, cut) = store.store.checkpoint_cut();
-        let docs: Vec<DocExtent> = cut
-            .into_iter()
-            .map(|(id, doc)| {
-                let (payload, crc) = doc.encode();
-                DocExtent { id, doc_lsn: 2, payload, crc }
-            })
-            .collect();
-        let image = encode_checkpoint_v3(1, &layout, &store.store.symbol_image(), &docs);
-        let rename = UpdateOp::Rename { target: 1, label: "entry".into() };
-        store.apply_batch(a, std::slice::from_ref(&rename)).unwrap();
-        let want = store.to_xml(a).unwrap().to_xml();
+        store.checkpoint().unwrap();
         drop(store);
-        fs.set_file("db/checkpoint.slck", image);
+        let mut image = fs.file("db/checkpoint.slck").unwrap();
+        assert_eq!(decode_checkpoint(&image).unwrap().base_lsn, 2);
+        image[5..13].copy_from_slice(&1u64.to_le_bytes());
+        let header_crc = sltgrammar::crc32::crc32(&image[5..77]);
+        image[77..81].copy_from_slice(&header_crc.to_le_bytes());
+        fs.set_file("db/checkpoint.slck", image.clone());
 
-        let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
-        assert_eq!((report.checkpoint_lsn, report.replayed, report.last_lsn), (1, 1, 3));
-        assert_eq!(recovered.to_xml(a).unwrap().to_xml(), want);
+        let refused = |result: Result<()>| match result {
+            Err(RepairError::Storage { detail }) => {
+                assert!(detail.starts_with("checkpoint corrupt"), "{detail}");
+                assert!(detail.contains("lsn 2") && detail.contains("base lsn 1"), "{detail}");
+            }
+            other => panic!("expected a corrupt-checkpoint error, got {other:?}"),
+        };
+        refused(decode_checkpoint(&image).map(drop));
+        refused(DurableStore::open_with(fs, "db").map(drop));
     }
 
     #[test]

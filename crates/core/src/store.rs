@@ -10,9 +10,9 @@
 //! document is a store of one.
 //! The store is `Send + Sync`: many threads share one `DomStore` (or clones
 //! of an `Arc<DomStore>`), reads wait on a writer at most for a pointer
-//! swap, writes to distinct
-//! documents proceed in parallel, and a background thread can take
-//! recompression off the request path.
+//! swap, and writes to distinct documents proceed in parallel. A write
+//! that leaves its document due for recompression runs that recompression
+//! itself, before it returns.
 //!
 //! # Concurrency architecture: shards, snapshots, epochs
 //!
@@ -48,8 +48,7 @@
 //! its own write (the publish path catches up through the uncontended lock).
 //!
 //! **Recompression swaps atomically.** A recompression (triggered by a job's
-//! debt, forced by [`DomStore::recompress`], or run by [`DomStore::maintain`]
-//! and the background thread)
+//! debt, forced by [`DomStore::recompress`], or run by [`DomStore::maintain`])
 //! recompresses **aside** — on a copy-on-write clone under the shard lock,
 //! never touching the published snapshot — and then publishes the result
 //! with one atomic swap. In-flight readers finish on the old snapshot `Arc`
@@ -81,7 +80,7 @@
 //! plus a local splice; the precomputation is meant to be paid once per
 //! document, not once per update. A shard's write state is therefore the
 //! grammar **and** an `Option<`[`IsolationBatch`]`>` under the one shard
-//! mutex. `StoreInner::apply_batch_one` — the only writer every layer above
+//! mutex. `DomStore::apply_batch_one` — the only writer every layer above
 //! funnels into, recovery replay included — takes the session (building it
 //! with one size-only pass over the grammar if absent), runs the batch
 //! through it ([`crate::update::apply_batch_in`]) and puts it back. The
@@ -138,8 +137,8 @@
 //! carries both slot and generation, so a stale id held across a
 //! remove/insert cycle fails with [`RepairError::NoSuchDocument`] instead of
 //! silently addressing whichever document reused the slot (ABA safety —
-//! a prerequisite for handing ids to concurrent holders). Maintenance sweeps
-//! iterate the live list only, so heavy churn does not grow them.
+//! a prerequisite for handing ids to concurrent holders). [`DomStore::maintain`]
+//! iterates the live list only, so heavy churn does not grow its scan.
 //!
 //! # Debt-based recompression, decided per job
 //!
@@ -155,15 +154,13 @@
 //! mutates nothing recompresses nothing, and no request ever recompresses
 //! another document.
 //!
-//! The recompression finishes before the document's next job, so a
-//! document's bytes are a function of its own job sequence: not of how its
-//! jobs were grouped into calls, nor of other documents' debt. Replaying
-//! the same jobs reproduces the same bytes.
-//!
-//! With a background thread attached ([`DomStore::start_maintenance`]), a
-//! due job signals it instead, and the thread's [`DomStore::maintain`]
-//! recompresses every document at or over the threshold off the request
-//! path. Its recompression points then depend on timing again.
+//! The recompression runs on the job's own thread and finishes before the
+//! document's next job, so a document's bytes are a function of its own
+//! job sequence: not of how its jobs were grouped into calls, nor of other
+//! documents' debt, nor of thread timing. Replaying the same jobs
+//! reproduces the same bytes. It holds the document's shard lock while it
+//! runs: readers keep the published snapshot, and the document's next
+//! write waits.
 //!
 //! The paper's fixed-interval policy ("recompress every 100 updates") is a
 //! caller's loop: count calls and run [`DomStore::recompress`].
@@ -192,8 +189,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sltgrammar::crc32::crc32;
 use sltgrammar::fingerprint::derived_size;
@@ -285,8 +281,8 @@ const DEFAULT_DEBT_THRESHOLD: usize = 512;
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceReport {
     /// `(document, recompression stats)`. For the apply calls: the jobs' own
-    /// recompressions, in job order (empty with a background thread
-    /// attached). For [`DomStore::maintain`]: in live order.
+    /// recompressions, in job order. For [`DomStore::maintain`]: in live
+    /// order.
     pub drained: Vec<(DocId, RepairStats)>,
 }
 
@@ -440,7 +436,7 @@ struct WriteState {
     grammar: Arc<Grammar>,
     /// The size tables of `grammar`, kept from the last successful batch.
     /// `None` until the first write, and again after anything but
-    /// [`StoreInner::apply_batch_one`] touched the grammar.
+    /// [`DomStore::apply_batch_one`] touched the grammar.
     session: Option<IsolationBatch>,
 }
 
@@ -588,29 +584,8 @@ impl DocMap {
     }
 }
 
-/// Signals between the request path and the background maintenance thread.
-#[derive(Debug, Default)]
-struct WorkerSignal {
-    pending: bool,
-    shutdown: bool,
-}
-
-/// The shared interior of a [`DomStore`] (see the module docs for the lock
-/// discipline).
-#[derive(Debug)]
-struct StoreInner {
-    symbols: Mutex<SymbolTable>,
-    map: RwLock<DocMap>,
-    repair: GrammarRePair,
-    /// A document is due for recompression once its debt reaches this.
-    debt_threshold: AtomicUsize,
-    /// Fast check on the update path: is a background thread attached?
-    worker_attached: AtomicBool,
-    worker: Mutex<WorkerSignal>,
-    wake: Condvar,
-}
-
-impl StoreInner {
+/// Private helpers (see the module docs for the lock discipline).
+impl DomStore {
     /// The document map's read guard. Hold it only to copy out of the map:
     /// never across a shard lock (see the module docs).
     fn map(&self) -> RwLockReadGuard<'_, DocMap> {
@@ -732,7 +707,10 @@ impl StoreInner {
         Ok(())
     }
 
-    fn insert_doc(&self, grammar: Grammar) -> DocId {
+    /// Adds a compressed grammar to the slab: the last step of every load,
+    /// and the one [`crate::durable`] runs under its commit order after
+    /// [`DomStore::compress_for_load`].
+    pub(crate) fn insert_loaded(&self, grammar: Grammar) -> DocId {
         let shard = Arc::new(DocShard::new(grammar));
         let mut map = self.map_mut();
         let slot = map.free.pop().unwrap_or_else(|| {
@@ -797,11 +775,6 @@ impl StoreInner {
         if !mutated || !self.due(&shard) {
             return (result, None);
         }
-        if self.worker_attached.load(Ordering::Acquire) {
-            self.worker.lock().expect("worker lock never poisoned").pending = true;
-            self.wake.notify_one();
-            return (result, None);
-        }
         (result, Some(self.recompress_locked(&shard, state)))
     }
 
@@ -809,37 +782,6 @@ impl StoreInner {
     /// 1: a document without debt is never due).
     fn due(&self, shard: &DocShard) -> bool {
         shard.debt() >= self.debt_threshold.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Recompresses every due document, in live order.
-    fn maintain(&self) -> MaintenanceReport {
-        // Debts are atomics: the scan takes no shard lock, and the guard is
-        // gone before anything below resolves or recompresses.
-        let due: Vec<DocId> = {
-            let map = self.map();
-            map.live
-                .iter()
-                .copied()
-                .filter(|&id| map.get(id).is_some_and(|shard| self.due(shard)))
-                .collect()
-        };
-        let mut report = MaintenanceReport::default();
-        for id in due {
-            // Re-resolve and re-check under the lock: the document may have
-            // been removed, or recompressed by its own job, since the scan.
-            let Ok(shard) = self.resolve(id) else { continue };
-            let mut guard = shard.write.lock().expect("shard lock never poisoned");
-            if self.due(&shard) {
-                report.drained.push((id, self.recompress_locked(&shard, &mut guard)));
-            }
-        }
-        report
-    }
-
-    fn recompress(&self, doc: DocId) -> Result<RepairStats> {
-        let shard = self.resolve(doc)?;
-        let mut guard = shard.write.lock().expect("shard lock never poisoned");
-        Ok(self.recompress_locked(&shard, &mut guard))
     }
 
     /// Recompresses `shard`'s write state, whose lock the caller holds, and
@@ -908,8 +850,11 @@ fn fan_out<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
 /// distinct documents run in parallel.
 #[derive(Debug)]
 pub struct DomStore {
-    inner: Arc<StoreInner>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    symbols: Mutex<SymbolTable>,
+    map: RwLock<DocMap>,
+    repair: GrammarRePair,
+    /// A document is due for recompression once its debt reaches this.
+    debt_threshold: AtomicUsize,
 }
 
 // Compile-time guarantee: the store and its snapshots cross threads.
@@ -929,12 +874,14 @@ impl Clone for DomStore {
     /// Clones the store's *contents*: the copy shares grammar data
     /// structurally (copy-on-write, so writes to either side never show in
     /// the other) but has its own locks, debt threshold, and document map,
-    /// with every [`DocId`] preserved. The clone starts without a background
-    /// maintenance thread.
+    /// with every [`DocId`] preserved. It is the cheap way to a fresh copy
+    /// of a loaded store, with no document recompressed: the store benches
+    /// clone one per iteration so every iteration writes to the same
+    /// starting state.
     fn clone(&self) -> Self {
-        let master = self.inner.symbols.lock().expect("master lock").clone();
+        let master = self.symbols.lock().expect("master lock").clone();
         // Duplicating a shard takes its lock: walk a copy of the map.
-        let src = self.inner.map().clone();
+        let src = self.map().clone();
         let slots = src
             .slots
             .iter()
@@ -951,23 +898,11 @@ impl Clone for DomStore {
             live: src.live,
         };
         DomStore {
-            inner: Arc::new(StoreInner {
-                symbols: Mutex::new(master),
-                map: RwLock::new(map),
-                repair: self.inner.repair.clone(),
-                debt_threshold: AtomicUsize::new(self.debt_threshold()),
-                worker_attached: AtomicBool::new(false),
-                worker: Mutex::new(WorkerSignal::default()),
-                wake: Condvar::new(),
-            }),
-            worker: None,
+            symbols: Mutex::new(master),
+            map: RwLock::new(map),
+            repair: self.repair.clone(),
+            debt_threshold: AtomicUsize::new(self.debt_threshold()),
         }
-    }
-}
-
-impl Drop for DomStore {
-    fn drop(&mut self) {
-        self.stop_maintenance();
     }
 }
 
@@ -975,16 +910,10 @@ impl DomStore {
     /// Creates an empty store with the default debt threshold (512 edges).
     pub fn new() -> Self {
         DomStore {
-            inner: Arc::new(StoreInner {
-                symbols: Mutex::new(SymbolTable::new()),
-                map: RwLock::new(DocMap::default()),
-                repair: GrammarRePair::default(),
-                debt_threshold: AtomicUsize::new(DEFAULT_DEBT_THRESHOLD),
-                worker_attached: AtomicBool::new(false),
-                worker: Mutex::new(WorkerSignal::default()),
-                wake: Condvar::new(),
-            }),
-            worker: None,
+            symbols: Mutex::new(SymbolTable::new()),
+            map: RwLock::new(DocMap::default()),
+            repair: GrammarRePair::default(),
+            debt_threshold: AtomicUsize::new(DEFAULT_DEBT_THRESHOLD),
         }
     }
 
@@ -996,79 +925,14 @@ impl DomStore {
 
     /// The debt (edges) at which a job's document is due for recompression.
     pub fn debt_threshold(&self) -> usize {
-        self.inner.debt_threshold.load(Ordering::Relaxed)
+        self.debt_threshold.load(Ordering::Relaxed)
     }
 
     /// Sets the debt threshold. It is taken as at least 1, since a document
     /// without debt is never due; `usize::MAX` leaves every document to
     /// [`DomStore::recompress`].
     pub fn set_debt_threshold(&self, edges: usize) {
-        self.inner.debt_threshold.store(edges, Ordering::Relaxed);
-    }
-
-    // ----- background maintenance -----
-
-    /// Starts the background maintenance thread: it runs [`DomStore::maintain`]
-    /// whenever a job leaves its document due and at least every `poll` as
-    /// a fallback, recompressing aside and swapping snapshots in atomically —
-    /// readers never wait on it. With a worker attached, jobs recompress
-    /// nothing themselves and the `apply_batch` calls return empty
-    /// [`MaintenanceReport`]s; observe [`DomStore::recompressions`] for
-    /// counts. No-op if a worker is already running.
-    pub fn start_maintenance(&mut self, poll: Duration) {
-        if self.worker.is_some() {
-            return;
-        }
-        {
-            let mut signal = self.inner.worker.lock().expect("worker lock");
-            signal.shutdown = false;
-            signal.pending = false;
-        }
-        self.inner.worker_attached.store(true, Ordering::Release);
-        let inner = self.inner.clone();
-        self.worker = Some(std::thread::spawn(move || {
-            loop {
-                {
-                    let mut signal = inner.worker.lock().expect("worker lock");
-                    while !signal.pending && !signal.shutdown {
-                        let (guard, timeout) = inner
-                            .wake
-                            .wait_timeout(signal, poll)
-                            .expect("worker lock never poisoned");
-                        signal = guard;
-                        if timeout.timed_out() {
-                            break; // periodic sweep even without signals
-                        }
-                    }
-                    if signal.shutdown {
-                        return;
-                    }
-                    signal.pending = false;
-                }
-                inner.maintain();
-            }
-        }));
-    }
-
-    /// Stops and joins the background maintenance thread (no-op without
-    /// one). Pending debt stays until the document's next mutating job, or
-    /// the next [`DomStore::maintain`], recompresses it.
-    pub fn stop_maintenance(&mut self) {
-        self.inner.worker_attached.store(false, Ordering::Release);
-        if let Some(handle) = self.worker.take() {
-            {
-                let mut signal = self.inner.worker.lock().expect("worker lock");
-                signal.shutdown = true;
-            }
-            self.inner.wake.notify_all();
-            let _ = handle.join();
-            self.inner.worker.lock().expect("worker lock").shutdown = false;
-        }
-    }
-
-    /// Whether a background maintenance thread is currently attached.
-    pub fn maintenance_running(&self) -> bool {
-        self.worker.is_some()
+        self.debt_threshold.store(edges, Ordering::Relaxed);
     }
 
     // ----- loading and membership -----
@@ -1090,13 +954,8 @@ impl DomStore {
     /// load between this and [`DomStore::insert_loaded`], so compression
     /// stays outside its commit order.
     pub(crate) fn compress_for_load(&self, xml: &XmlTree) -> Result<Grammar> {
-        let mut table = self.inner.intern_labels(xml)?;
-        Ok(self.inner.repair.compress_xml_shared(xml, &mut table)?.0)
-    }
-
-    /// Adds a grammar from [`DomStore::compress_for_load`] to the slab.
-    pub(crate) fn insert_loaded(&self, grammar: Grammar) -> DocId {
-        self.inner.insert_doc(grammar)
+        let mut table = self.intern_labels(xml)?;
+        Ok(self.repair.compress_xml_shared(xml, &mut table)?.0)
     }
 
     /// Loads many documents, compressing them in parallel on a small worker
@@ -1110,18 +969,17 @@ impl DomStore {
     pub fn load_many(&self, xmls: &[XmlTree]) -> Result<Vec<DocId>> {
         let mut tables = Vec::with_capacity(xmls.len());
         for xml in xmls {
-            tables.push(self.inner.intern_labels(xml)?);
+            tables.push(self.intern_labels(xml)?);
         }
         let grammars = fan_out(xmls.len(), |i| {
             let mut table = tables[i].clone();
-            self.inner
-                .repair
+            self.repair
                 .compress_xml_shared(&xmls[i], &mut table)
                 .map(|(grammar, _)| grammar)
         });
         let mut ids = Vec::with_capacity(xmls.len());
         for grammar in grammars {
-            ids.push(self.inner.insert_doc(grammar?));
+            ids.push(self.insert_loaded(grammar?));
         }
         Ok(ids)
     }
@@ -1140,8 +998,8 @@ impl DomStore {
     /// touching the master table) when a *used* label clashes with a
     /// different rank already interned in the store.
     pub fn load_grammar(&self, mut grammar: Grammar) -> Result<DocId> {
-        self.inner.rebase_onto_master(&mut grammar)?;
-        Ok(self.inner.insert_doc(grammar))
+        self.rebase_onto_master(&mut grammar)?;
+        Ok(self.insert_loaded(grammar))
     }
 
     /// Removes a document and returns its grammar (with its private table).
@@ -1154,9 +1012,9 @@ impl DomStore {
         // A lazily restored document is decoded first: the call returns the
         // grammar, and a corrupt payload must surface as the typed decode
         // error here rather than as a bogus `NoSuchDocument`.
-        self.inner.resolve(doc)?;
+        self.resolve(doc)?;
         let shard = {
-            let mut map = self.inner.map_mut();
+            let mut map = self.map_mut();
             let entry = map
                 .slots
                 .get_mut(doc.index())
@@ -1186,7 +1044,7 @@ impl DomStore {
     /// Whether `doc` names a live document (including one still in
     /// undecoded, lazily restored form).
     pub fn contains(&self, doc: DocId) -> bool {
-        self.inner.map().slots.get(doc.index()).is_some_and(|slot| {
+        self.map().slots.get(doc.index()).is_some_and(|slot| {
             slot.generation == doc.generation
                 && (slot.shard.is_some() || slot.pending.is_some())
         })
@@ -1194,12 +1052,12 @@ impl DomStore {
 
     /// Ids of all live documents, in insertion order.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        self.inner.map().live.clone()
+        self.map().live.clone()
     }
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        self.inner.map().live.len()
+        self.map().live.len()
     }
 
     /// Whether the store holds no documents.
@@ -1211,7 +1069,7 @@ impl DomStore {
 
     /// The master symbol table (a clone sharing the sealed segments — cheap).
     pub fn symbols(&self) -> SymbolTable {
-        self.inner.symbols.lock().expect("master lock").clone()
+        self.symbols.lock().expect("master lock").clone()
     }
 
     /// Resident label-table footprint of the store, deduplicating shared
@@ -1231,12 +1089,12 @@ impl DomStore {
             stats.private_bytes += table.local_heap_bytes();
         };
         {
-            let master = self.inner.symbols.lock().expect("master lock");
+            let master = self.symbols.lock().expect("master lock");
             stats.master_symbols = master.len();
             visit(&master, &mut stats);
         }
         // Reading a write state takes its shard lock: walk a copy of the map.
-        let map = self.inner.map().clone();
+        let map = self.map().clone();
         for &id in &map.live {
             let Some(shard) = map.get(id) else { continue };
             let write = shard.grammar();
@@ -1264,7 +1122,7 @@ impl DomStore {
     /// The snapshot stays valid (and immutable) for as long as it is held,
     /// across concurrent updates, recompressions, and removal.
     pub fn snapshot(&self, doc: DocId) -> Result<Snapshot> {
-        Ok(self.inner.resolve(doc)?.snapshot())
+        Ok(self.resolve(doc)?.snapshot())
     }
 
     /// A document's current grammar (an `Arc` into the published snapshot).
@@ -1274,7 +1132,7 @@ impl DomStore {
 
     /// Current grammar size in edges (the paper's size measure).
     pub fn edge_count(&self, doc: DocId) -> Result<usize> {
-        Ok(self.inner.resolve(doc)?.current_edges.load(Ordering::Relaxed))
+        Ok(self.resolve(doc)?.current_edges.load(Ordering::Relaxed))
     }
 
     /// Number of nodes of the document's (uncompressed) binary tree.
@@ -1284,17 +1142,17 @@ impl DomStore {
 
     /// Update debt of a document: edge growth since its last recompression.
     pub fn debt(&self, doc: DocId) -> Result<usize> {
-        Ok(self.inner.resolve(doc)?.debt())
+        Ok(self.resolve(doc)?.debt())
     }
 
     /// Number of updates applied to a document so far.
     pub fn total_updates(&self, doc: DocId) -> Result<usize> {
-        Ok(self.inner.resolve(doc)?.total_updates.load(Ordering::Relaxed))
+        Ok(self.resolve(doc)?.total_updates.load(Ordering::Relaxed))
     }
 
-    /// Number of recompressions of a document so far (scheduled or forced).
+    /// Number of recompressions of a document so far (triggered by a job, run by [`DomStore::maintain`], or forced).
     pub fn recompressions(&self, doc: DocId) -> Result<usize> {
-        Ok(self.inner.resolve(doc)?.recompressions.load(Ordering::Relaxed))
+        Ok(self.resolve(doc)?.recompressions.load(Ordering::Relaxed))
     }
 
     /// The shared [`NavTables`] of a document's published snapshot — built
@@ -1344,10 +1202,10 @@ impl DomStore {
 
     /// Applies an operation sequence to a document one op at a time through
     /// the document's isolation session (see [`crate::update`]), then
-    /// recompresses the document if this job left it due (see the module
-    /// docs) — inline, or signalled to the background thread when one is
-    /// attached (empty report then). This is the store's only write entry
-    /// point: a single op is the batch `std::slice::from_ref(&op)`.
+    /// recompresses the document on the calling thread if this job left it
+    /// due (see the module docs); the report lists that recompression. This
+    /// is the store's only write entry point: a single op is the batch
+    /// `std::slice::from_ref(&op)`.
     ///
     /// A batch that leaves the grammar untouched — empty, or failing at its
     /// first op before anything was isolated (see
@@ -1364,7 +1222,7 @@ impl DomStore {
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let (result, recompressed) = self.inner.apply_batch_one(doc, ops);
+        let (result, recompressed) = self.apply_batch_one(doc, ops);
         let drained = recompressed.map(|stats| (doc, stats)).into_iter().collect();
         result.map(|stats| (stats, MaintenanceReport { drained }))
     }
@@ -1396,7 +1254,7 @@ impl DomStore {
         let mut outcomes: Vec<_> = fan_out(groups.len(), |g| {
             groups[g]
                 .iter()
-                .map(|&i| (i, self.inner.apply_batch_one(jobs[i].0, &jobs[i].1)))
+                .map(|&i| (i, self.apply_batch_one(jobs[i].0, &jobs[i].1)))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -1416,21 +1274,45 @@ impl DomStore {
 
     /// Recompresses every document whose debt is at or over the threshold,
     /// in live order, and returns what it recompressed (possibly nothing).
-    /// Without a background thread, jobs leave no document due, so this
-    /// matters after [`DomStore::set_debt_threshold`] lowers the threshold
-    /// or the thread stops, and as the thread's loop body. Safe to call
-    /// from any thread; each recompression runs aside and swaps the
-    /// document's snapshot atomically.
+    /// Every job recompresses its own document once it is due, so only a
+    /// [`DomStore::set_debt_threshold`] that lowers the threshold leaves
+    /// documents due for this to find; otherwise it is a scan of the live
+    /// list that finds nothing (the benchmark's tracer times exactly that).
+    /// Safe to call from any thread; each recompression runs aside and
+    /// swaps the document's snapshot atomically.
     pub fn maintain(&self) -> MaintenanceReport {
-        self.inner.maintain()
+        // Debts are atomics: the scan takes no shard lock, and the guard is
+        // gone before anything below resolves or recompresses.
+        let due: Vec<DocId> = {
+            let map = self.map();
+            map.live
+                .iter()
+                .copied()
+                .filter(|&id| map.get(id).is_some_and(|shard| self.due(shard)))
+                .collect()
+        };
+        let mut report = MaintenanceReport::default();
+        for id in due {
+            // Re-resolve and re-check under the lock: the document may have
+            // been removed, or recompressed by its own job, since the scan.
+            let Ok(shard) = self.resolve(id) else { continue };
+            let mut guard = shard.write.lock().expect("shard lock never poisoned");
+            if self.due(&shard) {
+                report.drained.push((id, self.recompress_locked(&shard, &mut guard)));
+            }
+        }
+        report
     }
 
     /// Forces a recompression of one document, resetting its debt baseline.
     /// The recompression runs aside on the shard (readers stay on the old
     /// snapshot) and publishes with one atomic swap.
     pub fn recompress(&self, doc: DocId) -> Result<RepairStats> {
-        self.inner.recompress(doc)
+        let shard = self.resolve(doc)?;
+        let mut guard = shard.write.lock().expect("shard lock never poisoned");
+        Ok(self.recompress_locked(&shard, &mut guard))
     }
+
 
     /// Test seam: runs `inspect` on a document's authoritative write state —
     /// the grammar and the live isolation session, if one is kept — under
@@ -1444,7 +1326,7 @@ impl DomStore {
         doc: DocId,
         inspect: impl FnOnce(&Grammar, Option<&IsolationBatch>) -> R,
     ) -> Result<R> {
-        let shard = self.inner.resolve(doc)?;
+        let shard = self.resolve(doc)?;
         let guard = shard.write.lock().expect("shard lock never poisoned");
         Ok(inspect(&guard.grammar, guard.session.as_ref()))
     }
@@ -1460,7 +1342,7 @@ impl DomStore {
     /// identical to the original run.
     pub(crate) fn checkpoint_cut(&self) -> (SlabLayout, Vec<(DocId, CutDoc)>) {
         // Reading a write state takes its shard lock: walk a copy of the map.
-        let map = self.inner.map().clone();
+        let map = self.map().clone();
         let docs = map
             .live
             .iter()
@@ -1495,7 +1377,7 @@ impl DomStore {
         segments: Vec<(Vec<String>, Vec<usize>)>,
         docs: Vec<(DocId, Vec<u8>, u32)>,
     ) -> Result<()> {
-        let mut map = self.inner.map_mut();
+        let mut map = self.map_mut();
         if !map.live.is_empty() {
             return Err(RepairError::Storage {
                 detail: "checkpoint restore requires an empty store".to_string(),
@@ -1505,7 +1387,7 @@ impl DomStore {
             SymbolTable::from_sealed_segments(segments).map_err(|e| RepairError::Storage {
                 detail: format!("checkpoint corrupt: symbol table image: {e}"),
             })?;
-        *self.inner.symbols.lock().expect("master lock never poisoned") = master;
+        *self.symbols.lock().expect("master lock never poisoned") = master;
         let mut slots: Vec<Slot> = layout
             .generations
             .iter()
@@ -1552,7 +1434,7 @@ impl DomStore {
     /// fully sealed (loads commit sealed scratch tables), so the runs
     /// cover every shared id any document references.
     pub(crate) fn symbol_image(&self) -> Vec<(Vec<String>, Vec<usize>)> {
-        let master = self.inner.symbols.lock().expect("master lock never poisoned");
+        let master = self.symbols.lock().expect("master lock never poisoned");
         debug_assert_eq!(master.shared_len(), master.len(), "master is always sealed");
         master
             .sealed_segment_runs()
@@ -1562,7 +1444,7 @@ impl DomStore {
 
     /// Number of documents still in undecoded, lazily restored form.
     pub(crate) fn pending_count(&self) -> usize {
-        self.inner.map().slots.iter().filter(|slot| slot.pending.is_some()).count()
+        self.map().slots.iter().filter(|slot| slot.pending.is_some()).count()
     }
 }
 
@@ -1606,6 +1488,7 @@ pub(crate) struct SlabLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use xmltree::parse::parse_xml;
 
     fn doc(tag: &str, n: usize) -> XmlTree {
@@ -1955,11 +1838,11 @@ mod tests {
         assert_eq!(store.doc_ids(), vec![b]);
         assert!(store.maintain().is_empty());
         assert!(
-            self::DomStore::new().inner.map().slots.is_empty(),
+            self::DomStore::new().map().slots.is_empty(),
             "sanity: fresh stores start with no slots"
         );
         assert!(
-            store.inner.map().slots.len() <= 2,
+            store.map().slots.len() <= 2,
             "freed slots must be reused, not appended"
         );
     }
@@ -2092,45 +1975,6 @@ mod tests {
         copy.apply_batch(a, &[rename(11)]).unwrap();
         store.apply_batch(a, &[rename(11)]).unwrap();
         assert_eq!(builds() - start, 5, "the clone builds its own; the original keeps its");
-    }
-
-    #[test]
-    fn background_maintenance_drains_debt_off_the_request_path() {
-        let mut store = DomStore::new().with_debt_threshold(8);
-        store.start_maintenance(Duration::from_millis(1));
-        assert!(store.maintenance_running());
-        let xml = doc("feed", 12);
-        let elements = element_positions(&xml);
-        let a = store.load_xml(&xml).unwrap();
-        for i in 0..20 {
-            let (_, report) = store
-                .apply_batch(
-                    a,
-                    &[UpdateOp::Rename {
-                        target: elements[2 * (i % 8) + 1],
-                        label: format!("x{i}"),
-                    }],
-                )
-                .unwrap();
-            assert!(
-                report.is_empty(),
-                "with a worker attached, drains leave the request path"
-            );
-        }
-        // The worker catches up within its poll interval.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while store.debt(a).unwrap() >= 8 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(store.debt(a).unwrap() < 8, "the background thread must drain debt");
-        assert!(store.recompressions(a).unwrap() >= 1);
-        store.stop_maintenance();
-        assert!(!store.maintenance_running());
-        store.grammar(a).unwrap().validate().unwrap();
-        assert!(
-            store.to_xml(a).unwrap().to_xml().matches("x19").count() >= 1,
-            "updates and background recompression must compose"
-        );
     }
 
     #[test]

@@ -111,11 +111,10 @@
 //! the deliberate trade-off that keeps open O(1) in fleet size: bit rot in
 //! a cold document surfaces as a typed [`RepairError::Storage`] on first
 //! touch rather than at open. `doc_lsn` is the highest LSN folded into that
-//! document's payload; the writer records `base_lsn` for every extent.
-//! Older writers recorded later horizons for some documents, so replay
-//! still applies a per-document record only when its LSN exceeds that
-//! document's `doc_lsn`. No other version was ever written; a file carrying
-//! one is refused with a typed "unsupported version" error.
+//! document's payload; every document is cut at the image's `base_lsn`, so
+//! an extent recording any other `doc_lsn` is refused as corrupt. No other
+//! version was ever written; a file carrying one is refused with a typed
+//! "unsupported version" error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -1,15 +1,13 @@
-//! Concurrent reads, parallel writes, background recompression — one
+//! Concurrent reads, parallel writes, recompression under readers — one
 //! [`DomStore`] shared across threads.
 //!
-//! The walkthrough loads a fleet of documents (in parallel), starts the
-//! background maintenance thread, then serves a mixed workload: reader
-//! threads stream and query snapshots, never waiting on a writer's work,
-//! while a writer thread pushes
-//! update batches. A batch that leaves its document due for recompression
-//! signals the maintenance thread, which recompresses the document aside and
-//! atomically swaps the new snapshot in. A snapshot taken before
-//! the churn is kept alive throughout and verified byte-stable at the end —
-//! the MVCC guarantee in one line of output.
+//! The walkthrough loads a fleet of documents (in parallel), then serves a
+//! mixed workload: reader threads stream and query snapshots, never waiting
+//! on a writer's work, while a writer thread pushes update batches. A batch
+//! that leaves its document due for recompression recompresses it on the
+//! writer's own thread, aside, and atomically swaps the new snapshot in. A
+//! snapshot taken before the churn is kept alive throughout and verified
+//! byte-stable at the end — the MVCC guarantee in one line of output.
 //!
 //! Run with: `cargo run --release --example concurrent_store`
 
@@ -27,7 +25,7 @@ fn main() {
     let fleet: Vec<_> = (0..6)
         .map(|i| Dataset::ExiWeblog.generate(0.02 + 0.004 * i as f64))
         .collect();
-    let mut store = DomStore::new().with_debt_threshold(300);
+    let store = DomStore::new().with_debt_threshold(300);
     let ids = store.load_many(&fleet).expect("dataset labels intern");
     println!(
         "loaded {} documents in parallel across {} shared symbols",
@@ -35,11 +33,7 @@ fn main() {
         store.symbol_stats().master_symbols
     );
 
-    // 2. Background maintenance: updates signal the thread, drains happen
-    //    off the request path, snapshots swap atomically.
-    store.start_maintenance(Duration::from_millis(1));
-
-    // 3. Pin a snapshot of the hot document *before* any churn: it must be
+    // 2. Pin a snapshot of the hot document *before* any churn: it must be
     //    byte-stable however much the document changes behind it.
     let hot = ids[0];
     let pinned = store.snapshot(hot).expect("live doc");
@@ -63,8 +57,8 @@ fn main() {
             }
             done_ref.store(true, Ordering::Relaxed);
         });
-        // Readers: snapshot reads over the whole fleet, running
-        // at full speed while the writer and the maintenance thread work.
+        // Readers: snapshot reads over the whole fleet, running at full
+        // speed while the writer updates and recompresses the hot document.
         for t in 0..3usize {
             scope.spawn(move || {
                 let query = PathQuery::parse("//message").expect("valid query");
@@ -80,12 +74,12 @@ fn main() {
             });
         }
     });
-    store.stop_maintenance();
 
-    // 4. The numbers: reads served during the churn, background drains, and
-    //    the pinned snapshot still byte-identical to the pre-churn state.
+    // 3. The numbers: reads served during the churn, the writer's own
+    //    recompressions, and the pinned snapshot still byte-identical to the
+    //    pre-churn state.
     println!(
-        "served {} snapshot reads while updating; hot doc recompressed {} times in the background",
+        "served {} snapshot reads while updating; the writer's batches recompressed the hot doc {} times",
         reads.load(Ordering::Relaxed),
         store.recompressions(hot).expect("live doc"),
     );

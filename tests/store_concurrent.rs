@@ -4,18 +4,20 @@
 //! torn document, and a snapshot held across concurrent updates and
 //! recompressions stays byte-stable; writers to distinct documents proceed
 //! in parallel and the final state is byte-identical to a single-threaded
-//! replay of the same per-document schedules. These tests drive N reader
-//! threads, per-document writer threads and the background maintenance
-//! thread against each other and pin all of that. The schedules are
-//! deterministic; the *interleavings* are not — CI runs this suite several
-//! times in release mode to shake out races.
+//! replay of the same per-document schedules: the same document as the
+//! uncompressed oracle, and the same grammar bytes as a one-thread store,
+//! since each job recompresses its own document on its own thread. These
+//! tests drive N reader threads and per-document writer threads against
+//! each other and pin all of that. The schedules are deterministic; the
+//! *interleavings* are not — CI runs this suite several times in release
+//! mode to shake out races.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use slt_xml::datasets::workload::{random_update_sequence, WorkloadMix};
-use slt_xml::sltgrammar::{RhsTree, SymbolTable};
+use slt_xml::sltgrammar::{serialize, RhsTree, SymbolTable};
 use slt_xml::xmltree::binary::{from_binary, to_binary};
 use slt_xml::xmltree::parse::parse_xml;
 use slt_xml::xmltree::updates::{self as reference, UpdateOp};
@@ -115,10 +117,11 @@ fn store_is_send_sync_and_shared_references_read_from_any_thread() {
 }
 
 /// N readers traverse and query while one writer per document batches
-/// updates and the background thread recompresses. Readers must only ever
-/// observe internally consistent snapshots; the final state must be
-/// byte-identical to the single-threaded oracle replay of each document's
-/// schedule.
+/// updates, its own jobs recompressing the document once it is due. Readers
+/// must only ever observe internally consistent snapshots. The final state
+/// must serialize like the single-threaded oracle replay of each document's
+/// schedule, and encode to the same grammar bytes as a one-thread twin
+/// store that applies the same batches.
 #[test]
 fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
     let docs = corpus();
@@ -128,14 +131,13 @@ fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
         .map(|(i, xml)| workload(xml, 36, 0xC0DE + i as u64))
         .collect();
 
-    let mut store = DomStore::new().with_debt_threshold(40);
+    let store = DomStore::new().with_debt_threshold(40);
     let ids: Vec<DocId> = docs.iter().map(|x| store.load_xml(x).unwrap()).collect();
-    store.start_maintenance(Duration::from_millis(1));
 
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // One writer per document: apply its schedule in small batches, with
-        // short pauses so readers and the maintenance thread interleave.
+        // short pauses so readers and the other writers interleave.
         for (d, &id) in ids.iter().enumerate() {
             let schedule = &schedules[d];
             let store = &store;
@@ -186,26 +188,40 @@ fn concurrent_readers_writers_and_recompression_converge_to_the_oracle() {
             std::thread::sleep(Duration::from_millis(1));
         });
     });
-    store.stop_maintenance();
 
-    // Byte-identical to the single-threaded oracle replay, per document.
+    // The one-thread twin: same loads, each schedule in the same batches.
+    let twin = DomStore::new().with_debt_threshold(40);
+    let twin_ids: Vec<DocId> = docs.iter().map(|x| twin.load_xml(x).unwrap()).collect();
+    for (&id, schedule) in twin_ids.iter().zip(&schedules) {
+        for batch in schedule.chunks(4) {
+            twin.apply_batch(id, batch).expect("workload stays valid");
+        }
+    }
+
+    // Byte-identical to the single-threaded oracle replay, per document,
+    // and to the twin's grammar bytes.
     for (d, (&id, xml)) in ids.iter().zip(&docs).enumerate() {
         assert_eq!(
             store.to_xml(id).unwrap().to_xml(),
             oracle_serialization(xml, &schedules[d]),
             "doc {d} diverged from its oracle replay"
         );
+        assert_eq!(
+            serialize::encode(&store.grammar(id).unwrap()),
+            serialize::encode(&twin.grammar(twin_ids[d]).unwrap()),
+            "doc {d}: grammar bytes differ from the one-thread twin's"
+        );
         store.grammar(id).unwrap().validate().unwrap();
         assert_eq!(store.total_updates(id).unwrap(), 36);
     }
-    // The run must actually have exercised background recompression.
+    // The run must actually have exercised recompression under the readers.
     let recompressions: usize = ids
         .iter()
         .map(|&id| store.recompressions(id).unwrap())
         .sum();
     assert!(
         recompressions >= 1,
-        "the schedule must trigger background recompression"
+        "the schedule must trigger recompression"
     );
 }
 
