@@ -145,9 +145,9 @@ fn bench_store_concurrent(c: &mut Criterion) {
 
     // Reader latency: one snapshot query against the hot document, first on
     // a quiescent store, then while a churn thread batches updates whose own
-    // jobs recompress the document inline, aside, once it is due. The MVCC
-    // swap keeps the two within a small factor — readers never wait for
-    // recompression.
+    // jobs recompress the document inline, aside, once it is due. A read
+    // sees every completed batch: when the last batch is still unpublished
+    // it waits for the job in flight, inline recompression included.
     let hot = ids[0];
     let query = PathQuery::parse("//message").expect("valid query");
     group.bench_with_input(

@@ -59,6 +59,8 @@
 //! commits instead of paying one fsync each. A client that has
 //! the `Applied` reply in hand therefore holds a durable write — the
 //! kill-and-recover suite (`tests/server_durable.rs`) pins exactly this.
+//! It is also a visible write: every `Query` or `ToXml` sent after the
+//! `Applied` reply arrived, on any connection, sees it.
 //! Each request is its own job in the drain's record, so each reply is
 //! that request's own outcome: a failing request fails no other, not even
 //! a later one for the same document in the same drain. If no drain lands

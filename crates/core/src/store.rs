@@ -9,9 +9,9 @@
 //! preorder, path queries, point label reads, update batches; a single
 //! document is a store of one.
 //! The store is `Send + Sync`: many threads share one `DomStore` (or clones
-//! of an `Arc<DomStore>`), reads wait on a writer at most for a pointer
-//! swap, and writes to distinct documents proceed in parallel. A write
-//! that leaves its document due for recompression runs that recompression
+//! of an `Arc<DomStore>`), a read sees every write that completed before it,
+//! and writes to distinct documents proceed in parallel. A write that
+//! leaves its document due for recompression runs that recompression
 //! itself, before it returns.
 //!
 //! # Concurrency architecture: shards, snapshots, epochs
@@ -35,17 +35,19 @@
 //! `NavTables` (built on first use through a `OnceLock`), and the sealed
 //! symbol segments shared with the master table.
 //!
-//! **Writers copy on write.** An update locks its shard, mutates the grammar
+//! **Writers copy on write.** A job locks its shard, mutates the grammar
 //! through `Arc::make_mut` — deep-cloning at most once per read→write phase
-//! transition, since the published snapshot keeps the old `Arc` alive — and
-//! marks the shard dirty. The next reader republishes: if the shard lock is
-//! free it publishes the current grammar (an `Arc` clone, not a copy); if a
-//! writer is mid-flight it serves the previous published snapshot instead of
-//! blocking. Readers therefore observe **snapshot semantics**: every read
-//! runs on one internally consistent document version, at least as new as
-//! the last completed-and-published write, never a torn intermediate state.
-//! A thread that writes and then reads with no concurrent writer always sees
-//! its own write (the publish path catches up through the uncontended lock).
+//! transition, since the published snapshot keeps the old `Arc` alive — and,
+//! as its last step under the lock, marks the shard dirty (a job that
+//! recompresses publishes instead). So `clean` means that the published
+//! snapshot holds every completed job. A reader of a dirty shard takes the
+//! shard lock and publishes the current grammar (an `Arc` clone, not a
+//! copy); it waits only when the last completed job is unpublished *and*
+//! another job on the document holds the lock, and the readers queued
+//! behind that job publish once. Readers therefore observe **snapshot
+//! semantics**: every read runs on one internally consistent document
+//! version that holds every job completed before the read began, never a
+//! torn intermediate state.
 //!
 //! **Recompression swaps atomically.** A recompression (triggered by a job's
 //! debt, forced by [`DomStore::recompress`], or run by [`DomStore::maintain`])
@@ -62,11 +64,13 @@
 //! [`DomStore::load_grammar`]) and by [`DomStore::symbol_stats`] /
 //! [`DomStore::symbols`]; the **map lock** is read to resolve an id and
 //! written to insert, remove or materialize a document in place; each
-//! **shard lock** serializes writes to one document and the publish of its
-//! snapshot; a cell lock is innermost wherever it is taken. **No shard lock
-//! is taken while the map lock is held.** std's `RwLock` queues new readers
-//! behind a waiting writer, so a scan parked on a busy shard under the map's
-//! read guard would stall every read in the store behind the next load.
+//! **shard lock** is taken only by a job, by [`DomStore::recompress`] and
+//! [`DomStore::maintain`], by a reader that publishes a completed job, and
+//! by the `inspect_write_state` test seam; a cell lock is innermost
+//! wherever it is taken. **No shard lock is taken while the map lock is
+//! held.** std's `RwLock` queues new readers behind a waiting writer, so a
+//! scan parked on a busy shard under the map's read guard would stall every
+//! read in the store behind the next load.
 //! [`DomStore::maintain`] collects its candidates under the read guard (debts
 //! are atomics) and drops it before it resolves or recompresses;
 //! [`DomStore::symbol_stats`], the checkpoint cut and [`DomStore::clone`]
@@ -123,7 +127,7 @@
 //!   similar documents the per-store label-table footprint is O(alphabet +
 //!   Σ private tails) instead of N × O(alphabet) (reported by
 //!   [`DomStore::symbol_stats`], which counts each shared segment once no
-//!   matter how many write states and published snapshots reference it).
+//!   matter how many documents reference it).
 //!
 //! Existing grammars join through [`DomStore::load_grammar`], which re-interns
 //! their alphabet into the master and relabels the rule bodies
@@ -159,8 +163,8 @@
 //! job sequence: not of how its jobs were grouped into calls, nor of other
 //! documents' debt, nor of thread timing. Replaying the same jobs
 //! reproduces the same bytes. It holds the document's shard lock while it
-//! runs: readers keep the published snapshot, and the document's next
-//! write waits.
+//! runs: readers keep the published snapshot if it holds every earlier job,
+//! and otherwise wait with the document's next write.
 //!
 //! The paper's fixed-interval policy ("recompress every 100 updates") is a
 //! caller's loop: count calls and run [`DomStore::recompress`].
@@ -192,7 +196,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sltgrammar::crc32::crc32;
-use sltgrammar::fingerprint::derived_size;
 use sltgrammar::{serialize, Grammar, SymbolTable};
 use xmltree::binary::to_binary;
 use xmltree::updates::UpdateOp;
@@ -298,11 +301,10 @@ impl MaintenanceReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SymbolStats {
     /// Bytes of the shared segments, each resident allocation counted once
-    /// across the master, every document's write state, and every published
-    /// snapshot.
+    /// across the master and every document.
     pub shared_bytes: usize,
-    /// Bytes of the private local tails (master + all documents; a published
-    /// snapshot lagging behind its write state counts its own tail copy).
+    /// Bytes of the private local tails (master + all documents, each read
+    /// from a snapshot that holds every completed job).
     pub private_bytes: usize,
     /// What per-document tables would occupy instead: each document
     /// privately interning exactly the labels its grammar uses (what
@@ -383,7 +385,7 @@ impl Snapshot {
 
     /// Number of nodes of the snapshot's (uncompressed) binary tree.
     pub fn derived_size(&self) -> u128 {
-        derived_size(&self.inner.grammar)
+        self.nav_tables().derived_size()
     }
 
     /// Label of the node at `preorder_index` of the snapshot's binary tree.
@@ -446,8 +448,9 @@ struct WriteState {
 struct DocShard {
     write: Mutex<WriteState>,
     published: RwLock<Arc<SnapshotInner>>,
-    /// Whether `published` reflects the write state. Cleared by writers,
-    /// set by the (lazy) publish and by recompression's eager publish.
+    /// Whether `published` holds every completed job. Cleared as the last
+    /// step of a job that mutated the grammar without recompressing it, set
+    /// by every publish.
     clean: AtomicBool,
     /// Edge count right after the last recompression (or load) — the debt
     /// baseline.
@@ -477,20 +480,11 @@ impl DocShard {
         }
     }
 
-    /// The authoritative grammar (an `Arc` clone taken under the shard lock).
-    fn grammar(&self) -> Arc<Grammar> {
-        self.write
-            .lock()
-            .expect("shard lock never poisoned")
-            .grammar
-            .clone()
-    }
-
     /// A deep-ish copy for [`DomStore::clone`]: shares the grammar `Arc`
     /// (copy-on-write protects both sides), copies the counters. The copy
     /// starts without a session and builds its own on its first write.
     fn duplicate(&self) -> Self {
-        let grammar = self.grammar();
+        let grammar = self.snapshot().grammar_arc();
         DocShard {
             published: RwLock::new(SnapshotInner::of(grammar.clone())),
             write: Mutex::new(WriteState {
@@ -511,27 +505,20 @@ impl DocShard {
             .saturating_sub(self.baseline_edges.load(Ordering::Relaxed))
     }
 
-    /// The read path. Steady state (`clean`): an atomic load and one cell
-    /// load. After a write: republish through the uncontended shard lock,
-    /// or — if a writer holds it right now — serve the previous published
-    /// snapshot rather than block (snapshot semantics; see the module docs).
+    /// The read path: a version holding every completed job. Steady state
+    /// (`clean`): an atomic load and one cell load. After an unpublished
+    /// job: publish it under the shard lock, waiting for a job that holds
+    /// the lock right now (see the module docs).
     fn snapshot(&self) -> Snapshot {
-        if self.clean.load(Ordering::Acquire) {
-            return Snapshot {
-                inner: load_cell(&self.published),
-            };
-        }
-        match self.write.try_lock() {
-            Ok(guard) => {
-                let inner = SnapshotInner::of(guard.grammar.clone());
-                store_cell(&self.published, inner.clone());
-                self.clean.store(true, Ordering::Release);
-                drop(guard);
-                Snapshot { inner }
+        if !self.clean.load(Ordering::Acquire) {
+            let guard = self.write.lock().expect("shard lock never poisoned");
+            // Readers queued behind one job publish it once.
+            if !self.clean.load(Ordering::Acquire) {
+                self.publish_locked(&guard.grammar);
             }
-            Err(_) => Snapshot {
-                inner: load_cell(&self.published),
-            },
+        }
+        Snapshot {
+            inner: load_cell(&self.published),
         }
     }
 
@@ -729,14 +716,14 @@ impl DomStore {
     }
 
     /// Applies one job under the shard lock and does the shard's whole
-    /// post-update bookkeeping, ending with the job's own recompression (see
-    /// the module docs). What a call costs follows from what it did to the
-    /// grammar, not from how it ended: a job that left the grammar untouched
-    /// (empty, stale id, rejected before anything was isolated) keeps the
-    /// published snapshot clean and recompresses nothing; any mutation —
-    /// applied ops, or the isolation growth a splice-time failure leaves
-    /// behind — dirties the snapshot and is tracked as debt. Returns the
-    /// recompression's stats if the job ran one.
+    /// post-update bookkeeping, ending with the job's own recompression and
+    /// publish, or else with marking the snapshot dirty (see the module
+    /// docs). What a call costs follows from what it did to the grammar, not
+    /// from how it ended: a job that left the grammar untouched (empty, stale
+    /// id, rejected before anything was isolated) keeps the published
+    /// snapshot clean and recompresses nothing; any mutation — applied ops,
+    /// or the isolation growth a splice-time failure leaves behind — is
+    /// tracked as debt. Returns the recompression's stats if the job ran one.
     fn apply_batch_one(
         &self,
         doc: DocId,
@@ -760,22 +747,24 @@ impl DomStore {
         // A failed batch may have half-reported a splice: its session is
         // dropped and the next write rebuilds one.
         state.session = result.is_ok().then_some(session);
-        let mutated = mutation_mark(grammar) != before;
-        if mutated {
-            let edges = match &result {
-                Ok(stats) => stats.edges_after,
-                Err(_) => grammar.edge_count(),
-            };
-            shard.current_edges.store(edges, Ordering::Relaxed);
-            shard.clean.store(false, Ordering::Release);
-        }
         if result.is_ok() {
             shard.total_updates.fetch_add(ops.len(), Ordering::Relaxed);
         }
-        if !mutated || !self.due(&shard) {
+        if mutation_mark(grammar) == before {
             return (result, None);
         }
-        (result, Some(self.recompress_locked(&shard, state)))
+        let edges = match &result {
+            Ok(stats) => stats.edges_after,
+            Err(_) => grammar.edge_count(),
+        };
+        shard.current_edges.store(edges, Ordering::Relaxed);
+        if self.due(&shard) {
+            return (result, Some(self.recompress_locked(&shard, state)));
+        }
+        // The job's last step, still under the lock: the next reader
+        // publishes it.
+        shard.clean.store(false, Ordering::Release);
+        (result, None)
     }
 
     /// Whether `shard`'s debt has reached the threshold (taken as at least
@@ -846,7 +835,7 @@ fn fan_out<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
 ///
 /// `DomStore` is `Send + Sync`; share it across threads directly or behind an
 /// `Arc`. Reads ([`DomStore::snapshot`] and everything built on it) are
-/// `&self` and wait on a writer at most for a pointer swap; writes to
+/// `&self` and see every write that completed before them; writes to
 /// distinct documents run in parallel.
 #[derive(Debug)]
 pub struct DomStore {
@@ -880,7 +869,7 @@ impl Clone for DomStore {
     /// starting state.
     fn clone(&self) -> Self {
         let master = self.symbols.lock().expect("master lock").clone();
-        // Duplicating a shard takes its lock: walk a copy of the map.
+        // Duplicating a shard can publish under its lock: walk a copy of the map.
         let src = self.map().clone();
         let slots = src
             .slots
@@ -1036,7 +1025,7 @@ impl DomStore {
                 drop(shard.published); // releases the snapshot's grammar ref
                 state.grammar
             }
-            Err(shard) => shard.grammar(),
+            Err(shard) => shard.snapshot().grammar_arc(),
         };
         Ok(Arc::try_unwrap(grammar).unwrap_or_else(|shared| (*shared).clone()))
     }
@@ -1073,10 +1062,10 @@ impl DomStore {
     }
 
     /// Resident label-table footprint of the store, deduplicating shared
-    /// segments across the master, every document's write state, and every
-    /// published snapshot (see [`SymbolStats`]) — a segment referenced from
-    /// N snapshots still counts once. It walks a copy of the document map,
-    /// so waiting on a busy shard blocks no other caller.
+    /// segments across the master and every document's current snapshot
+    /// (see [`SymbolStats`]) — a segment referenced from N documents still
+    /// counts once. It walks a copy of the document map, so waiting on a
+    /// busy shard blocks no other caller.
     pub fn symbol_stats(&self) -> SymbolStats {
         let mut seen = std::collections::HashSet::new();
         let mut stats = SymbolStats::default();
@@ -1093,32 +1082,26 @@ impl DomStore {
             stats.master_symbols = master.len();
             visit(&master, &mut stats);
         }
-        // Reading a write state takes its shard lock: walk a copy of the map.
+        // A read can publish under a shard lock: walk a copy of the map.
         let map = self.map().clone();
         for &id in &map.live {
             let Some(shard) = map.get(id) else { continue };
-            let write = shard.grammar();
-            visit(&write.symbols, &mut stats);
+            let grammar = shard.snapshot().grammar_arc();
+            visit(&grammar.symbols, &mut stats);
             // Per-document baseline: only the labels this grammar uses.
-            stats.unshared_bytes += used_terms(&write)
+            stats.unshared_bytes += used_terms(&grammar)
                 .into_iter()
-                .map(|t| write.symbols.symbol_heap_bytes(t))
+                .map(|t| grammar.symbols.symbol_heap_bytes(t))
                 .sum::<usize>();
-            // A published snapshot lagging behind the write state holds its
-            // own table object: shared segments dedup through `seen`, a
-            // diverged local tail is honestly a second resident copy.
-            let published = load_cell(&shard.published);
-            if !Arc::ptr_eq(&published.grammar, &write) {
-                visit(&published.grammar.symbols, &mut stats);
-            }
         }
         stats
     }
 
     // ----- per-document read surface -----
 
-    /// The current published [`Snapshot`] of a document — the entry point of
-    /// the read path; every other read method is sugar over it.
+    /// The current published [`Snapshot`] of a document, holding every write
+    /// that completed before the call — the entry point of the read path;
+    /// every other read method is sugar over it.
     /// The snapshot stays valid (and immutable) for as long as it is held,
     /// across concurrent updates, recompressions, and removal.
     pub fn snapshot(&self, doc: DocId) -> Result<Snapshot> {
@@ -1335,13 +1318,13 @@ impl DomStore {
 
     /// A checkpoint cut, read from one map snapshot: the slab layout —
     /// per-slot generations, the free list, the live list — and, per live
-    /// document, its undecoded payload or its authoritative grammar. Only
+    /// document, its undecoded payload or its current snapshot's grammar. Only
     /// pointers are copied; [`CutDoc::encode`] does the work later, off
     /// every lock. Restoring the exact layout (and then replaying the logged
     /// lifecycle events in order) makes [`DocId`] assignment after recovery
     /// identical to the original run.
     pub(crate) fn checkpoint_cut(&self) -> (SlabLayout, Vec<(DocId, CutDoc)>) {
-        // Reading a write state takes its shard lock: walk a copy of the map.
+        // A read can publish under a shard lock: walk a copy of the map.
         let map = self.map().clone();
         let docs = map
             .live
@@ -1349,7 +1332,7 @@ impl DomStore {
             .map(|&id| {
                 let slot = &map.slots[id.index()];
                 let doc = match (&slot.shard, &slot.pending) {
-                    (Some(shard), _) => CutDoc::Live(shard.grammar()),
+                    (Some(shard), _) => CutDoc::Live(shard.snapshot().grammar_arc()),
                     (None, Some(pending)) => CutDoc::Pending(pending.clone()),
                     (None, None) => unreachable!("a live slot holds a shard or a payload"),
                 };
@@ -1452,16 +1435,16 @@ impl DomStore {
 pub(crate) enum CutDoc {
     /// A lazily restored document, never decoded since.
     Pending(Arc<PendingDoc>),
-    /// A materialized document's authoritative grammar; copy-on-write keeps
-    /// it immutable while the cut holds it.
+    /// A materialized document's current snapshot grammar; copy-on-write
+    /// keeps it immutable while the cut holds it.
     Live(Arc<Grammar>),
 }
 
 impl CutDoc {
     /// The checkpoint-v3 extent payload, with its CRC: a pending document's
     /// stored bytes verbatim (never decoded just to be re-encoded), a live
-    /// grammar serialized. Consumes the cut's reference, so a writer to
-    /// this document pays no copy-on-write clone once it is encoded.
+    /// grammar serialized. Consumes the cut's reference, so the cut keeps no
+    /// grammar alive once it is encoded.
     pub(crate) fn encode(self) -> (Vec<u8>, u32) {
         match self {
             CutDoc::Pending(pending) => (pending.bytes.clone(), pending.crc),
@@ -1897,6 +1880,8 @@ mod tests {
         let store = DomStore::new();
         let a = store.load_xml(&doc("feed", 4)).unwrap();
         let b = store.load_xml(&doc("blog", 4)).unwrap();
+        // An unpublished write: the scan's read of A must wait for A's shard.
+        store.apply_batch(a, &[UpdateOp::Rename { target: 1, label: "x".into() }]).unwrap();
         let store = &store;
         let (held_tx, held_rx) = channel();
         let (release_tx, release_rx) = channel::<()>();

@@ -2,12 +2,13 @@
 //! [`DomStore`] shared across threads.
 //!
 //! The walkthrough loads a fleet of documents (in parallel), then serves a
-//! mixed workload: reader threads stream and query snapshots, never waiting
-//! on a writer's work, while a writer thread pushes update batches. A batch
-//! that leaves its document due for recompression recompresses it on the
-//! writer's own thread, aside, and atomically swaps the new snapshot in. A
-//! snapshot taken before the churn is kept alive throughout and verified
-//! byte-stable at the end — the MVCC guarantee in one line of output.
+//! mixed workload: reader threads stream and query snapshots, each seeing
+//! every batch that completed before it, while a writer thread pushes update
+//! batches. A batch that leaves its document due for recompression
+//! recompresses it on the writer's own thread, aside, and atomically swaps
+//! the new snapshot in. A snapshot taken before the churn is kept alive
+//! throughout and verified byte-stable at the end — the MVCC guarantee in
+//! one line of output.
 //!
 //! Run with: `cargo run --release --example concurrent_store`
 

@@ -1,16 +1,17 @@
 //! Concurrency differential suite for the sharded [`DomStore`].
 //!
-//! The store promises snapshot semantics: readers take no locks, never see a
-//! torn document, and a snapshot held across concurrent updates and
-//! recompressions stays byte-stable; writers to distinct documents proceed
-//! in parallel and the final state is byte-identical to a single-threaded
-//! replay of the same per-document schedules: the same document as the
-//! uncompressed oracle, and the same grammar bytes as a one-thread store,
-//! since each job recompresses its own document on its own thread. These
-//! tests drive N reader threads and per-document writer threads against
-//! each other and pin all of that. The schedules are deterministic; the
-//! *interleavings* are not — CI runs this suite several times in release
-//! mode to shake out races.
+//! The store promises snapshot semantics: readers never see a torn
+//! document, a read sees every write that completed before it, and a
+//! snapshot held across concurrent updates and recompressions stays
+//! byte-stable; writers to distinct documents proceed in parallel and the
+//! final state is byte-identical to a single-threaded replay of the same
+//! per-document schedules: the same document as the uncompressed oracle,
+//! and the same grammar bytes as a one-thread store, since each job
+//! recompresses its own document on its own thread. These tests drive N
+//! reader threads and per-document writer threads against each other and
+//! pin all of that. The schedules are deterministic; the *interleavings*
+//! are not — CI runs this suite several times in release mode to shake out
+//! races.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -262,6 +263,36 @@ fn old_snapshots_survive_atomic_swaps_untouched() {
     // the published one.
     drop(old);
     assert_eq!(store.to_xml(id).unwrap().to_xml(), new.to_xml().unwrap().to_xml());
+}
+
+/// A read sees every write that completed before it: with the shard held by
+/// another caller, a read after an acknowledged rename waits for the shard
+/// and publishes the rename, rather than serve a version that misses it.
+#[test]
+fn a_read_waits_for_a_held_shard_rather_than_miss_a_completed_write() {
+    let store = DomStore::new().with_debt_threshold(usize::MAX);
+    let id = store.load_xml(&parse_xml("<feed><item/><item/></feed>").unwrap()).unwrap();
+    store
+        .apply_batch(id, &[UpdateOp::Rename { target: 1, label: "entry".into() }])
+        .expect("the rename applies");
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let store = &store;
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            store
+                .inspect_write_state(id, |_, _| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+                .unwrap();
+        });
+        held_rx.recv().unwrap();
+        let read = scope.spawn(move || store.label_at(id, 1).unwrap());
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        assert_eq!(read.join().unwrap(), "entry", "the read must see the completed rename");
+    });
 }
 
 /// Generation-tagged ids under concurrent churn: stale ids always error (no
